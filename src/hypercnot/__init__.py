@@ -23,7 +23,6 @@ from .circuit import (
     Direction,
     ElementTrace,
     block_interact,
-    mirror_attenuate,
     raw_cavity_pass,
     stage_polarization,
     stage_spatial,
@@ -70,10 +69,8 @@ from .scattering import (
     DephasingParams,
     ScatterCoeffs,
     block_coeffs,
-    cold_coeffs,
     dephasing_penalty,
     efficiency,
-    hot_coeffs,
     scatter_coeffs,
 )
 
@@ -111,20 +108,17 @@ __all__ = [
     "ValidationError",
     "block_coeffs",
     "block_interact",
-    "cold_coeffs",
     "dephasing_penalty",
     "efficiency",
     "emit_report",
     "fidelity",
     "fidelity_scan",
-    "hot_coeffs",
     "hyper_cnot",
     "hyper_cnot_n",
     "ideal_hyper_cnot",
     "ideal_hyper_cnot_n",
     "init_state",
     "load_report",
-    "mirror_attenuate",
     "pack_label",
     "random_photon_spec",
     "raw_cavity_pass",

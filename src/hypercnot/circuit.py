@@ -1,12 +1,11 @@
 """Optical elements and the two per-photon routing stages of the gate.
 
-The gate hardware routes each photon, one at a time, through two stages:
+The gate hardware routes each photon, one at a time, through two stages. In
+each, one branch crosses a balancing mirror and the other a basic block:
 
   polarization stage   R branch crosses a partially transmitting mirror;
                        the L branch is bit-flipped onto R, crosses the first
-                       basic block (spin 1), and comes back out as L. Both
-                       branches pick up the same transmission factor, and the
-                       L branch additionally applies a Z to spin 1.
+                       basic block (spin 1), and comes back out as L.
 
   spatial stage        mode-1 branch crosses a mirror; the mode-2 branch
                        crosses the second basic block (spin 2) with flip
@@ -16,8 +15,14 @@ A basic block acts on an incoming R photon as an effective two-outcome map:
 with amplitude D the photon reflects unchanged into a heralding detector
 (failure), with amplitude T it transmits with polarization flipped and a Z
 applied to the block's spin. Whatever the two amplitudes leave behind is
-absorbed. ``block_interact`` implements that effective map; the raw
-single-pass scattering rules are also available (``raw_cavity_pass``) for
+absorbed. ``block_interact`` implements that map on one routed branch and is
+the reference the stages are checked against.
+
+Because the flip plates undo the block's own polarization flip, a stage moves
+no basis label: it multiplies the mirror branch by the mirror transmission
+and the block branch by T with a Z on the block's spin. ``stage_polarization``
+and ``stage_spatial`` apply exactly that, in one pass over the amplitudes.
+The raw single-pass scattering rules (``raw_cavity_pass``) are kept for
 validating any future explicit reconstruction of the block interior.
 """
 from __future__ import annotations
@@ -25,24 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .errors import RoutingContractError, ValidationError
-from .hyperstate import (
-    ABSORBED,
-    DETECTOR_B1,
-    DETECTOR_B2,
-    HyperState,
-    Pol,
-    Spatial,
-    pol_mask,
-    spatial_mask,
-    spin_mask,
-)
+from .hyperstate import ABSORBED, DETECTOR_B1, DETECTOR_B2, HyperState
 from .scattering import BlockCoeffs, ScatterCoeffs
-
-# Predicate over one photon's (pol, spatial) bits selecting a branch.
-BranchSelector = Callable[[Pol, Spatial], bool]
 
 
 class Direction(Enum):
@@ -76,32 +67,13 @@ def _log(trace: ElementTrace | None, element: str, photon: int | None,
         trace.append(element, photon, condition)
 
 
-def mirror_attenuate(state: HyperState, photon: int,
-                     selector: BranchSelector | None, T: complex,
-                     trace: ElementTrace | None = None,
-                     condition: str = "") -> HyperState:
-    """Multiply the selected branch of one photon by T, depositing the lost
-    mass 1-|T|^2 per amplitude into the absorbed sink. selector=None selects
-    every amplitude."""
-    if abs(T) > 1.0 + 1e-12:
-        raise ValidationError(f"mirror transmission |T|={abs(T)} exceeds 1")
-    pm = state._photon_mask(photon, spatial=False)
-    sm = state._photon_mask(photon, spatial=True)
-    loss = max(0.0, 1.0 - abs(T) ** 2)
-    out: dict[int, complex] = {}
-    lost: list[float] = []
-    for label, amp in state.amplitudes.items():
-        if selector is None or selector(Pol(1 if label & pm else 0),
-                                        Spatial(1 if label & sm else 0)):
-            out[label] = amp * T
-            lost.append(loss * abs(amp) ** 2)
-        else:
-            out[label] = amp
-    state.amplitudes = out
-    state._prune()
-    state.deposit(ABSORBED, math.fsum(lost))
-    _log(trace, "mirror", photon, condition)
-    return state
+def _block_probs(bc: BlockCoeffs) -> tuple[float, float]:
+    """|D|^2 and |T|^2 of a basic block, checked for passivity."""
+    d2 = abs(bc.D) ** 2
+    t2 = abs(bc.T) ** 2
+    if d2 + t2 > 1.0 + 1e-9:
+        raise ValidationError(f"block coefficients violate |D|^2+|T|^2<=1 ({d2 + t2})")
+    return d2, t2
 
 
 def block_interact(state: HyperState, photon: int, which_spin: int,
@@ -115,10 +87,7 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     failure) and removed from the coherent state. The remainder
     (1-|D|^2-|T|^2 per amplitude) goes to the absorbed sink.
     """
-    d2 = abs(bc.D) ** 2
-    t2 = abs(bc.T) ** 2
-    if d2 + t2 > 1.0 + 1e-9:
-        raise ValidationError(f"block coefficients violate |D|^2+|T|^2<=1 ({d2 + t2})")
+    d2, t2 = _block_probs(bc)
     pm = state._photon_mask(photon, spatial=False)
     zm = state._spin_bit_mask(which_spin)
     absorb_frac = max(0.0, 1.0 - d2 - t2)
@@ -175,83 +144,75 @@ def raw_cavity_pass(state: HyperState, photon: int, which_spin: int,
         tc, rc = (sc.t, sc.r) if coupled else (sc.t0, sc.r0)
         trans[label] = tc * amp
         refl[label ^ pm] = rc * amp
-    mk = lambda amps: HyperState(state.n_photons, amps, has_spins=state.has_spins,
-                                 prune_threshold=state.prune_threshold)
+    mk = lambda amps: HyperState(state.n_photons, amps, has_spins=state.has_spins)
     t_state, r_state = mk(trans), mk(refl)
     t_state._prune()
     r_state._prune()
     return t_state, r_state
 
 
-def _split_by_mask(state: HyperState, mask: int) -> tuple[HyperState, HyperState]:
-    """Partition amplitudes by one bit into two sink-free working states."""
-    lo: dict[int, complex] = {}
-    hi: dict[int, complex] = {}
-    for label, amp in state.amplitudes.items():
-        (hi if label & mask else lo)[label] = amp
-    mk = lambda amps: HyperState(state.n_photons, amps, has_spins=state.has_spins,
-                                 prune_threshold=state.prune_threshold)
-    return mk(lo), mk(hi)
+def _route(state: HyperState, branch_mask: int, which_spin: int,
+           bc: BlockCoeffs, mirror_T: complex | None, detector: str) -> None:
+    """Net map of one routing stage, applied in place in one pass over the
+    amplitudes.
 
-
-def _merge_into(state: HyperState, *parts: HyperState) -> None:
-    """Coherently reunite branch states (amplitudes add on label collision)
-    and fold their sink deposits into the parent."""
-    merged: dict[int, complex] = {}
-    for part in parts:
-        for label, amp in part.amplitudes.items():
-            merged[label] = merged.get(label, 0j) + amp
-        for sid, mass in part.sinks.items():
-            if mass:
-                state.sinks[sid] += mass
-    state.amplitudes = merged
-    state._prune()
+    An amplitude with the branch_mask bit clear crosses the mirror: x mirror_T
+    (the block's T when None). One with the bit set crosses the block: x T,
+    negated when which_spin is down. No label moves. The block branch's mass
+    times |D|^2 is deposited in ``detector``; the rest of both branches' loss
+    goes to the absorbed sink. Amplitudes that become exactly zero are dropped.
+    """
+    t_mirror = bc.T if mirror_T is None else mirror_T
+    if abs(t_mirror) > 1.0 + 1e-12:
+        raise ValidationError(f"mirror transmission |T|={abs(t_mirror)} exceeds 1")
+    d2, t2 = _block_probs(bc)
+    zm = state._spin_bit_mask(which_spin)
+    t_up, t_down = bc.T, -bc.T
+    amps = state.amplitudes
+    mirror_mass: list[float] = []
+    block_mass: list[float] = []
+    zeros: list[int] = []
+    for label, amp in amps.items():
+        if label & branch_mask:
+            block_mass.append(abs(amp) ** 2)
+            amp = (t_down if label & zm else t_up) * amp
+        else:
+            mirror_mass.append(abs(amp) ** 2)
+            amp = amp * t_mirror
+        amps[label] = amp  # replacing a value keeps the dict iteration valid
+        if not amp:
+            zeros.append(label)
+    for label in zeros:
+        del amps[label]
+    m_block = math.fsum(block_mass)
+    state.deposit(detector, d2 * m_block)
+    state.deposit(ABSORBED, math.fsum([
+        max(0.0, 1.0 - abs(t_mirror) ** 2) * math.fsum(mirror_mass),
+        max(0.0, 1.0 - d2 - t2) * m_block]))
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,
                        mirror_T: complex | None = None,
                        trace: ElementTrace | None = None) -> HyperState:
-    """First routing stage: splits on polarization, sends R across a mirror
-    and L (bit-flipped) through the block coupled to spin 1, then reunites.
-    Net: R branch x mirror_T; L branch x T with a Z on spin 1."""
-    t_mirror = bc.T if mirror_T is None else mirror_T
-    pm = state._photon_mask(photon, spatial=False)
-    _log(trace, "split_pol", photon)
-    r_part, l_part = _split_by_mask(state, pm)
-    mirror_attenuate(r_part, photon, None, t_mirror, trace, "pol=R")
-    l_part.pol_flip(photon)
-    _log(trace, "pol_flip", photon, "pol=L")
-    block_interact(l_part, photon, 1, bc, DETECTOR_B1, trace,
-                   f"pol=L spin=1 sink={DETECTOR_B1}")
-    _merge_into(state, r_part, l_part)
-    _log(trace, "reunite_pol", photon)
+    """First routing stage: R crosses a mirror; L is flipped onto R, crosses
+    the block coupled to spin 1 and leaves as L. Net: R branch x mirror_T
+    (default: the block's T); L branch x T with a Z on spin 1."""
+    _route(state, state._photon_mask(photon, spatial=False), 1, bc, mirror_T,
+           DETECTOR_B1)
+    _log(trace, "mirror", photon, "pol=R")
+    _log(trace, "block", photon, f"pol=L spin=1 sink={DETECTOR_B1}")
     return state
 
 
 def stage_spatial(state: HyperState, photon: int, bc: BlockCoeffs,
                   mirror_T: complex | None = None,
                   trace: ElementTrace | None = None) -> HyperState:
-    """Second routing stage: splits on spatial mode, sends mode 1 across a
-    mirror and mode 2 through the block coupled to spin 2. Flip plates around
-    the block keep the mode-2 branch's polarization unchanged. Net: mode-1
-    branch x mirror_T; mode-2 branch x T with a Z on spin 2."""
-    t_mirror = bc.T if mirror_T is None else mirror_T
-    sm = state._photon_mask(photon, spatial=True)
-    _log(trace, "split_spatial", photon)
-    m1_part, m2_part = _split_by_mask(state, sm)
-    mirror_attenuate(m1_part, photon, None, t_mirror, trace, "spatial=1")
-    pm = state._photon_mask(photon, spatial=False)
-    r_sub, l_sub = _split_by_mask(m2_part, pm)
-    # L enters flipped to R and leaves the block as L.
-    l_sub.pol_flip(photon)
-    _log(trace, "pol_flip", photon, "spatial=2 pol=L")
-    block_interact(l_sub, photon, 2, bc, DETECTOR_B2, trace,
-                   f"spatial=2 pol=L spin=2 sink={DETECTOR_B2}")
-    # R leaves the block as L and is flipped back to R.
-    block_interact(r_sub, photon, 2, bc, DETECTOR_B2, trace,
-                   f"spatial=2 pol=R spin=2 sink={DETECTOR_B2}")
-    r_sub.pol_flip(photon)
-    _log(trace, "pol_flip", photon, "spatial=2 pol=R")
-    _merge_into(state, m1_part, l_sub, r_sub)
-    _log(trace, "reunite_spatial", photon)
+    """Second routing stage: mode 1 crosses a mirror; mode 2 crosses the
+    block coupled to spin 2, with flip plates keeping its polarization. Net:
+    mode-1 branch x mirror_T (default: the block's T); mode-2 branch x T with
+    a Z on spin 2."""
+    _route(state, state._photon_mask(photon, spatial=True), 2, bc, mirror_T,
+           DETECTOR_B2)
+    _log(trace, "mirror", photon, "spatial=1")
+    _log(trace, "block", photon, f"spatial=2 spin=2 sink={DETECTOR_B2}")
     return state

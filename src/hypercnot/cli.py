@@ -109,26 +109,41 @@ def parse_photon_spec(text: str, field: str = "photon") -> PhotonSpec:
     return PhotonSpec(pol=_POL_SHORTHAND[pol_tok], spatial=_SPAT_SHORTHAND[spat_tok])
 
 
+# Most points one sweep axis may hold. A sweep runs one gate per grid point,
+# so a longer axis would not finish; the count is checked before the axis is
+# built.
+MAX_AXIS_POINTS = 10_000
+
+
 def parse_axis(text: str, name: str) -> tuple[float, ...]:
-    """Sweep axis: inclusive ``start:stop:step`` or a comma list."""
+    """Sweep axis: inclusive ``start:stop:step`` or a comma list, of finite
+    values and at most MAX_AXIS_POINTS points."""
+    range_form = ":" in text
+    parts = text.split(":") if range_form else [t for t in text.split(",") if t.strip()]
+    if range_form and len(parts) != 3:
+        raise ValidationError(f"{name}: expected start:stop:step, got {text!r}")
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValidationError(f"{name}: expected start:stop:step, got {text!r}")
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0:
-                raise ValidationError(f"{name}: step must be > 0")
-            if stop < start:
-                raise ValidationError(f"{name}: stop must be >= start")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(min(start + k * step, stop) for k in range(count))
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ValidationError(f"{name}: bad number in {text!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{name}: values must be finite, got {text!r}")
+    if range_form:
+        start, stop, step = values
+        if step <= 0:
+            raise ValidationError(f"{name}: step must be > 0")
+        if stop < start:
+            raise ValidationError(f"{name}: stop must be >= start")
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_AXIS_POINTS:  # also an overflow to inf
+            raise ValidationError(
+                f"{name}: {text!r} has more than {MAX_AXIS_POINTS} points")
+        return tuple(min(start + k * step, stop) for k in range(int(span) + 1))
     if not values:
         raise ValidationError(f"{name}: empty axis {text!r}")
-    return values
+    if len(values) > MAX_AXIS_POINTS:
+        raise ValidationError(f"{name}: {text!r} has more than {MAX_AXIS_POINTS} points")
+    return tuple(values)
 
 
 # -- run-spec file and cavity parameter resolution ----------------------------

@@ -23,6 +23,7 @@ itself (click / absorb / succeed) are provided by ``sample_run`` and
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -81,6 +82,9 @@ class GateConfig:
         if self.mode == "sampled" and self.rng_seed is None:
             raise ValidationError("sampled mode requires rng_seed")
         if self.mirror_T_override is not None:
+            if not cmath.isfinite(self.mirror_T_override):
+                raise ValidationError(
+                    f"mirror override {self.mirror_T_override} is not finite")
             if abs(self.mirror_T_override) > 1.0 + 1e-12:
                 raise ValidationError(
                     f"mirror override magnitude {abs(self.mirror_T_override)} exceeds 1")

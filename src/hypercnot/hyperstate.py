@@ -22,6 +22,7 @@ reductions use math.fsum, so results do not depend on dict insertion order.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -62,7 +63,8 @@ class Spin(IntEnum):
 @dataclass(frozen=True)
 class PhotonSpec:
     """Input single-photon state: complex coefficient pairs for (R, L) and
-    (mode 1, mode 2). Each pair must be normalized within NORM_TOL."""
+    (mode 1, mode 2). Each pair must be finite and normalized within
+    NORM_TOL."""
 
     pol: tuple[complex, complex]
     spatial: tuple[complex, complex]
@@ -72,6 +74,8 @@ class PhotonSpec:
         object.__setattr__(self, "spatial",
                            (complex(self.spatial[0]), complex(self.spatial[1])))
         for name, pair in (("pol", self.pol), ("spatial", self.spatial)):
+            if not all(map(cmath.isfinite, pair)):
+                raise ValidationError(f"{name} pair {pair} is not finite")
             nrm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
             if abs(nrm - 1.0) > NORM_TOL:
                 raise ValidationError(
@@ -155,15 +159,12 @@ class SpinMeasurement(NamedTuple):
 class HyperState:
     """Joint amplitude state of ``n_photons`` photons plus (optionally) the
     two spins, with sink accumulators for heralded clicks and absorption.
-
-    prune_threshold: amplitudes with magnitude <= threshold are dropped after
-    each operation. The default 0.0 drops only exact zeros (no information is
-    ever lost); raise it only for stress tests.
+    Amplitudes that become exactly zero are dropped, so no information is
+    ever lost.
     """
 
     def __init__(self, n_photons: int, amplitudes: dict[int, complex] | None = None,
-                 sinks: dict[str, float] | None = None, has_spins: bool = True,
-                 prune_threshold: float = 0.0):
+                 sinks: dict[str, float] | None = None, has_spins: bool = True):
         if n_photons < 1:
             raise ValidationError(f"need at least one photon, got {n_photons}")
         self.n_photons = n_photons
@@ -174,7 +175,6 @@ class HyperState:
             for sid, mass in sinks.items():
                 self._check_sink(sid, mass)
                 self.sinks[sid] = float(mass)
-        self.prune_threshold = prune_threshold
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -183,8 +183,7 @@ class HyperState:
         return 2 * self.n_photons + (2 if self.has_spins else 0)
 
     def copy(self) -> "HyperState":
-        return HyperState(self.n_photons, self.amplitudes, self.sinks,
-                          self.has_spins, self.prune_threshold)
+        return HyperState(self.n_photons, self.amplitudes, self.sinks, self.has_spins)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperState):
@@ -211,8 +210,7 @@ class HyperState:
                 for bits, amp in sorted(self.amplitudes.items())]
 
     def _prune(self) -> None:
-        thr = self.prune_threshold
-        self.amplitudes = {l: a for l, a in self.amplitudes.items() if abs(a) > thr}
+        self.amplitudes = {l: a for l, a in self.amplitudes.items() if a}
 
     def _photon_mask(self, photon: int, spatial: bool) -> int:
         if not 0 <= photon < self.n_photons:
@@ -331,18 +329,14 @@ class HyperState:
             if prob <= 0.0:
                 continue
             scale = 1.0 / math.sqrt(prob)
-            collapsed = HyperState(
-                self.n_photons,
-                {l: a * scale for l, a in branch.items()},
-                has_spins=False,
-                prune_threshold=self.prune_threshold,
-            )
+            collapsed = HyperState(self.n_photons,
+                                   {l: a * scale for l, a in branch.items()},
+                                   has_spins=False)
             results.append(SpinMeasurement((Spin(key[0]), Spin(key[1])), prob, collapsed))
         return results
 
 
-def init_state(photons: Sequence[PhotonSpec], spins: str = "plus",
-               prune_threshold: float = 0.0) -> HyperState:
+def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:
     """Product state of the given photons and the two spins.
 
     spins="plus" prepares both spins in (up+down)/sqrt2 (a Hadamard applied to
@@ -358,8 +352,7 @@ def init_state(photons: Sequence[PhotonSpec], spins: str = "plus",
             raise ValidationError(f"photon {i} is not a PhotonSpec")
         amps = _expand(amps, pol_mask(i), spec.pol)
         amps = _expand(amps, spatial_mask(i), spec.spatial)
-    state = HyperState(len(photons), amps, has_spins=True,
-                       prune_threshold=prune_threshold)
+    state = HyperState(len(photons), amps, has_spins=True)
     if spins == "plus":
         state.spin_hadamard(1)
         state.spin_hadamard(2)

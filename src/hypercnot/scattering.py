@@ -27,7 +27,7 @@ and the end-to-end photon survival of a gate with ``n`` target photons is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DegeneratePhysicsError, ValidationError
 
@@ -62,6 +62,10 @@ class CavityParams:
     omega_x: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if not self.kappa > 0:
             raise ValidationError(f"kappa must be > 0, got {self.kappa}")
         if self.kappa_s < 0:
@@ -131,9 +135,10 @@ def _checked_div(num: complex, den: complex) -> complex:
     return num / den
 
 
-def hot_coeffs(p: CavityParams) -> ScatterCoeffs:
+def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
     """Full coefficient set for the given parameters: the hot pair (r, t) at
-    coupling p.g, plus the cold pair (r0, t0) of the same cavity."""
+    coupling p.g, plus the cold pair (r0, t0) of the same cavity. At g = 0
+    the hot pair reduces to the cold one."""
     dx = p.omega_x - p.omega
     dc = p.omega_c - p.omega
     dipole = complex(0.0, dx) + p.gamma / 2.0
@@ -141,19 +146,6 @@ def hot_coeffs(p: CavityParams) -> ScatterCoeffs:
     t = _checked_div(-p.kappa * dipole, dipole * cavity + p.g * p.g)
     t0 = _checked_div(complex(-p.kappa), cavity)
     return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0)
-
-
-# The canonical name for "give me everything about this cavity".
-scatter_coeffs = hot_coeffs
-
-
-def cold_coeffs(p: CavityParams) -> ScatterCoeffs:
-    """Coefficients of the same cavity with the dipole decoupled (g = 0); the
-    hot pair degenerates to the cold one, so all four fields carry (r0, t0)."""
-    dc = p.omega_c - p.omega
-    cavity = complex(0.0, dc) + p.kappa + p.kappa_s / 2.0
-    t0 = _checked_div(complex(-p.kappa), cavity)
-    return ScatterCoeffs(r=1.0 + t0, t=t0, r0=1.0 + t0, t0=t0)
 
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:

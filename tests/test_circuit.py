@@ -14,62 +14,65 @@ from hypercnot import (
     ElementTrace,
     HyperState,
     PhotonSpec,
-    Pol,
     RoutingContractError,
-    Spatial,
+    SINK_IDS,
     ValidationError,
     block_coeffs,
     block_interact,
     init_state,
-    mirror_attenuate,
     pack_label,
     raw_cavity_pass,
     scatter_coeffs,
     stage_polarization,
     stage_spatial,
 )
-from hypercnot.hyperstate import pol_mask, spin_mask
+from hypercnot.hyperstate import pol_mask, spatial_mask, spin_mask
+
+
+def _random_pair(rng):
+    v = rng.standard_normal(4)
+    c0, c1 = complex(v[0], v[1]), complex(v[2], v[3])
+    n = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    return (c0 / n, c1 / n)
 
 
 def _random_state(rng, n_photons=1, spins="plus"):
-    def pair():
-        v = rng.standard_normal(4)
-        c0, c1 = complex(v[0], v[1]), complex(v[2], v[3])
-        n = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-        return (c0 / n, c1 / n)
-    specs = [PhotonSpec(pol=pair(), spatial=pair()) for _ in range(n_photons)]
+    specs = [PhotonSpec(pol=_random_pair(rng), spatial=_random_pair(rng))
+             for _ in range(n_photons)]
     return init_state(specs, spins=spins)
 
 
 class TestMirror:
+    """The balancing mirror, seen through a stage on a photon whose whole
+    state takes the mirror branch."""
+
     def test_uniform_attenuation(self, bench_params):
-        T = block_coeffs(scatter_coeffs(bench_params)).T
-        state = _random_state(np.random.default_rng(0))
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        rng = np.random.default_rng(0)
+        state = init_state([PhotonSpec(pol=_random_pair(rng), spatial=(1, 0))])
         before = dict(state.amplitudes)
-        mirror_attenuate(state, 0, None, T)
+        stage_spatial(state, 0, bc)  # every amplitude is in mode 1
         for label, amp in before.items():
-            assert abs(state.amplitudes[label] - T * amp) < 1e-15
-        assert state.sinks[ABSORBED] == pytest.approx(1.0 - abs(T) ** 2, abs=1e-12)
+            assert abs(state.amplitudes[label] - bc.T * amp) < 1e-15
+        assert state.sinks[ABSORBED] == pytest.approx(1.0 - abs(bc.T) ** 2, abs=1e-12)
+        assert state.sinks[DETECTOR_B2] == 0.0
         assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
 
-    def test_selector_narrows_the_branch(self):
-        state = _random_state(np.random.default_rng(1))
-        before = dict(state.amplitudes)
-        mirror_attenuate(state, 0, lambda pol, spat: pol is Pol.L, 0.5)
-        pm = pol_mask(0)
-        for label, amp in before.items():
-            want = 0.5 * amp if label & pm else amp
-            assert abs(state.amplitudes[label] - want) < 1e-15
-
-    def test_gain_rejected(self):
+    def test_gain_rejected(self, bench_params):
+        bc = block_coeffs(scatter_coeffs(bench_params))
         state = _random_state(np.random.default_rng(2))
         with pytest.raises(ValidationError):
-            mirror_attenuate(state, 0, None, 1.0 + 1e-6)
+            stage_polarization(state, 0, bc, mirror_T=1.0 + 1e-6)
 
-    def test_complex_transmission(self):
-        state = _random_state(np.random.default_rng(3))
+    def test_complex_transmission(self, bench_params):
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        rng = np.random.default_rng(3)
+        state = init_state([PhotonSpec(pol=(1, 0), spatial=_random_pair(rng))])
+        before = dict(state.amplitudes)
         t = complex(0.6, 0.3)
-        mirror_attenuate(state, 0, None, t)
+        stage_polarization(state, 0, bc, mirror_T=t)  # every amplitude is R
+        for label, amp in before.items():
+            assert abs(state.amplitudes[label] - amp * t) < 1e-15
         assert state.sinks[ABSORBED] == pytest.approx(1.0 - abs(t) ** 2, abs=1e-12)
 
 
@@ -229,6 +232,50 @@ class TestStages:
             assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestStagesAgainstElements:
+    """Each stage equals its optical elements composed on one basis label:
+    the mirror on one branch, flip plates around block_interact on the
+    other."""
+
+    # Off resonance, so D, T and the products below are genuinely complex.
+    PARAMS = CavityParams.from_ratios(3.0, 0.1, 0.1, detuning_c=0.3, detuning_x=-0.2)
+    AMP = complex(0.6, -0.8)
+
+    def _reference(self, label, n_photons, photon, spatial, bc, mirror_T):
+        ref = HyperState(n_photons, {label: self.AMP})
+        branch = spatial_mask(photon) if spatial else pol_mask(photon)
+        if not label & branch:  # mirror
+            t = bc.T if mirror_T is None else mirror_T
+            ref.amplitudes[label] = self.AMP * t
+            ref.deposit(ABSORBED, (1.0 - abs(t) ** 2) * abs(self.AMP) ** 2)
+            return ref
+        spin, sink = (2, DETECTOR_B2) if spatial else (1, DETECTOR_B1)
+        if label & pol_mask(photon):  # L enters flipped onto R, leaves as L
+            ref.pol_flip(photon)
+            block_interact(ref, photon, spin, bc, sink)
+        else:                         # R leaves as L and is flipped back
+            block_interact(ref, photon, spin, bc, sink)
+            ref.pol_flip(photon)
+        return ref
+
+    @pytest.mark.parametrize("n_photons, photon", [(1, 0), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("mirror_T", [None, complex(0.5, -0.4)],
+                             ids=["balanced", "complex_mirror"])
+    @pytest.mark.parametrize("spatial", [False, True], ids=["pol_stage", "spatial_stage"])
+    def test_every_basis_label(self, n_photons, photon, mirror_T, spatial):
+        bc = block_coeffs(scatter_coeffs(self.PARAMS))
+        stage = stage_spatial if spatial else stage_polarization
+        for label in range(1 << (2 * n_photons + 2)):
+            state = HyperState(n_photons, {label: self.AMP})
+            stage(state, photon, bc, mirror_T)
+            ref = self._reference(label, n_photons, photon, spatial, bc, mirror_T)
+            assert state.amplitudes.keys() == ref.amplitudes.keys()
+            for key, amp in ref.amplitudes.items():
+                assert abs(state.amplitudes[key] - amp) <= 1e-15
+            for sid in SINK_IDS:
+                assert abs(state.sinks[sid] - ref.sinks[sid]) <= 1e-15
+
+
 class TestElementTrace:
     def test_stages_log_identically_on_identical_runs(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
@@ -240,7 +287,8 @@ class TestElementTrace:
             stage_spatial(state, 0, bc, trace=trace)
             traces.append(trace)
         assert traces[0] == traces[1]
-        assert len(traces[0]) > 0
+        # one record per element a stage models: its mirror and its block
+        assert [element for element, _, _ in traces[0]] == ["mirror", "block"] * 2
 
     def test_append_and_iter(self):
         trace = ElementTrace()

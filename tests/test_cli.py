@@ -4,7 +4,7 @@ import json
 import pytest
 
 from hypercnot import ValidationError, load_report
-from hypercnot.cli import main, parse_axis, parse_photon_spec
+from hypercnot.cli import MAX_AXIS_POINTS, main, parse_axis, parse_photon_spec
 
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
 ETA_1 = 0.6512926891789744
@@ -67,6 +67,20 @@ class TestParseAxis:
     def test_rejects(self, text):
         with pytest.raises(ValidationError, match="--axis"):
             parse_axis(text, "--axis")
+
+    @pytest.mark.parametrize("text", ["nan", "0,inf", "0:inf:1", "nan:1:0.1",
+                                      "0:1:nan", "-inf:0:1"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValidationError, match="--axis: values must be finite"):
+            parse_axis(text, "--axis")
+
+    def test_point_count_is_capped(self):
+        assert len(parse_axis(f"1:{MAX_AXIS_POINTS}:1", "x")) == MAX_AXIS_POINTS
+        # rejected from the count alone, before any point is built
+        for text in (f"0:{MAX_AXIS_POINTS}:1", "0:1e9:1e-9", "-1e308:1e308:1e-300",
+                     ",".join(["1"] * (MAX_AXIS_POINTS + 1))):
+            with pytest.raises(ValidationError, match="more than"):
+                parse_axis(text, "x")
 
 
 class TestRun:
@@ -299,6 +313,22 @@ class TestParamsFile:
                      "--control", "+,+", "--target", "+,+", "--seed", "1"])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--control", "R,1", "--target", "R,1", "--g", "nan"],
+    ["run", "--control", "R,1", "--target", "R,1", "--mirror-override", "nan",
+     *BENCH],
+    ["sweep", "--g-ratio", "nan", "--ks-ratio", "0.1"],
+    ["sweep", "--g-ratio", "0:inf:1", "--ks-ratio", "0.1"],
+    ["sweep", "--g-ratio", "0:1e9:1e-9", "--ks-ratio", "0.1"],
+], ids=["run_g_nan", "run_mirror_nan", "sweep_nan", "sweep_inf_stop",
+        "sweep_huge_axis"])
+def test_non_finite_or_huge_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

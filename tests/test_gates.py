@@ -46,6 +46,8 @@ class TestGateConfig:
         {"mode": "exact"},
         {"mode": "sampled"},            # no seed
         {"mirror_T_override": 1.5},
+        {"mirror_T_override": math.nan},
+        {"mirror_T_override": complex(0.5, math.nan)},
     ])
     def test_rejects(self, bench_params, kwargs):
         kwargs.setdefault("params", bench_params)

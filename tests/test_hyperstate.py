@@ -47,6 +47,13 @@ class TestPhotonSpec:
         with pytest.raises(ValidationError, match="spatial"):
             PhotonSpec(pol=(1, 0), spatial=(0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="pol pair .* is not finite"):
+            PhotonSpec(pol=(bad, 1), spatial=(1, 0))
+        with pytest.raises(ValidationError, match="spatial pair .* is not finite"):
+            PhotonSpec(pol=(1, 0), spatial=(1, bad))
+
     def test_accepts_complex_within_tolerance(self):
         PhotonSpec(pol=(complex(0.6, 0.0), complex(0.0, 0.8)),
                    spatial=(SQ2, -SQ2))
