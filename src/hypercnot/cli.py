@@ -184,23 +184,32 @@ def _load_run_file(path: str | None) -> dict:
     return data
 
 
+def _file_number(file_params: dict, key: str, default: float = 0.0) -> float:
+    value = file_params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"params file: {key} must be a number, got {value!r}") from None
+
+
 def resolve_params(args: argparse.Namespace, file_params: dict) -> CavityParams:
     """Combine file params and raw flags into CavityParams (flags win)."""
     raw = {"kappa": 1.0, "kappa_s": 0.0, "gamma": 0.0,
            "detuning_c": 0.0, "detuning_x": 0.0, "g": None}
     if "g_ratio" in file_params:
         base = CavityParams.from_ratios(
-            g_ratio=float(file_params["g_ratio"]),
-            ks_ratio=float(file_params.get("ks_ratio", 0.0)),
-            gamma_ratio=float(file_params.get("gamma_ratio", 0.0)),
-            detuning_c=float(file_params.get("detuning_c", 0.0)),
-            detuning_x=float(file_params.get("detuning_x", 0.0)),
+            g_ratio=_file_number(file_params, "g_ratio"),
+            ks_ratio=_file_number(file_params, "ks_ratio"),
+            gamma_ratio=_file_number(file_params, "gamma_ratio"),
+            detuning_c=_file_number(file_params, "detuning_c"),
+            detuning_x=_file_number(file_params, "detuning_x"),
         )
         raw.update(g=base.g, kappa=base.kappa, kappa_s=base.kappa_s,
                    gamma=base.gamma, detuning_c=base.omega_c,
                    detuning_x=base.omega_x)
     else:
-        raw.update({k: float(file_params[k]) for k in _RAW_KEYS if k in file_params})
+        raw.update({k: _file_number(file_params, k) for k in _RAW_KEYS if k in file_params})
     for key, flag in (("g", args.g), ("kappa", args.kappa),
                       ("kappa_s", args.kappa_s), ("gamma", args.gamma),
                       ("detuning_c", args.detuning_c),

@@ -17,16 +17,17 @@ heralded-failure mass, and the absorbed sink holds the rest.
 Two modes: "amplitude" evolves amplitudes once and reports the full outcome
 distribution (the conditional state is outcome-independent, so the reported
 spin record is just the canonical first branch); "sampled" additionally draws
-the spin record from a seeded RNG. Per-shot realizations of the heralding
-itself (click / absorb / succeed) are provided by ``sample_run`` and
-``sample_shots``.
+the spin record from a seeded RNG. Shots of the heralding itself (click /
+absorb / succeed) come from ``sample_shots``: one multinomial draw over the
+run's outcome masses, whose cost does not grow with the shot count.
+``sample_run`` is the one-shot case of the same draw.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,10 +124,6 @@ class GateOutcome:
         return math.fsum(self.detector_probs.values())
 
 
-# stage hook receives (photon, detector sink, norm before, sinks before, state after)
-StageHook = Callable[[int, str, float, dict[str, float], HyperState], None]
-
-
 def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
     if len(targets) != cfg.n_targets:
         raise ValidationError(
@@ -134,10 +131,11 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
 
 
 def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec],
-                  cfg: GateConfig, stage_hook: StageHook | None = None
+                  cfg: GateConfig, steps: list[StageStep] | None = None
                   ) -> tuple[HyperState, BlockCoeffs, ElementTrace]:
     """Evolve the joint state through the whole optical train, up to (not
-    including) the spin measurement."""
+    including) the spin measurement. When ``steps`` is given, one StageStep
+    per routing stage is appended to it."""
     _check_targets(targets, cfg)
     bc = block_coeffs(scatter_coeffs(cfg.params))
     if abs(bc.T) < MIN_BLOCK_T:
@@ -150,13 +148,13 @@ def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec],
     trace.append("prepare", None, f"{1 + len(targets)} photons, spins (up+down)/sqrt2")
 
     def run_stage(stage, photon: int, detector: str) -> None:
-        if stage_hook is None:
+        if steps is None:
             stage(state, photon, bc, mirror_T, trace)
             return
-        pre_norm = state.norm_sq()
-        pre_sinks = dict(state.sinks)
+        click, lost = state.sinks[detector], state.sinks[ABSORBED]
         stage(state, photon, bc, mirror_T, trace)
-        stage_hook(photon, detector, pre_norm, pre_sinks, state)
+        steps.append(StageStep(photon, detector, state.sinks[detector] - click,
+                               state.sinks[ABSORBED] - lost))
 
     run_stage(stage_polarization, 0, DETECTOR_B1)
     run_stage(stage_spatial, 0, DETECTOR_B2)
@@ -208,12 +206,10 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                       DETECTOR_B2: state.sinks[DETECTOR_B2]}
     absorbed = state.sinks[ABSORBED]
     branches = _measure_and_correct(state)
+    chosen = branches[0]
     if cfg.mode == "sampled":
-        rng = np.random.default_rng(cfg.rng_seed)
-        probs = np.array([b.probability for b in branches]) / success
-        chosen = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
-    else:
-        chosen = branches[0]
+        masses = [b.probability for b in branches]
+        chosen = branches[int(_draw(masses, 1, cfg.rng_seed).argmax())]
     return GateOutcome(
         conditional_state=chosen.state,
         spin_record=chosen.spin_record,
@@ -300,22 +296,20 @@ def truth_table(cfg: GateConfig) -> list[TruthRow]:
 
 
 # ---------------------------------------------------------------------------
-# Per-shot sampling.
+# Shot sampling.
 #
-# The optical train factors into a chain of stages, each of which clicks,
-# absorbs, or passes the photon with probabilities that do not depend on
-# earlier survivals (the conditional state entering each stage is fixed).
-# One amplitude run therefore yields the exact per-stage conditional
-# probabilities, and shots reduce to walking that ladder with uniforms --
-# the same trajectory distribution as resolving each element stochastically,
-# at a tiny fraction of the cost.
+# The gate is failure-heralded: every shot ends in exactly one outcome of a
+# fixed list -- a stage's detector click, absorption at a stage, or success
+# in one spin branch. One amplitude run gives the absolute mass of each
+# outcome (they sum to 1 by conservation), so the counts over many
+# independent shots are one multinomial draw over those masses.
 # ---------------------------------------------------------------------------
 
 class StageStep(NamedTuple):
     photon: int
     detector: str
-    q_click: float   # P(detector click | reached this stage)
-    q_absorb: float  # P(silent absorption | reached this stage)
+    click: float     # mass this stage deposited in its detector
+    absorbed: float  # mass this stage absorbed
 
 
 class ShotRecord(NamedTuple):
@@ -346,21 +340,28 @@ class SampleStats:
         return self.successes / self.shots
 
 
-def _ladder(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateConfig
-            ) -> tuple[list[StageStep], tuple[OutcomeBranch, ...], float]:
+# Most shots one draw may take: numpy's multinomial counts are int64.
+MAX_SHOTS = 2**63 - 1
+
+
+def _outcomes(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateConfig
+              ) -> tuple[list[StageStep], tuple[OutcomeBranch, ...], float, list[float]]:
+    """One amplitude run: the stages, the spin branches, the success
+    probability and the outcome masses in draw order -- (click, absorbed)
+    per stage, then each branch's probability."""
     steps: list[StageStep] = []
-
-    def hook(photon: int, detector: str, pre_norm: float,
-             pre_sinks: dict[str, float], state: HyperState) -> None:
-        d_click = state.sinks[detector] - pre_sinks[detector]
-        d_abs = state.sinks[ABSORBED] - pre_sinks[ABSORBED]
-        steps.append(StageStep(photon, detector,
-                               d_click / pre_norm, d_abs / pre_norm))
-
-    state, _, _ = _run_protocol(control, targets, cfg, stage_hook=hook)
-    success = state.norm_sq()
+    state, _, _ = _run_protocol(control, targets, cfg, steps)
     branches = _measure_and_correct(state)
-    return steps, branches, success
+    masses = [m for st in steps for m in (st.click, st.absorbed)]
+    masses += [b.probability for b in branches]
+    return steps, branches, state.norm_sq(), masses
+
+
+def _draw(masses: Sequence[float], shots: int, seed: int) -> np.ndarray:
+    """Counts of ``shots`` independent draws over outcomes with the given
+    non-negative masses, normalized by their sum."""
+    p = np.asarray(masses, dtype=float)
+    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
 def _require_seed(cfg: GateConfig) -> None:
@@ -368,80 +369,42 @@ def _require_seed(cfg: GateConfig) -> None:
         raise ValidationError("sampling requires a GateConfig with rng_seed set")
 
 
-def _realize(row: np.ndarray, steps: list[StageStep],
-             branches: tuple[OutcomeBranch, ...], success: float) -> ShotRecord:
-    for k, st in enumerate(steps):
-        u = row[k]
-        if u < st.q_click:
-            return ShotRecord("heralded_failure", st.detector, st.photon,
-                              None, None, None)
-        if u < st.q_click + st.q_absorb:
-            return ShotRecord("absorbed", None, st.photon, None, None, None)
-    cum = 0.0
-    u = row[len(steps)]
-    for b in branches:
-        cum += b.probability / success
-        if u < cum:
-            return ShotRecord("success", None, None, b.spin_record,
-                              b.corrections, b.state)
-    b = branches[-1]
-    return ShotRecord("success", None, None, b.spin_record, b.corrections, b.state)
-
-
 def sample_run(control: PhotonSpec, targets: Sequence[PhotonSpec],
                cfg: GateConfig) -> ShotRecord:
-    """Realize a single shot (seeded). The first shot of sample_shots with
-    the same seed is this shot."""
+    """Realize a single shot (seeded): the one-shot case of sample_shots, so
+    sample_shots(..., 1) with the same seed tallies exactly this outcome."""
     _require_seed(cfg)
-    steps, branches, success = _ladder(control, targets, cfg)
-    rng = np.random.default_rng(cfg.rng_seed)
-    return _realize(rng.random(len(steps) + 1), steps, branches, success)
+    steps, branches, _, masses = _outcomes(control, targets, cfg)
+    k = int(_draw(masses, 1, cfg.rng_seed).argmax())
+    if k < 2 * len(steps):
+        st = steps[k // 2]
+        if k % 2 == 0:
+            return ShotRecord("heralded_failure", st.detector, st.photon,
+                              None, None, None)
+        return ShotRecord("absorbed", None, st.photon, None, None, None)
+    b = branches[k - 2 * len(steps)]
+    return ShotRecord("success", None, None, b.spin_record, b.corrections, b.state)
 
 
 def sample_shots(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig, shots: int) -> SampleStats:
-    """Realize many shots and tally them. Deterministic given the seed."""
+    """Realize many shots and tally them: one multinomial draw, so the cost
+    does not grow with ``shots``. Deterministic given the seed."""
     _require_seed(cfg)
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
-    steps, branches, success = _ladder(control, targets, cfg)
-    k = len(steps)
-    rng = np.random.default_rng(cfg.rng_seed)
-    u = rng.random((shots, k + 1))
-
-    q_click = np.array([s.q_click for s in steps])
-    q_fail = np.array([s.q_click + s.q_absorb for s in steps])
-    fails = u[:, :k] < q_fail
-    any_fail = fails.any(axis=1)
-    first = np.where(any_fail, fails.argmax(axis=1), k)
-
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+    steps, branches, success, masses = _outcomes(control, targets, cfg)
+    counts = _draw(masses, shots, cfg.rng_seed).tolist()
+    n = 2 * len(steps)
     detector_clicks = {DETECTOR_B1: 0, DETECTOR_B2: 0}
-    absorbed = 0
-    fail_idx = np.flatnonzero(any_fail)
-    if fail_idx.size:
-        at = first[fail_idx]
-        clicked = u[fail_idx, at] < q_click[at]
-        for step_i, step in enumerate(steps):
-            here = at == step_i
-            detector_clicks[step.detector] += int(np.count_nonzero(clicked & here))
-            absorbed += int(np.count_nonzero(~clicked & here))
-
-    spin_counts = {b.spin_record: 0 for b in branches}
-    succ_idx = np.flatnonzero(~any_fail)
-    if succ_idx.size:
-        cond = np.array([b.probability for b in branches]) / success
-        cum = np.cumsum(cond)
-        cum[-1] = max(cum[-1], 1.0)  # guard the top edge against rounding
-        pick = np.searchsorted(cum, u[succ_idx, k], side="right")
-        pick = np.minimum(pick, len(branches) - 1)
-        for b_i, count in zip(*np.unique(pick, return_counts=True)):
-            spin_counts[branches[int(b_i)].spin_record] += int(count)
-
+    for st, clicks in zip(steps, counts[0:n:2]):
+        detector_clicks[st.detector] += clicks
+    spin_counts = {b.spin_record: c for b, c in zip(branches, counts[n:])}
     return SampleStats(
         shots=shots,
-        successes=int(succ_idx.size),
+        successes=sum(counts[n:]),
         detector_clicks=detector_clicks,
-        absorbed=absorbed,
+        absorbed=sum(counts[1:n:2]),
         spin_counts=spin_counts,
         success_prob=success,
     )

@@ -31,10 +31,13 @@ from dataclasses import dataclass, fields
 
 from .errors import DegeneratePhysicsError, ValidationError
 
-# Below this squared magnitude a scattering denominator is treated as
-# degenerate. Unreachable for parameters satisfying CavityParams invariants;
-# guards synthetic inputs.
-DENOMINATOR_EPS_SQ = 1e-30
+# A scattering denominator no larger than this fraction of the summed
+# magnitudes of its terms has cancelled to rounding noise (or is exactly 0)
+# and is treated as degenerate. The test is relative because the formulas are
+# homogeneous in the rate unit: scaling every rate leaves the coefficients
+# unchanged. Of the parameters CavityParams accepts, only
+# g = gamma = omega_x - omega = 0 makes a denominator exactly 0.
+DENOMINATOR_REL_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,11 @@ class DephasingParams:
             raise ValidationError(f"t2 must be > 0, got {self.t2}")
 
 
-def _checked_div(num: complex, den: complex) -> complex:
-    if (den.real * den.real + den.imag * den.imag) < DENOMINATOR_EPS_SQ:
+def _checked_div(num: complex, den: complex, scale: float) -> complex:
+    """num / den, where ``scale`` is the summed magnitude of den's terms."""
+    if not abs(den) > DENOMINATOR_REL_EPS * scale:
         raise DegeneratePhysicsError(
-            f"scattering denominator magnitude below epsilon (den={den!r})")
+            f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
     return num / den
 
 
@@ -143,8 +147,9 @@ def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
     dc = p.omega_c - p.omega
     dipole = complex(0.0, dx) + p.gamma / 2.0
     cavity = complex(0.0, dc) + p.kappa + p.kappa_s / 2.0
-    t = _checked_div(-p.kappa * dipole, dipole * cavity + p.g * p.g)
-    t0 = _checked_div(complex(-p.kappa), cavity)
+    t = _checked_div(-p.kappa * dipole, dipole * cavity + p.g * p.g,
+                     abs(dipole) * abs(cavity) + p.g * p.g)
+    t0 = _checked_div(complex(-p.kappa), cavity, abs(cavity))
     return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0)
 
 

@@ -137,6 +137,8 @@ class TestRun:
           "sampled", *BENCH], 2),                                      # no seed
         (["run", "--control", "R,1", "--target", "R,1", "--g", "0",
           "--gamma", "0.1"], 3),                                       # degenerate
+        (["run", "--control", "+,+", "--target", "+,+", "--g", "0",
+          "--gamma", "0"], 3),                                         # zero denominator
     ])
     def test_exit_codes(self, argv, code, capsys):
         assert main(argv) == code
@@ -252,6 +254,22 @@ class TestSample:
         assert code == 2
         assert "rng_seed" in capsys.readouterr().err
 
+    def test_a_trillion_shots(self, capsys):
+        code = main(["sample", "--control", "+,+", "--target", "+,+",
+                     "--shots", "1000000000000", "--seed", "3", "--format",
+                     "json", *BENCH])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        clicks = sum(payload["detector_clicks"].values())
+        assert payload["successes"] + clicks + payload["absorbed"] == 10**12
+        assert sum(payload["spin_counts"].values()) == payload["successes"]
+
+    def test_shots_beyond_int64_exit_2(self, capsys):
+        code = main(["sample", "--control", "+,+", "--target", "+,+",
+                     "--shots", "9223372036854775808", "--seed", "3", *BENCH])
+        assert code == 2
+        assert "shots" in capsys.readouterr().err
+
 
 class TestParamsFile:
     def test_full_run_spec(self, tmp_path, capsys):
@@ -291,6 +309,19 @@ class TestParamsFile:
         assert main(["run", "--params-file", str(path),
                      "--control", "+,+", "--target", "+,+"]) == 0
         assert "0.651292689179" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["g_ratio", "g"])
+    @pytest.mark.parametrize("value", ["abc", [1], None],
+                             ids=["string", "list", "null"])
+    def test_non_number_param_is_invalid(self, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"params": {key: value}}))
+        code = main(["run", "--params-file", str(path),
+                     "--control", "+,+", "--target", "+,+"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"params file: {key} must be a number" in err
 
     def test_unknown_key_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

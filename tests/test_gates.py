@@ -296,6 +296,63 @@ class TestShotSampling:
         cfg = GateConfig(params=bench_params, rng_seed=1)
         with pytest.raises(ValidationError):
             sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()], cfg, 0)
+        with pytest.raises(ValidationError):
+            sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()], cfg, 2**63)
+
+
+def _count_tolerance(shots, p, alpha=1e-9):
+    """Largest |count - shots * p| a correct sampler exceeds with probability
+    below alpha, from Bernstein's inequality
+    P(|X - np| >= t) <= 2 exp(-t^2 / (2 (np(1-p) + t/3)))."""
+    a = math.log(2.0 / alpha)
+    return a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * shots * p * (1.0 - p))
+
+
+class TestSamplerDistribution:
+    """N = 2 at a lossy point with an unbalanced mirror, so the click,
+    absorbed and branch masses all differ."""
+
+    @pytest.fixture
+    def case(self):
+        params = CavityParams.from_ratios(1.5, ks_ratio=0.3, gamma_ratio=0.15,
+                                          detuning_c=0.2, detuning_x=-0.3)
+        T = block_coeffs(scatter_coeffs(params)).T
+        rng = np.random.default_rng(2)
+        control = random_photon_spec(rng)
+        targets = [random_photon_spec(rng), random_photon_spec(rng)]
+        return control, targets, params, 0.9 * T
+
+    def test_counts_match_the_exact_masses(self, case):
+        control, targets, params, mirror_T = case
+        cfg = GateConfig(params=params, n_targets=2, mirror_T_override=mirror_T,
+                         rng_seed=11)
+        exact = hyper_cnot_n(control, targets, cfg)
+        shots = 10**6
+        stats = sample_shots(control, targets, cfg, shots)
+        observed = [(stats.detector_clicks[d], exact.detector_probs[d])
+                    for d in (DETECTOR_B1, DETECTOR_B2)]
+        observed.append((stats.absorbed, exact.absorbed_prob))
+        observed += [(stats.spin_counts[b.spin_record], b.probability)
+                     for b in exact.branches]
+        for count, p in observed:
+            assert abs(count - shots * p) <= _count_tolerance(shots, p)
+        assert sum(stats.spin_counts.values()) == stats.successes
+        assert (stats.successes + sum(stats.detector_clicks.values())
+                + stats.absorbed) == shots
+
+    def test_one_shot_tallies_sample_run(self, case):
+        control, targets, params, mirror_T = case
+        for seed in range(50):
+            cfg = GateConfig(params=params, n_targets=2,
+                             mirror_T_override=mirror_T, rng_seed=seed)
+            shot = sample_run(control, targets, cfg)
+            stats = sample_shots(control, targets, cfg, 1)
+            if shot.result == "success":
+                assert stats.spin_counts[shot.spin_record] == 1
+            elif shot.result == "heralded_failure":
+                assert stats.detector_clicks[shot.detector] == 1
+            else:
+                assert stats.absorbed == 1
 
 
 def test_single_target_wrapper_matches_the_general_gate(bench_config):

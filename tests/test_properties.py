@@ -1,0 +1,72 @@
+"""Property tests over fidelity_scan's parameter ranges and N = 1..3: the
+heralded success is |T|^(4(N+1)), probability is conserved, and the
+sampler's outcome masses form a distribution."""
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hypercnot import (
+    CavityParams,
+    GateConfig,
+    PhotonSpec,
+    block_coeffs,
+    hyper_cnot_n,
+    scatter_coeffs,
+)
+from hypercnot.analysis import _SCAN_RANGES
+from hypercnot.gates import _outcomes
+
+# Fixed examples, so a Tier-1 run is repeatable and stays within a second.
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
+                             database=None)
+
+
+def _ratio(name):
+    return st.floats(*_SCAN_RANGES[name])
+
+
+params_st = st.builds(CavityParams.from_ratios, g_ratio=_ratio("g_ratio"),
+                      ks_ratio=_ratio("ks_ratio"), gamma_ratio=_ratio("gamma_ratio"),
+                      detuning_c=_ratio("detuning"), detuning_x=_ratio("detuning"))
+
+
+@st.composite
+def photons(draw):
+    def pair():
+        re0, im0, re1, im1 = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
+        nrm = math.sqrt(re0 * re0 + im0 * im0 + re1 * re1 + im1 * im1)
+        assume(nrm > 1e-3)
+        return (complex(re0, im0) / nrm, complex(re1, im1) / nrm)
+    return PhotonSpec(pol=pair(), spatial=pair())
+
+
+gates_st = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(params_st, photons(), st.lists(photons(), min_size=n, max_size=n)))
+
+
+@PROPERTY_SETTINGS
+@given(gates_st)
+def test_success_and_conservation(gate):
+    params, control, targets = gate
+    out = hyper_cnot_n(control, targets, GateConfig(params=params, n_targets=len(targets)))
+    T = block_coeffs(scatter_coeffs(params)).T
+    assert abs(out.success_prob - abs(T) ** (4 * (len(targets) + 1))) <= 1e-12
+    total = math.fsum([out.success_prob, out.heralded_failure_prob, out.absorbed_prob])
+    assert abs(total - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(gates_st, st.one_of(st.none(), st.floats(0.5, 1.0)))
+def test_sampler_outcome_masses_are_a_distribution(gate, mirror_scale):
+    params, control, targets = gate
+    override = None
+    if mirror_scale is not None:
+        override = mirror_scale * block_coeffs(scatter_coeffs(params)).T
+    cfg = GateConfig(params=params, n_targets=len(targets), mirror_T_override=override)
+    _, _, _, masses = _outcomes(control, targets, cfg)
+    assert min(masses) >= 0.0
+    assert abs(math.fsum(masses) - 1.0) <= 1e-12

@@ -165,6 +165,17 @@ class TestValidationAndDegeneracy:
         with pytest.raises(DegeneratePhysicsError):
             scatter_coeffs(CavityParams(g=0.0, kappa=1.0, gamma=0.0))
 
+    @pytest.mark.parametrize("unit", [1e-16, 1e16])
+    def test_degeneracy_test_is_scale_free(self, unit):
+        # the coefficients are homogeneous in the rate unit, so the same
+        # cavity in tiny or huge units is just as well defined
+        rates = dict(g=3.3, kappa=1.0, kappa_s=0.1, gamma=0.1,
+                     omega_c=0.2, omega_x=-0.3)
+        ref = efficiency(block_coeffs(scatter_coeffs(CavityParams(**rates))).T)
+        scaled = CavityParams(**{k: v * unit for k, v in rates.items()})
+        assert efficiency(block_coeffs(scatter_coeffs(scaled)).T) == pytest.approx(
+            ref, abs=1e-12)
+
     def test_efficiency_validation(self):
         with pytest.raises(ValidationError):
             efficiency(0.9, 0)
