@@ -20,10 +20,8 @@ from .analysis import (
     sweep_efficiency,
 )
 from .circuit import (
-    Direction,
     ElementTrace,
     block_interact,
-    raw_cavity_pass,
     stage_polarization,
     stage_spatial,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "DETECTOR_B2",
     "DegeneratePhysicsError",
     "DephasingParams",
-    "Direction",
     "ElementTrace",
     "GateConfig",
     "GateOutcome",
@@ -121,7 +118,6 @@ __all__ = [
     "load_report",
     "pack_label",
     "random_photon_spec",
-    "raw_cavity_pass",
     "sample_run",
     "sample_shots",
     "scatter_coeffs",

@@ -22,26 +22,15 @@ Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
 and the block branch by T with a Z on the block's spin. ``stage_polarization``
 and ``stage_spatial`` apply exactly that, in one pass over the amplitudes.
-The raw single-pass scattering rules (``raw_cavity_pass``) are kept for
-validating any future explicit reconstruction of the block interior.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import RoutingContractError, ValidationError
 from .hyperstate import ABSORBED, DETECTOR_B1, DETECTOR_B2, HyperState
-from .scattering import BlockCoeffs, ScatterCoeffs
-
-
-class Direction(Enum):
-    """Propagation direction relative to the cavity quantization axis. Only
-    raw_cavity_pass needs it: together with circular polarization it fixes
-    the photon's spin projection and hence which spin state couples."""
-    ALONG_AXIS = 0
-    AGAINST_AXIS = 1
+from .scattering import BlockCoeffs
 
 
 @dataclass
@@ -112,43 +101,6 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     state.deposit(ABSORBED, math.fsum(lost))
     _log(trace, "block", photon, condition or f"spin={which_spin} sink={detector_sink}")
     return state
-
-
-def raw_cavity_pass(state: HyperState, photon: int, which_spin: int,
-                    sc: ScatterCoeffs, direction: Direction
-                    ) -> tuple[HyperState, HyperState]:
-    """One pass of a photon through the bare cavity, split by output port.
-
-    A photon whose spin projection matches the given spin's state couples to
-    the dipole and scatters with (r, t); otherwise it sees the cold cavity
-    and scatters with (r0, t0). Reflection flips the polarization (it also
-    reverses propagation, which the caller tracks as routing context). R
-    propagating along the axis and L propagating against it carry projection
-    +1; the other two combinations carry -1.
-
-    Returns (transmitted, reflected) as new states; the input is untouched
-    and the two output norms need not add to the input norm (side leakage
-    and dipole decay are lossy).
-    """
-    pm = state._photon_mask(photon, spatial=False)
-    zm = state._spin_bit_mask(which_spin)
-    if not isinstance(direction, Direction):
-        raise ValidationError(f"direction must be a Direction, got {direction!r}")
-    dbit = direction.value
-    trans: dict[int, complex] = {}
-    refl: dict[int, complex] = {}
-    for label, amp in state.amplitudes.items():
-        p = 1 if label & pm else 0
-        s = 1 if label & zm else 0
-        coupled = (p ^ dbit) == s
-        tc, rc = (sc.t, sc.r) if coupled else (sc.t0, sc.r0)
-        trans[label] = tc * amp
-        refl[label ^ pm] = rc * amp
-    mk = lambda amps: HyperState(state.n_photons, amps, has_spins=state.has_spins)
-    t_state, r_state = mk(trans), mk(refl)
-    t_state._prune()
-    r_state._prune()
-    return t_state, r_state
 
 
 def _route(state: HyperState, branch_mask: int, which_spin: int,

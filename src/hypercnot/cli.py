@@ -151,7 +151,9 @@ def parse_axis(text: str, name: str) -> tuple[float, ...]:
 # --params-file points at a JSON document mirroring the run spec: any of
 #   gate ("cnot"/"cnotn"), control, targets (photon spec strings), params
 #   (object, raw or ratio form), mode, seed, format, out
-# may appear; command-line flags override file fields.
+# may appear. main() turns the keys the subcommand has flags for into
+# --flag=value tokens placed ahead of the command line, so file values are
+# checked by the same argparse types and choices as flags, and flags win.
 
 _RUNSPEC_KEYS = ("gate", "control", "targets", "params", "mode", "seed",
                  "format", "out")
@@ -159,9 +161,7 @@ _RAW_KEYS = ("g", "kappa", "kappa_s", "gamma", "detuning_c", "detuning_x")
 _RATIO_KEYS = ("g_ratio", "ks_ratio", "gamma_ratio", "detuning_c", "detuning_x")
 
 
-def _load_run_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_run_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -186,59 +186,74 @@ def _load_run_file(path: str | None) -> dict:
 
 def _file_number(file_params: dict, key: str, default: float = 0.0) -> float:
     value = file_params.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"params file: {key} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):  # JSON true/false are not numbers
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"params file: {key} must be a number, got {value!r}")
 
 
-def resolve_params(args: argparse.Namespace, file_params: dict) -> CavityParams:
-    """Combine file params and raw flags into CavityParams (flags win)."""
-    raw = {"kappa": 1.0, "kappa_s": 0.0, "gamma": 0.0,
-           "detuning_c": 0.0, "detuning_x": 0.0, "g": None}
-    if "g_ratio" in file_params:
-        base = CavityParams.from_ratios(
-            g_ratio=_file_number(file_params, "g_ratio"),
-            ks_ratio=_file_number(file_params, "ks_ratio"),
-            gamma_ratio=_file_number(file_params, "gamma_ratio"),
-            detuning_c=_file_number(file_params, "detuning_c"),
-            detuning_x=_file_number(file_params, "detuning_x"),
-        )
-        raw.update(g=base.g, kappa=base.kappa, kappa_s=base.kappa_s,
-                   gamma=base.gamma, detuning_c=base.omega_c,
-                   detuning_x=base.omega_x)
-    else:
-        raw.update({k: _file_number(file_params, k) for k in _RAW_KEYS if k in file_params})
-    for key, flag in (("g", args.g), ("kappa", args.kappa),
-                      ("kappa_s", args.kappa_s), ("gamma", args.gamma),
-                      ("detuning_c", args.detuning_c),
-                      ("detuning_x", args.detuning_x)):
-        if flag is not None:
-            raw[key] = flag
-    if raw["g"] is None:
+def _raw_file_params(file_params: dict) -> dict[str, float]:
+    """The file's params object as raw values keyed like the flags' dests."""
+    if "g_ratio" not in file_params:
+        return {k: _file_number(file_params, k) for k in _RAW_KEYS if k in file_params}
+    p = CavityParams.from_ratios(**{k: _file_number(file_params, k) for k in _RATIO_KEYS})
+    return dict(zip(_RAW_KEYS, (p.g, p.kappa, p.kappa_s, p.gamma, p.omega_c, p.omega_x)))
+
+
+def _file_argv(args: argparse.Namespace) -> list[str]:
+    """--flag=value tokens for the params file's keys that the parsed
+    subcommand has a flag for; other keys are ignored. The file's targets are
+    dropped when --target was given, and gate "cnot" means --n-targets 1."""
+    flags = vars(args)
+    items: list[tuple[str, object]] = []
+    for key, value in _load_run_file(args.params_file).items():
+        if key == "params":
+            items += _raw_file_params(value).items()
+        elif key == "targets":
+            if not isinstance(value, list):
+                raise ValidationError("file key 'targets' must be a list of photon specs")
+            if not flags.get("target"):
+                items += [("target", t) for t in value]
+        elif key == "gate":
+            if value not in (None, "cnot", "cnotn"):
+                raise ValidationError(f"unknown gate {value!r}, expected cnot or cnotn")
+            if value == "cnot":
+                items.append(("n_targets", 1))
+        elif value is not None:  # null leaves the flag unset
+            items.append((key, value))
+    return [f"--{dest.replace('_', '-')}="
+            + (value if isinstance(value, str) else json.dumps(value))
+            for dest, value in items if dest in flags]
+
+
+def resolve_params(args: argparse.Namespace) -> CavityParams:
+    """CavityParams from the parsed cavity flags."""
+    if args.g is None:
         raise ValidationError(
             "cavity coupling g is not set (use --g or a params file)")
-    return CavityParams(g=raw["g"], kappa=raw["kappa"], kappa_s=raw["kappa_s"],
-                        gamma=raw["gamma"], omega=0.0,
-                        omega_c=raw["detuning_c"], omega_x=raw["detuning_x"])
+    return CavityParams(g=args.g, kappa=args.kappa, kappa_s=args.kappa_s,
+                        gamma=args.gamma, omega=0.0,
+                        omega_c=args.detuning_c, omega_x=args.detuning_x)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params-file", help="JSON file of cavity parameters")
     p.add_argument("--g", type=float, help="emitter-cavity coupling")
-    p.add_argument("--kappa", type=float, help="output-port cavity decay (default 1)")
-    p.add_argument("--kappa-s", type=float, help="side leakage (default 0)")
-    p.add_argument("--gamma", type=float, help="emitter dipole decay (default 0)")
-    p.add_argument("--detuning-c", type=float,
+    p.add_argument("--kappa", type=float, default=1.0,
+                   help="output-port cavity decay (default 1)")
+    p.add_argument("--kappa-s", type=float, default=0.0, help="side leakage (default 0)")
+    p.add_argument("--gamma", type=float, default=0.0,
+                   help="emitter dipole decay (default 0)")
+    p.add_argument("--detuning-c", type=float, default=0.0,
                    help="cavity detuning from the photon carrier (default 0)")
-    p.add_argument("--detuning-x", type=float,
+    p.add_argument("--detuning-x", type=float, default=0.0,
                    help="emitter detuning from the photon carrier (default 0)")
 
 
-def _add_out_flags(p: argparse.ArgumentParser, formats: tuple[str, ...],
-                   default_fmt: str | None = None) -> None:
-    p.add_argument("--format", choices=formats, default=default_fmt)
+def _add_out_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -260,62 +275,42 @@ def _fmt_complex(a: complex) -> str:
     return f"{a.real:.12g}{a.imag:+.12g}j"
 
 
-def _gate_config(args: argparse.Namespace, doc: dict, n_targets: int) -> GateConfig:
-    params = resolve_params(args, doc.get("params", {}))
+def _gate_config(args: argparse.Namespace, n_targets: int) -> GateConfig:
+    params = resolve_params(args)
     override = None
     scale = getattr(args, "mirror_override", None)
     if scale is not None:
         bc = block_coeffs(scatter_coeffs(params))
         override = scale * bc.T
-    mode = getattr(args, "mode", None) or doc.get("mode") or "amplitude"
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = doc.get("seed")
     return GateConfig(params=params, n_targets=n_targets,
-                      mirror_T_override=override, mode=mode, rng_seed=seed)
+                      mirror_T_override=override,
+                      mode=getattr(args, "mode", "amplitude"),
+                      rng_seed=getattr(args, "seed", None))
 
 
-def _parse_photon_args(args: argparse.Namespace, doc: dict
-                       ) -> tuple[PhotonSpec, list[PhotonSpec]]:
-    control_text = args.control or doc.get("control")
-    if control_text is None:
+def _parse_photon_args(args: argparse.Namespace) -> tuple[PhotonSpec, list[PhotonSpec]]:
+    if args.control is None:
         raise ValidationError("control photon not given (--control or file)")
-    control = parse_photon_spec(control_text, "control")
-    target_texts = args.target or doc.get("targets") or []
-    if isinstance(target_texts, str):
-        raise ValidationError("file key 'targets' must be a list of photon specs")
+    control = parse_photon_spec(args.control, "control")
     targets = [parse_photon_spec(t, f"target {i + 1}")
-               for i, t in enumerate(target_texts)]
+               for i, t in enumerate(args.target)]
     if not targets:
         raise ValidationError("at least one target photon is required")
-    gate = doc.get("gate")
-    if gate not in (None, "cnot", "cnotn"):
-        raise ValidationError(f"unknown gate {gate!r}, expected cnot or cnotn")
-    if gate == "cnot" and len(targets) != 1:
-        raise ValidationError(f"gate cnot takes exactly one target, got {len(targets)}")
     if args.n_targets is not None and args.n_targets != len(targets):
         raise ValidationError(
             f"--n-targets {args.n_targets} but {len(targets)} targets given")
     return control, targets
 
 
-def _output_args(args: argparse.Namespace, doc: dict, default_fmt: str) -> tuple[str, str | None]:
-    fmt = args.format or doc.get("format") or default_fmt
-    out = args.out or doc.get("out")
-    return fmt, out
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    doc = _load_run_file(args.params_file)
-    control, targets = _parse_photon_args(args, doc)
-    cfg = _gate_config(args, doc, len(targets))
-    fmt, out = _output_args(args, doc, "text")
+    control, targets = _parse_photon_args(args)
+    cfg = _gate_config(args, len(targets))
     outcome = hyper_cnot_n(control, targets, cfg)
     ideal = ideal_hyper_cnot_n(control, targets)
     fid = fidelity(outcome.conditional_state, ideal)
     bc = block_coeffs(scatter_coeffs(cfg.params))
     gate = "cnot" if len(targets) == 1 else f"cnot^{len(targets)}"
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "gate": gate,
             "n_targets": len(targets),
@@ -331,7 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "amplitudes": {str(label): [amp.real, amp.imag]
                            for label, amp in outcome.conditional_state.labeled_amplitudes()},
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", out)
+        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     det = outcome.detector_probs
     lines = [
@@ -350,28 +345,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
     for label, amp in outcome.conditional_state.labeled_amplitudes():
         lines.append(f"  {str(label):<12} {_fmt_complex(amp)}")
-    _write_output("\n".join(lines) + "\n", out)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_truth_table(args: argparse.Namespace) -> int:
-    doc = _load_run_file(args.params_file)
-    cfg = _gate_config(args, doc, 1)
-    fmt, out = _output_args(args, doc, "text")
-    rows = truth_table(cfg)
-    if fmt == "json":
+    rows = truth_table(_gate_config(args, 1))
+    if args.format == "json":
         payload = [{"control": r.control, "target": r.target,
                     "output": r.output, "fidelity": r.fidelity} for r in rows]
-        _write_output(json.dumps(payload, indent=2) + "\n", out)
-    elif fmt == "csv":
+        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.format == "csv":
         lines = ["control,target,output,fidelity"]
         lines += [f"{r.control},{r.target},{r.output},{r.fidelity!r}" for r in rows]
-        _write_output("\n".join(lines) + "\n", out)
+        _write_output("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"{'control':<9}{'target':<9}{'output':<14}fidelity"]
         lines += [f"{r.control:<9}{r.target:<9}{r.output:<14}{_fmt(r.fidelity)}"
                   for r in rows]
-        _write_output("\n".join(lines) + "\n", out)
+        _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -404,9 +396,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    "<= 1e-12", scan.max_conservation_error <= 1e-12))
     tt_cfg_args = argparse.Namespace(
         g=3.3, kappa=1.0, kappa_s=0.1, gamma=0.1,
-        detuning_c=0.0, detuning_x=0.0, mirror_override=args.mirror_override,
-        mode="amplitude", seed=None)
-    tt_rows = truth_table(_gate_config(tt_cfg_args, {}, 1))
+        detuning_c=0.0, detuning_x=0.0, mirror_override=args.mirror_override)
+    tt_rows = truth_table(_gate_config(tt_cfg_args, 1))
     tt_min = min(r.fidelity for r in tt_rows)
     checks.append(("truth-table min fidelity", tt_min,
                    ">= 1-1e-12", tt_min >= 1.0 - 1e-12))
@@ -426,12 +417,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    doc = _load_run_file(args.params_file)
-    control, targets = _parse_photon_args(args, doc)
-    cfg = _gate_config(args, doc, len(targets))
-    fmt, out = _output_args(args, doc, "text")
+    control, targets = _parse_photon_args(args)
+    cfg = _gate_config(args, len(targets))
     stats = sample_shots(control, targets, cfg, args.shots)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "shots": stats.shots,
             "seed": cfg.rng_seed,
@@ -443,7 +432,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             "spin_counts": {f"{a.name.lower()},{b.name.lower()}": c
                             for (a, b), c in stats.spin_counts.items()},
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", out)
+        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     lines = [
         f"shots                 {stats.shots}",
@@ -457,7 +446,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             f"{a.name.lower()},{b.name.lower()}={c}"
             for (a, b), c in sorted(stats.spin_counts.items())),
     ]
-    _write_output("\n".join(lines) + "\n", out)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -482,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(run)
     run.add_argument("--mirror-override", type=float,
                      help="scale the balancing mirrors' transmission by this factor")
-    run.add_argument("--mode", choices=("amplitude", "sampled"))
+    run.add_argument("--mode", choices=("amplitude", "sampled"), default="amplitude")
     run.add_argument("--seed", type=int, help="RNG seed (required for sampled mode)")
     _add_out_flags(run, ("text", "json"))
     run.set_defaults(func=cmd_run)
@@ -504,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--detuning-c", type=float, help="cavity detuning (default 0)")
     sw.add_argument("--detuning-x", type=float, help="emitter detuning (default 0)")
     sw.add_argument("--n-targets", type=int, default=1)
-    _add_out_flags(sw, ("csv", "json"), "csv")
+    _add_out_flags(sw, ("csv", "json"))
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="randomized exactness self-check")
@@ -532,12 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "params_file", None) is not None:
+            # argv[0] is the subcommand; the file's tokens come first so that
+            # the command line's own flags win.
+            args = parser.parse_args([argv[0], *_file_argv(args), *argv[1:]])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except DegeneratePhysicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

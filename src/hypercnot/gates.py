@@ -43,10 +43,10 @@ from .hyperstate import (
     Pol,
     Spatial,
     Spin,
-    _expand,
     fidelity,
     init_state,
     pol_mask,
+    product_amplitudes,
     spatial_mask,
 )
 from .scattering import BlockCoeffs, CavityParams, block_coeffs, scatter_coeffs
@@ -80,7 +80,11 @@ class GateConfig:
             raise ValidationError(f"n_targets must be >= 1, got {self.n_targets}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "sampled" and self.rng_seed is None:
+        seed = self.rng_seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                                 or seed < 0):
+            raise ValidationError(f"rng_seed must be None or an int >= 0, got {seed!r}")
+        if self.mode == "sampled" and seed is None:
             raise ValidationError("sampled mode requires rng_seed")
         if self.mirror_T_override is not None:
             if not cmath.isfinite(self.mirror_T_override):
@@ -234,29 +238,18 @@ def hyper_cnot(control: PhotonSpec, target: PhotonSpec,
 def ideal_hyper_cnot_n(control: PhotonSpec,
                        targets: Sequence[PhotonSpec]) -> HyperState:
     """Exact state the lossless gate should emit, built directly from the
-    truth rule rather than the optical train: on the control's L component
-    every target's polarization pair is swapped, and on the control's mode-2
-    component every target's spatial pair is swapped. Photon-only,
-    normalized."""
-    if not isinstance(control, PhotonSpec):
-        raise ValidationError("control is not a PhotonSpec")
+    truth rule rather than the optical train: the input product state with,
+    on the control's L component, every target's polarization bit flipped
+    and, on the control's mode-2 component, every target's spatial bit
+    flipped. Photon-only, normalized."""
     n = 1 + len(targets)
-    amps: dict[int, complex] = {}
-    for cp in (0, 1):
-        for cs in (0, 1):
-            c_amp = control.pol[cp] * control.spatial[cs]
-            if c_amp == 0:
-                continue
-            sub = {(cp << 0) | (cs << 1): c_amp}
-            for i, t in enumerate(targets, start=1):
-                if not isinstance(t, PhotonSpec):
-                    raise ValidationError(f"target {i - 1} is not a PhotonSpec")
-                pol_pair = t.pol if cp == 0 else (t.pol[1], t.pol[0])
-                spat_pair = t.spatial if cs == 0 else (t.spatial[1], t.spatial[0])
-                sub = _expand(sub, pol_mask(i), pol_pair)
-                sub = _expand(sub, spatial_mask(i), spat_pair)
-            amps.update(sub)  # control bits differ per (cp, cs): labels disjoint
-    return HyperState(n, amps, has_spins=False)
+    pol_flip = sum(pol_mask(i) for i in range(1, n))
+    spat_flip = sum(spatial_mask(i) for i in range(1, n))
+    # indexed by the control's (pol, spatial) bits, the label's two lowest
+    flips = (0, pol_flip, spat_flip, pol_flip | spat_flip)
+    amps = product_amplitudes([control, *targets])
+    return HyperState(n, {label ^ flips[label & 3]: amp for label, amp in amps.items()},
+                      has_spins=False)
 
 
 def ideal_hyper_cnot(control: PhotonSpec, target: PhotonSpec) -> HyperState:

@@ -346,17 +346,23 @@ def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState
         raise ValidationError("need at least one photon")
     if spins not in ("plus", "up"):
         raise ValidationError(f"spins must be 'plus' or 'up', got {spins!r}")
+    state = HyperState(len(photons), product_amplitudes(photons), has_spins=True)
+    if spins == "plus":
+        state.spin_hadamard(1)
+        state.spin_hadamard(2)
+    return state
+
+
+def product_amplitudes(photons: Sequence[PhotonSpec]) -> dict[int, complex]:
+    """Amplitudes of the product state of the given photons, keyed by
+    photon-only labels (spin bits clear); zero coefficients add no label."""
     amps: dict[int, complex] = {0: 1.0 + 0j}
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
         amps = _expand(amps, pol_mask(i), spec.pol)
         amps = _expand(amps, spatial_mask(i), spec.spatial)
-    state = HyperState(len(photons), amps, has_spins=True)
-    if spins == "plus":
-        state.spin_hadamard(1)
-        state.spin_hadamard(2)
-    return state
+    return amps
 
 
 def _expand(amps: dict[int, complex], mask: int,

@@ -1,4 +1,4 @@
-"""Optical elements: mirrors, basic-block map, raw cavity pass, stages."""
+"""Optical elements: mirrors, basic-block map, stages."""
 import math
 
 import numpy as np
@@ -10,7 +10,6 @@ from hypercnot import (
     DETECTOR_B2,
     BlockCoeffs,
     CavityParams,
-    Direction,
     ElementTrace,
     HyperState,
     PhotonSpec,
@@ -21,7 +20,6 @@ from hypercnot import (
     block_interact,
     init_state,
     pack_label,
-    raw_cavity_pass,
     scatter_coeffs,
     stage_polarization,
     stage_spatial,
@@ -111,44 +109,6 @@ class TestBlockInteract:
         block_interact(state, 0, 2, bc, DETECTOR_B2)
         out = state.amplitudes[pack_label([1], [0], (1, 0))]
         assert abs(out - bc.T) < 1e-15  # spin 2 is up: no sign
-
-
-class TestRawCavityPass:
-    @pytest.mark.parametrize("pol_bit", [0, 1])
-    @pytest.mark.parametrize("direction", [Direction.ALONG_AXIS,
-                                           Direction.AGAINST_AXIS])
-    @pytest.mark.parametrize("spin_bit", [0, 1])
-    def test_all_eight_rules(self, bench_params, pol_bit, direction, spin_bit):
-        sc = scatter_coeffs(bench_params)
-        label = pack_label([pol_bit], [0], (spin_bit, 0))
-        state = HyperState(1, {label: 1.0 + 0j})
-        transmitted, reflected = raw_cavity_pass(state, 0, 1, sc, direction)
-        coupled = (pol_bit ^ direction.value) == spin_bit
-        t_want, r_want = (sc.t, sc.r) if coupled else (sc.t0, sc.r0)
-        assert abs(transmitted.amplitudes[label] - t_want) < 1e-15
-        flipped = label ^ pol_mask(0)
-        assert abs(reflected.amplitudes[flipped] - r_want) < 1e-15
-        # the input state is untouched
-        assert state.amplitudes == {label: 1.0 + 0j}
-
-    def test_superposition_linearity(self, bench_params):
-        sc = scatter_coeffs(bench_params)
-        state = _random_state(np.random.default_rng(4))
-        transmitted, reflected = raw_cavity_pass(state, 0, 1, sc,
-                                                 Direction.ALONG_AXIS)
-        s1 = spin_mask(1, 1)
-        pm = pol_mask(0)
-        for label, amp in state.amplitudes.items():
-            coupled = bool(label & pm) == bool(label & s1)
-            t_want, r_want = (sc.t, sc.r) if coupled else (sc.t0, sc.r0)
-            assert abs(transmitted.amplitudes[label] - t_want * amp) < 1e-14
-            assert abs(reflected.amplitudes[label ^ pm] - r_want * amp) < 1e-14
-
-    def test_direction_type_checked(self, bench_params):
-        sc = scatter_coeffs(bench_params)
-        state = _random_state(np.random.default_rng(5))
-        with pytest.raises(ValidationError):
-            raw_cavity_pass(state, 0, 1, sc, "along")
 
 
 class TestStages:

@@ -270,6 +270,41 @@ class TestSample:
         assert code == 2
         assert "shots" in capsys.readouterr().err
 
+    def test_benchmark_argv_shape(self, capsys):
+        # the argument list the cli_shots benchmark passes: every cavity
+        # parameter as --flag=value, a negative detuning among them
+        code = main(["sample", "--control", "+,+", "--target", "+,+",
+                     "--target", "+,+", "--shots", "1000000", "--seed", "7",
+                     "--format", "json", "--g=3.3", "--kappa=1.0",
+                     "--kappa-s=0.1", "--gamma=0.1", "--detuning-c=-1.2e-05",
+                     "--detuning-x=0.3"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["shots"] == 1_000_000
+        assert set(payload["detector_clicks"]) == {"detector_B1", "detector_B2"}
+        assert sum(payload["spin_counts"].values()) == payload["successes"]
+        assert (payload["successes"] + sum(payload["detector_clicks"].values())
+                + payload["absorbed"]) == 1_000_000
+        assert payload["success_frequency"] == payload["successes"] / 1_000_000
+        assert 0.0 < payload["success_prob"] < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--control", "+,+", "--target", "+,+", "--seed", "-1", *BENCH],
+    ["run", "--control", "+,+", "--target", "+,+", "--mode", "sampled",
+     "--seed", "-5", *BENCH],
+], ids=["sample", "run_sampled"])
+def test_negative_seed_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rng_seed") and err.count("\n") == 1
+
+
+def _write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
 
 class TestParamsFile:
     def test_full_run_spec(self, tmp_path, capsys):
@@ -360,6 +395,76 @@ def test_non_finite_or_huge_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+class TestParamsFileAsFlags:
+    """A params file is parsed as the subcommand's own flags."""
+
+    @pytest.mark.parametrize("spec", [
+        {"seed": "abc"}, {"seed": 1.5}, {"targets": [1]}, {"control": 5},
+        {"format": "xml"}, {"params": {"g": True}},
+    ], ids=["seed_string", "seed_float", "target_int", "control_int",
+            "format_xml", "g_bool"])
+    def test_bad_value_is_one_error(self, spec, tmp_path, capsys):
+        argv = ["run", "--params-file", _write_spec(tmp_path, spec),
+                "--mode", "sampled", "--seed", "1", *BENCH]
+        if "control" not in spec:
+            argv += ["--control", "+,+"]
+        if "targets" not in spec:
+            argv += ["--target", "+,+"]
+        if "seed" in spec:  # the file's seed alone, so it is the one checked
+            argv.remove("--seed")
+            argv.remove("1")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+
+    def test_keys_without_a_flag_are_ignored(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {
+            "gate": "cnot", "control": "L,a2", "targets": ["R,b1"],
+            "mode": "sampled", "seed": 7, "format": "csv",
+            "params": {"g": 3.3, "kappa_s": 0.1, "gamma": 0.1}})
+        assert main(["truth-table", "--params-file", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "control,target,output,fidelity"
+        assert len(lines) == 17
+
+    def test_command_line_target_replaces_the_files(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {
+            "control": "L,a2", "targets": ["R,1", "R,1"],
+            "params": {"g": 3.3, "kappa_s": 0.1, "gamma": 0.1}})
+        assert main(["run", "--params-file", path, "--target", "R,b1",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_targets"] == 1
+        assert list(payload["amplitudes"]) == ["a:L,2 b:L,2"]
+
+    @pytest.mark.parametrize("flags_first", [True, False], ids=["before", "after"])
+    def test_flags_win_wherever_they_stand(self, flags_first, tmp_path, capsys):
+        path = _write_spec(tmp_path, {
+            "control": "+,+", "targets": ["+,+"], "format": "text",
+            "params": {"g": 1.0, "kappa_s": 2.0, "gamma": 0.5}})
+        flags = [*BENCH, "--format", "json"]
+        file_arg = ["--params-file", path]
+        argv = ["run", *(flags + file_arg if flags_first else file_arg + flags)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["success_prob"] == pytest.approx(ETA_1, abs=1e-12)
+
+    def test_gate_cnot_means_one_target(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {
+            "gate": "cnot", "control": "+,+", "targets": ["+,+", "R,1"],
+            "params": {"g": 3.3}})
+        assert main(["run", "--params-file", path]) == 2
+        assert capsys.readouterr().err == "error: --n-targets 1 but 2 targets given\n"
+
+    def test_null_leaves_the_flag_unset(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {"control": None, "seed": None,
+                                      "targets": ["+,+"], "params": {"g": 3.3}})
+        assert main(["run", "--params-file", path, "--control", "+,+"]) == 0
+        assert "success probability" in capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):

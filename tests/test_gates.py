@@ -54,6 +54,15 @@ class TestGateConfig:
         with pytest.raises(ValidationError):
             GateConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_rejects_seeds_numpy_cannot_take(self, bench_params, seed):
+        with pytest.raises(ValidationError, match="rng_seed"):
+            GateConfig(params=bench_params, rng_seed=seed)
+
+    def test_accepts_non_negative_int_seeds(self, bench_params):
+        for seed in (None, 0, 2**62):
+            assert GateConfig(params=bench_params, rng_seed=seed).rng_seed == seed
+
 
 class TestHeralding:
     def test_success_is_t_to_the_eighth(self, bench_config):
