@@ -36,12 +36,10 @@ from .gates import (
     GateOutcome,
     OutcomeBranch,
     SampleStats,
-    ShotRecord,
     hyper_cnot,
     hyper_cnot_n,
     ideal_hyper_cnot,
     ideal_hyper_cnot_n,
-    sample_run,
     sample_shots,
     truth_table,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "SampleStats",
     "ScanSummary",
     "ScatterCoeffs",
-    "ShotRecord",
     "Spatial",
     "Spin",
     "SpinMeasurement",
@@ -118,7 +115,6 @@ __all__ = [
     "load_report",
     "pack_label",
     "random_photon_spec",
-    "sample_run",
     "sample_shots",
     "scatter_coeffs",
     "stage_polarization",

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DegeneratePhysicsError, ValidationError
-from .gates import GateConfig, hyper_cnot_n, ideal_hyper_cnot_n
+from .gates import GateConfig, check_seed, hyper_cnot_n, ideal_hyper_cnot_n
 from .hyperstate import PhotonSpec, fidelity
 from .scattering import CavityParams, block_coeffs, efficiency, scatter_coeffs
 
@@ -146,6 +146,7 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
         raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
     if n_targets < 1:
         raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
+    check_seed(seed, "seed")
     rng = np.random.default_rng(seed)
     lo_hi = _SCAN_RANGES
     fids: list[float] = []

@@ -21,7 +21,8 @@ the reference the stages are checked against.
 Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
 and the block branch by T with a Z on the block's spin. ``stage_polarization``
-and ``stage_spatial`` apply exactly that, in one pass over the amplitudes.
+and ``stage_spatial`` apply exactly that, in one pass over the amplitudes,
+and return the (click, absorbed) masses the stage deposited in its sinks.
 """
 from __future__ import annotations
 
@@ -104,9 +105,10 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
 
 
 def _route(state: HyperState, branch_mask: int, which_spin: int,
-           bc: BlockCoeffs, mirror_T: complex | None, detector: str) -> None:
+           bc: BlockCoeffs, mirror_T: complex | None, detector: str
+           ) -> tuple[float, float]:
     """Net map of one routing stage, applied in place in one pass over the
-    amplitudes.
+    amplitudes. Returns the stage's (click, absorbed) masses.
 
     An amplitude with the branch_mask bit clear crosses the mirror: x mirror_T
     (the block's T when None). One with the bit set crosses the block: x T,
@@ -137,34 +139,38 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
     for label in zeros:
         del amps[label]
     m_block = math.fsum(block_mass)
-    state.deposit(detector, d2 * m_block)
-    state.deposit(ABSORBED, math.fsum([
-        max(0.0, 1.0 - abs(t_mirror) ** 2) * math.fsum(mirror_mass),
-        max(0.0, 1.0 - d2 - t2) * m_block]))
+    click = d2 * m_block
+    absorbed = math.fsum([max(0.0, 1.0 - abs(t_mirror) ** 2) * math.fsum(mirror_mass),
+                          max(0.0, 1.0 - d2 - t2) * m_block])
+    state.deposit(detector, click)
+    state.deposit(ABSORBED, absorbed)
+    return click, absorbed
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,
                        mirror_T: complex | None = None,
-                       trace: ElementTrace | None = None) -> HyperState:
+                       trace: ElementTrace | None = None) -> tuple[float, float]:
     """First routing stage: R crosses a mirror; L is flipped onto R, crosses
     the block coupled to spin 1 and leaves as L. Net: R branch x mirror_T
-    (default: the block's T); L branch x T with a Z on spin 1."""
-    _route(state, state._photon_mask(photon, spatial=False), 1, bc, mirror_T,
-           DETECTOR_B1)
+    (default: the block's T); L branch x T with a Z on spin 1. Returns the
+    mass the stage sent to detector B1 and the mass it absorbed."""
+    masses = _route(state, state._photon_mask(photon, spatial=False), 1, bc,
+                    mirror_T, DETECTOR_B1)
     _log(trace, "mirror", photon, "pol=R")
     _log(trace, "block", photon, f"pol=L spin=1 sink={DETECTOR_B1}")
-    return state
+    return masses
 
 
 def stage_spatial(state: HyperState, photon: int, bc: BlockCoeffs,
                   mirror_T: complex | None = None,
-                  trace: ElementTrace | None = None) -> HyperState:
+                  trace: ElementTrace | None = None) -> tuple[float, float]:
     """Second routing stage: mode 1 crosses a mirror; mode 2 crosses the
     block coupled to spin 2, with flip plates keeping its polarization. Net:
     mode-1 branch x mirror_T (default: the block's T); mode-2 branch x T with
-    a Z on spin 2."""
-    _route(state, state._photon_mask(photon, spatial=True), 2, bc, mirror_T,
-           DETECTOR_B2)
+    a Z on spin 2. Returns the mass the stage sent to detector B2 and the
+    mass it absorbed."""
+    masses = _route(state, state._photon_mask(photon, spatial=True), 2, bc,
+                    mirror_T, DETECTOR_B2)
     _log(trace, "mirror", photon, "spatial=1")
     _log(trace, "block", photon, f"spatial=2 spin=2 sink={DETECTOR_B2}")
-    return state
+    return masses

@@ -17,10 +17,14 @@ heralded-failure mass, and the absorbed sink holds the rest.
 Two modes: "amplitude" evolves amplitudes once and reports the full outcome
 distribution (the conditional state is outcome-independent, so the reported
 spin record is just the canonical first branch); "sampled" additionally draws
-the spin record from a seeded RNG. Shots of the heralding itself (click /
-absorb / succeed) come from ``sample_shots``: one multinomial draw over the
-run's outcome masses, whose cost does not grow with the shot count.
-``sample_run`` is the one-shot case of the same draw.
+the spin record from a seeded RNG.
+
+``GateOutcome.stages`` records where the probability went at each routing
+stage: the (click, absorbed) masses of each photon's polarization stage and
+spatial stage, in run order. With the branch probabilities they are every
+way a shot can end. Shots of the heralding itself (click / absorb / succeed)
+come from ``sample_shots``: one multinomial draw over those masses, whose
+cost does not grow with the shot count.
 """
 from __future__ import annotations
 
@@ -49,12 +53,20 @@ from .hyperstate import (
     product_amplitudes,
     spatial_mask,
 )
-from .scattering import BlockCoeffs, CavityParams, block_coeffs, scatter_coeffs
+from .scattering import CavityParams, block_coeffs, scatter_coeffs
 
 # Below this transmission magnitude the gate cannot post-select a success.
 MIN_BLOCK_T = 1e-12
 
 MODES = ("amplitude", "sampled")
+
+
+def check_seed(seed, name: str) -> None:
+    """A seed numpy's generators accept: None, or an int >= 0 that is not a
+    bool."""
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or seed < 0):
+        raise ValidationError(f"{name} must be None or an int >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,8 @@ class GateConfig:
             raise ValidationError(f"n_targets must be >= 1, got {self.n_targets}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        seed = self.rng_seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                                 or seed < 0):
-            raise ValidationError(f"rng_seed must be None or an int >= 0, got {seed!r}")
-        if self.mode == "sampled" and seed is None:
+        check_seed(self.rng_seed, "rng_seed")
+        if self.mode == "sampled" and self.rng_seed is None:
             raise ValidationError("sampled mode requires rng_seed")
         if self.mirror_T_override is not None:
             if not cmath.isfinite(self.mirror_T_override):
@@ -112,6 +121,12 @@ class GateOutcome:
     branches lists every nonzero spin outcome; conditional_state is the
     corrected state of the reported branch (they are all equal up to a global
     phase, which is the point of the feed-forward).
+
+    stages holds one (click, absorbed) pair per routing stage, in run order:
+    photon k's polarization stage (detector_B1) is entry 2k and its spatial
+    stage (detector_B2) is entry 2k+1, with the control as photon 0. Summed,
+    the clicks give detector_probs and the absorbed masses absorbed_prob, to
+    rounding.
     """
 
     conditional_state: HyperState
@@ -121,6 +136,7 @@ class GateOutcome:
     detector_probs: dict[str, float]
     absorbed_prob: float
     branches: tuple[OutcomeBranch, ...]
+    stages: tuple[tuple[float, float], ...]
     trace: ElementTrace = field(default_factory=ElementTrace)
 
     @property
@@ -134,12 +150,11 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
             f"got {len(targets)} target specs but n_targets={cfg.n_targets}")
 
 
-def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec],
-                  cfg: GateConfig, steps: list[StageStep] | None = None
-                  ) -> tuple[HyperState, BlockCoeffs, ElementTrace]:
+def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateConfig
+                  ) -> tuple[HyperState, list[tuple[float, float]], ElementTrace]:
     """Evolve the joint state through the whole optical train, up to (not
-    including) the spin measurement. When ``steps`` is given, one StageStep
-    per routing stage is appended to it."""
+    including) the spin measurement. Also returns each routing stage's
+    (click, absorbed) masses in run order."""
     _check_targets(targets, cfg)
     bc = block_coeffs(scatter_coeffs(cfg.params))
     if abs(bc.T) < MIN_BLOCK_T:
@@ -150,18 +165,8 @@ def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec],
     trace = ElementTrace()
     state = init_state([control, *targets], spins="plus")
     trace.append("prepare", None, f"{1 + len(targets)} photons, spins (up+down)/sqrt2")
-
-    def run_stage(stage, photon: int, detector: str) -> None:
-        if steps is None:
-            stage(state, photon, bc, mirror_T, trace)
-            return
-        click, lost = state.sinks[detector], state.sinks[ABSORBED]
-        stage(state, photon, bc, mirror_T, trace)
-        steps.append(StageStep(photon, detector, state.sinks[detector] - click,
-                               state.sinks[ABSORBED] - lost))
-
-    run_stage(stage_polarization, 0, DETECTOR_B1)
-    run_stage(stage_spatial, 0, DETECTOR_B2)
+    stages = [stage_polarization(state, 0, bc, mirror_T, trace),
+              stage_spatial(state, 0, bc, mirror_T, trace)]
     state.spin_hadamard(1)
     trace.append("spin_hadamard", None, "spin=1")
     state.spin_hadamard(2)
@@ -171,8 +176,8 @@ def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec],
         trace.append("pol_hadamard", i)
         state.spatial_hadamard(i)
         trace.append("spatial_hadamard", i)
-        run_stage(stage_polarization, i, DETECTOR_B1)
-        run_stage(stage_spatial, i, DETECTOR_B2)
+        stages.append(stage_polarization(state, i, bc, mirror_T, trace))
+        stages.append(stage_spatial(state, i, bc, mirror_T, trace))
         state.pol_hadamard(i)
         trace.append("pol_hadamard", i)
         state.spatial_hadamard(i)
@@ -181,7 +186,7 @@ def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec],
     trace.append("spin_hadamard", None, "spin=1")
     state.spin_hadamard(2)
     trace.append("spin_hadamard", None, "spin=2")
-    return state, bc, trace
+    return state, stages, trace
 
 
 def _measure_and_correct(state: HyperState) -> tuple[OutcomeBranch, ...]:
@@ -204,7 +209,7 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig) -> GateOutcome:
     """Run the CNOT^N gate (photon a controls every target, in both degrees
     of freedom at once) and return the heralded outcome."""
-    state, _, trace = _run_protocol(control, targets, cfg)
+    state, stages, trace = _run_protocol(control, targets, cfg)
     success = state.norm_sq()
     detector_probs = {DETECTOR_B1: state.sinks[DETECTOR_B1],
                       DETECTOR_B2: state.sinks[DETECTOR_B2]}
@@ -222,6 +227,7 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
         detector_probs=detector_probs,
         absorbed_prob=absorbed,
         branches=branches,
+        stages=tuple(stages),
         trace=trace,
     )
 
@@ -293,29 +299,10 @@ def truth_table(cfg: GateConfig) -> list[TruthRow]:
 #
 # The gate is failure-heralded: every shot ends in exactly one outcome of a
 # fixed list -- a stage's detector click, absorption at a stage, or success
-# in one spin branch. One amplitude run gives the absolute mass of each
-# outcome (they sum to 1 by conservation), so the counts over many
-# independent shots are one multinomial draw over those masses.
+# in one spin branch. One amplitude run's GateOutcome gives the absolute mass
+# of each (its stages, then its branches; they sum to 1 by conservation), so
+# the counts over many independent shots are one multinomial draw over them.
 # ---------------------------------------------------------------------------
-
-class StageStep(NamedTuple):
-    photon: int
-    detector: str
-    click: float     # mass this stage deposited in its detector
-    absorbed: float  # mass this stage absorbed
-
-
-class ShotRecord(NamedTuple):
-    """Outcome of one realized shot. result is "success", "heralded_failure"
-    (detector and photon say which click), or "absorbed" (photon says where
-    the run died). state/spin_record/corrections are set only on success."""
-    result: str
-    detector: str | None
-    photon: int | None
-    spin_record: tuple[Spin, Spin] | None
-    corrections: tuple[bool, bool] | None
-    state: HyperState | None
-
 
 @dataclass
 class SampleStats:
@@ -337,19 +324,6 @@ class SampleStats:
 MAX_SHOTS = 2**63 - 1
 
 
-def _outcomes(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateConfig
-              ) -> tuple[list[StageStep], tuple[OutcomeBranch, ...], float, list[float]]:
-    """One amplitude run: the stages, the spin branches, the success
-    probability and the outcome masses in draw order -- (click, absorbed)
-    per stage, then each branch's probability."""
-    steps: list[StageStep] = []
-    state, _, _ = _run_protocol(control, targets, cfg, steps)
-    branches = _measure_and_correct(state)
-    masses = [m for st in steps for m in (st.click, st.absorbed)]
-    masses += [b.probability for b in branches]
-    return steps, branches, state.norm_sq(), masses
-
-
 def _draw(masses: Sequence[float], shots: int, seed: int) -> np.ndarray:
     """Counts of ``shots`` independent draws over outcomes with the given
     non-negative masses, normalized by their sum."""
@@ -357,47 +331,25 @@ def _draw(masses: Sequence[float], shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
-def _require_seed(cfg: GateConfig) -> None:
-    if cfg.rng_seed is None:
-        raise ValidationError("sampling requires a GateConfig with rng_seed set")
-
-
-def sample_run(control: PhotonSpec, targets: Sequence[PhotonSpec],
-               cfg: GateConfig) -> ShotRecord:
-    """Realize a single shot (seeded): the one-shot case of sample_shots, so
-    sample_shots(..., 1) with the same seed tallies exactly this outcome."""
-    _require_seed(cfg)
-    steps, branches, _, masses = _outcomes(control, targets, cfg)
-    k = int(_draw(masses, 1, cfg.rng_seed).argmax())
-    if k < 2 * len(steps):
-        st = steps[k // 2]
-        if k % 2 == 0:
-            return ShotRecord("heralded_failure", st.detector, st.photon,
-                              None, None, None)
-        return ShotRecord("absorbed", None, st.photon, None, None, None)
-    b = branches[k - 2 * len(steps)]
-    return ShotRecord("success", None, None, b.spin_record, b.corrections, b.state)
-
-
 def sample_shots(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig, shots: int) -> SampleStats:
     """Realize many shots and tally them: one multinomial draw, so the cost
     does not grow with ``shots``. Deterministic given the seed."""
-    _require_seed(cfg)
+    if cfg.rng_seed is None:
+        raise ValidationError("sampling requires a GateConfig with rng_seed set")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
-    steps, branches, success, masses = _outcomes(control, targets, cfg)
+    out = hyper_cnot_n(control, targets, cfg)
+    masses = [m for stage in out.stages for m in stage]
+    n = len(masses)
+    masses += [b.probability for b in out.branches]
     counts = _draw(masses, shots, cfg.rng_seed).tolist()
-    n = 2 * len(steps)
-    detector_clicks = {DETECTOR_B1: 0, DETECTOR_B2: 0}
-    for st, clicks in zip(steps, counts[0:n:2]):
-        detector_clicks[st.detector] += clicks
-    spin_counts = {b.spin_record: c for b, c in zip(branches, counts[n:])}
     return SampleStats(
         shots=shots,
         successes=sum(counts[n:]),
-        detector_clicks=detector_clicks,
+        detector_clicks={DETECTOR_B1: sum(counts[0:n:4]),
+                         DETECTOR_B2: sum(counts[2:n:4])},
         absorbed=sum(counts[1:n:2]),
-        spin_counts=spin_counts,
-        success_prob=success,
+        spin_counts={b.spin_record: c for b, c in zip(out.branches, counts[n:])},
+        success_prob=out.success_prob,
     )

@@ -41,6 +41,12 @@ SINK_IDS = (DETECTOR_B1, DETECTOR_B2, ABSORBED)
 # Tolerance on |c0|^2 + |c1|^2 = 1 for ingested coefficient pairs.
 NORM_TOL = 1e-9
 
+# Most amplitudes a state may hold: CNOT^8 with every photon in superposition
+# (4 labels per photon, times 4 for the two spins). Preparing that state
+# takes about 200 MB; each further photon in superposition multiplies memory
+# and time by 4, so such a state is refused instead of exhausting memory.
+MAX_AMPLITUDES = 4**10
+
 
 class Pol(IntEnum):
     """Circular polarization bit."""
@@ -244,6 +250,10 @@ class HyperState:
                 out[hi] = out.get(hi, 0j) - half
             else:
                 out[hi] = out.get(hi, 0j) + half
+        if len(out) > MAX_AMPLITUDES:
+            raise ValidationError(
+                f"state spread to {len(out)} amplitudes, more than "
+                f"MAX_AMPLITUDES = {MAX_AMPLITUDES}")
         self.amplitudes = out
         self._prune()
 
@@ -355,7 +365,8 @@ def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState
 
 def product_amplitudes(photons: Sequence[PhotonSpec]) -> dict[int, complex]:
     """Amplitudes of the product state of the given photons, keyed by
-    photon-only labels (spin bits clear); zero coefficients add no label."""
+    photon-only labels (spin bits clear); zero coefficients add no label.
+    Refuses a product that, with the two spins, exceeds MAX_AMPLITUDES."""
     amps: dict[int, complex] = {0: 1.0 + 0j}
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
@@ -367,8 +378,13 @@ def product_amplitudes(photons: Sequence[PhotonSpec]) -> dict[int, complex]:
 
 def _expand(amps: dict[int, complex], mask: int,
             pair: tuple[complex, complex]) -> dict[int, complex]:
-    out: dict[int, complex] = {}
     c0, c1 = pair
+    # refused before the labels are built: 4 spin labels per photon label
+    if c0 != 0 and c1 != 0 and 4 * 2 * len(amps) > MAX_AMPLITUDES:
+        raise ValidationError(
+            f"the input photons need more than MAX_AMPLITUDES = {MAX_AMPLITUDES} "
+            "amplitudes with the spins")
+    out: dict[int, complex] = {}
     for label, amp in amps.items():
         if c0 != 0:
             out[label] = amp * c0

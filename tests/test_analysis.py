@@ -126,6 +126,11 @@ class TestFidelityScan:
         with pytest.raises(ValidationError):
             fidelity_scan(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_rejects_seeds_numpy_cannot_take(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            fidelity_scan(1, seed)
+
 
 class TestReports:
     @pytest.fixture

@@ -300,6 +300,24 @@ def test_negative_seed_exits_2(argv, capsys):
     assert err.startswith("error: rng_seed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-cases", "2", "--seed", "-1"],
+    ["run", "--control", "+,+", *["--target", "+,+"] * 9, *BENCH],
+    ["sweep", "--g-ratio", "1", "--ks-ratio", "0", "--n-targets", "12"],
+    ["verify", "--n-cases", "2", "--n-targets", "12"],
+], ids=["verify_seed", "run_cnot9", "sweep_cnot12", "verify_cnot12"])
+def test_unrunnable_input_is_one_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cnot30_on_basis_inputs_runs(capsys):
+    argv = ["run", "--control", "L,2", *["--target", "R,1"] * 30, *BENCH]
+    assert main(argv) == 0
+    assert "b30:L,2" in capsys.readouterr().out
+
+
 def _write_spec(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

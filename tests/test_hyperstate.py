@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypercnot import hyperstate
 from hypercnot import (
     ABSORBED,
     AmplitudeLostError,
@@ -115,6 +116,18 @@ class TestInitState:
             init_state([PhotonSpec.uniform()], spins="sideways")
         with pytest.raises(ValidationError):
             init_state(["L,a2"])  # strings are a CLI notion, not a state one
+
+    def test_refused_past_the_amplitude_limit(self, monkeypatch):
+        # the documented limit admits CNOT^8 with every photon in superposition
+        assert hyperstate.MAX_AMPLITUDES == 4 ** (8 + 2)
+        monkeypatch.setattr(hyperstate, "MAX_AMPLITUDES", 4 ** 4)
+        u = PhotonSpec.uniform()
+        assert len(init_state([u] * 3).amplitudes) == 4 ** 4
+        basis = PhotonSpec.basis(Pol.L, Spatial.M2)
+        assert len(init_state([u] * 3 + [basis] * 5).amplitudes) == 4 ** 4
+        half = PhotonSpec(pol=(1, 0), spatial=(SQ2, SQ2))
+        with pytest.raises(ValidationError, match="MAX_AMPLITUDES"):
+            init_state([u] * 3 + [half])
 
 
 class TestSingleDofOps:

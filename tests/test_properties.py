@@ -1,6 +1,7 @@
 """Property tests over fidelity_scan's parameter ranges and N = 1..3: the
 heralded success is |T|^(4(N+1)), probability is conserved, and the
-sampler's outcome masses form a distribution."""
+sampler's outcome masses form a distribution whose stage entries sum to the
+gate's detector and absorbed probabilities."""
 import math
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypercnot import (
+    DETECTOR_B1,
+    DETECTOR_B2,
     CavityParams,
     GateConfig,
     PhotonSpec,
@@ -18,7 +21,6 @@ from hypercnot import (
     scatter_coeffs,
 )
 from hypercnot.analysis import _SCAN_RANGES
-from hypercnot.gates import _outcomes
 
 # Fixed examples, so a Tier-1 run is repeatable and stays within a second.
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
@@ -67,6 +69,14 @@ def test_sampler_outcome_masses_are_a_distribution(gate, mirror_scale):
     if mirror_scale is not None:
         override = mirror_scale * block_coeffs(scatter_coeffs(params)).T
     cfg = GateConfig(params=params, n_targets=len(targets), mirror_T_override=override)
-    _, _, _, masses = _outcomes(control, targets, cfg)
+    out = hyper_cnot_n(control, targets, cfg)
+    masses = [m for stage in out.stages for m in stage]
+    masses += [b.probability for b in out.branches]
     assert min(masses) >= 0.0
     assert abs(math.fsum(masses) - 1.0) <= 1e-12
+    # two stages per photon, B1 then B2; their masses are the gate's sinks
+    assert len(out.stages) == 2 * (len(targets) + 1)
+    clicks = [click for click, _ in out.stages]
+    assert abs(math.fsum(clicks[0::2]) - out.detector_probs[DETECTOR_B1]) <= 1e-15
+    assert abs(math.fsum(clicks[1::2]) - out.detector_probs[DETECTOR_B2]) <= 1e-15
+    assert abs(math.fsum(a for _, a in out.stages) - out.absorbed_prob) <= 1e-15
