@@ -20,7 +20,6 @@ from .analysis import (
     sweep_efficiency,
 )
 from .circuit import (
-    ElementTrace,
     block_interact,
     stage_polarization,
     stage_spatial,
@@ -47,7 +46,6 @@ from .hyperstate import (
     ABSORBED,
     DETECTOR_B1,
     DETECTOR_B2,
-    SINK_IDS,
     BasisLabel,
     HyperState,
     PhotonSpec,
@@ -82,7 +80,6 @@ __all__ = [
     "DETECTOR_B2",
     "DegeneratePhysicsError",
     "DephasingParams",
-    "ElementTrace",
     "GateConfig",
     "GateOutcome",
     "HyperState",
@@ -90,7 +87,6 @@ __all__ = [
     "PhotonSpec",
     "Pol",
     "RoutingContractError",
-    "SINK_IDS",
     "SampleStats",
     "ScanSummary",
     "ScatterCoeffs",

@@ -69,7 +69,9 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
     """Run the gate at every grid point, rows in grid order (g outer, ks
     inner). Points where the block transmission vanishes (e.g. g = 0 exactly
     on resonance) get success_prob = fidelity = 0.0: the gate never heralds
-    there, so the conditional state does not exist."""
+    there, so the conditional state does not exist. Points whose scattering
+    coefficients are undefined (g = gamma = 0 on resonance) get 0.0 in every
+    figure."""
     n = grid.n_targets
     control = PhotonSpec.uniform()
     targets = [PhotonSpec.uniform()] * n
@@ -79,7 +81,11 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
         for ks in grid.ks_ratios:
             params = CavityParams.from_ratios(g, ks, grid.gamma_ratio,
                                               grid.detuning_c, grid.detuning_x)
-            bc = block_coeffs(scatter_coeffs(params))
+            try:
+                bc = block_coeffs(scatter_coeffs(params))
+            except DegeneratePhysicsError:
+                rows.append(SweepRow(g, ks, 0.0, 0.0, 0.0, 0.0))
+                continue
             abs_t = abs(bc.T)
             eff = efficiency(bc.T, n)
             try:
@@ -225,8 +231,21 @@ def emit_report(rows: Sequence[SweepRow], fmt: str,
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _report_row(cells: Sequence, where: str, number: int) -> SweepRow:
+    """Report row ``number`` (1-based, after the header) from its cells in
+    REPORT_COLUMNS order."""
+    if len(cells) != len(REPORT_COLUMNS):
+        raise ValidationError(f"bad row {number} in {where}: {len(cells)} cells, "
+                              f"expected {len(REPORT_COLUMNS)}")
+    try:
+        return SweepRow(*(float(cell) for cell in cells))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad row {number} in {where}: {exc}") from None
+
+
 def load_report(source: str | Path | IO[str], fmt: str) -> list[SweepRow]:
-    """Read rows back from emit_report output."""
+    """Read rows back from emit_report output. A malformed row raises
+    ValidationError naming the source and the row."""
     if hasattr(source, "read"):
         text = source.read()
         where = "<stream>"
@@ -245,7 +264,8 @@ def load_report(source: str | Path | IO[str], fmt: str) -> list[SweepRow]:
         if tuple(header) != REPORT_COLUMNS:
             raise ValidationError(
                 f"bad report header in {where}: {header} != {list(REPORT_COLUMNS)}")
-        return [SweepRow(*(float(cell) for cell in row)) for row in reader if row]
+        return [_report_row(row, where, number)
+                for number, row in enumerate(reader, start=1) if row]
     if fmt == "json":
         try:
             payload = json.loads(text)
@@ -253,6 +273,14 @@ def load_report(source: str | Path | IO[str], fmt: str) -> list[SweepRow]:
             raise ValidationError(f"bad JSON report in {where}: {exc}") from exc
         if not isinstance(payload, list):
             raise ValidationError(f"bad JSON report in {where}: expected a list")
-        return [SweepRow(**{col: float(item[col]) for col in REPORT_COLUMNS})
-                for item in payload]
+        rows = []
+        for number, item in enumerate(payload, start=1):
+            if not isinstance(item, dict):
+                raise ValidationError(
+                    f"bad row {number} in {where}: expected an object, got {item!r}")
+            missing = [col for col in REPORT_COLUMNS if col not in item]
+            if missing:
+                raise ValidationError(f"bad row {number} in {where}: missing {missing}")
+            rows.append(_report_row([item[col] for col in REPORT_COLUMNS], where, number))
+        return rows
     raise ValidationError(f"unknown report format {fmt!r}, expected csv or json")

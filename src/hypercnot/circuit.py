@@ -18,43 +18,23 @@ applied to the block's spin. Whatever the two amplitudes leave behind is
 absorbed. ``block_interact`` implements that map on one routed branch and is
 the reference the stages are checked against.
 
+An element keeps no record of the mass it removes from the amplitudes: it
+returns it. Each stage returns its (click, absorbed) pair, and the gate keeps
+those pairs as its one record of where the probability went.
+
 Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
 and the block branch by T with a Z on the block's spin. ``stage_polarization``
 and ``stage_spatial`` apply exactly that, in one pass over the amplitudes,
-and return the (click, absorbed) masses the stage deposited in its sinks.
+and return the (click, absorbed) masses the stage removed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import RoutingContractError, ValidationError
-from .hyperstate import ABSORBED, DETECTOR_B1, DETECTOR_B2, HyperState
+from .hyperstate import HyperState
 from .scattering import BlockCoeffs
-
-
-@dataclass
-class ElementTrace:
-    """Append-only log of (element, photon, branch condition) records for one
-    gate run. Two runs with identical inputs produce equal traces."""
-
-    records: list[tuple[str, int | None, str]] = field(default_factory=list)
-
-    def append(self, element: str, photon: int | None, condition: str = "") -> None:
-        self.records.append((element, photon, condition))
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def _log(trace: ElementTrace | None, element: str, photon: int | None,
-         condition: str = "") -> None:
-    if trace is not None:
-        trace.append(element, photon, condition)
 
 
 def _block_probs(bc: BlockCoeffs) -> tuple[float, float]:
@@ -67,15 +47,13 @@ def _block_probs(bc: BlockCoeffs) -> tuple[float, float]:
 
 
 def block_interact(state: HyperState, photon: int, which_spin: int,
-                   bc: BlockCoeffs, detector_sink: str,
-                   trace: ElementTrace | None = None,
-                   condition: str = "") -> HyperState:
+                   bc: BlockCoeffs) -> tuple[float, float]:
     """Effective basic-block map on a routed branch whose photon is R.
 
     Transmission: factor T, polarization flipped to L, Z on which_spin.
-    Reflection: mass |D|^2 per amplitude deposited in detector_sink (heralded
-    failure) and removed from the coherent state. The remainder
-    (1-|D|^2-|T|^2 per amplitude) goes to the absorbed sink.
+    Reflection: mass |D|^2 per amplitude clicks the heralding detector
+    (failure) and leaves the coherent state. The remainder (1-|D|^2-|T|^2 per
+    amplitude) is absorbed. Returns the (click, absorbed) masses.
     """
     d2, t2 = _block_probs(bc)
     pm = state._photon_mask(photon, spatial=False)
@@ -98,23 +76,19 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
         out[label | pm] = new_amp
     state.amplitudes = out
     state._prune()
-    state.deposit(detector_sink, math.fsum(clicked))
-    state.deposit(ABSORBED, math.fsum(lost))
-    _log(trace, "block", photon, condition or f"spin={which_spin} sink={detector_sink}")
-    return state
+    return math.fsum(clicked), math.fsum(lost)
 
 
 def _route(state: HyperState, branch_mask: int, which_spin: int,
-           bc: BlockCoeffs, mirror_T: complex | None, detector: str
-           ) -> tuple[float, float]:
+           bc: BlockCoeffs, mirror_T: complex | None) -> tuple[float, float]:
     """Net map of one routing stage, applied in place in one pass over the
     amplitudes. Returns the stage's (click, absorbed) masses.
 
     An amplitude with the branch_mask bit clear crosses the mirror: x mirror_T
     (the block's T when None). One with the bit set crosses the block: x T,
     negated when which_spin is down. No label moves. The block branch's mass
-    times |D|^2 is deposited in ``detector``; the rest of both branches' loss
-    goes to the absorbed sink. Amplitudes that become exactly zero are dropped.
+    times |D|^2 is the click; the rest of both branches' loss is absorbed.
+    Amplitudes that become exactly zero are dropped.
     """
     t_mirror = bc.T if mirror_T is None else mirror_T
     if abs(t_mirror) > 1.0 + 1e-12:
@@ -139,38 +113,25 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
     for label in zeros:
         del amps[label]
     m_block = math.fsum(block_mass)
-    click = d2 * m_block
-    absorbed = math.fsum([max(0.0, 1.0 - abs(t_mirror) ** 2) * math.fsum(mirror_mass),
-                          max(0.0, 1.0 - d2 - t2) * m_block])
-    state.deposit(detector, click)
-    state.deposit(ABSORBED, absorbed)
-    return click, absorbed
+    return d2 * m_block, math.fsum(
+        [max(0.0, 1.0 - abs(t_mirror) ** 2) * math.fsum(mirror_mass),
+         max(0.0, 1.0 - d2 - t2) * m_block])
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,
-                       mirror_T: complex | None = None,
-                       trace: ElementTrace | None = None) -> tuple[float, float]:
+                       mirror_T: complex | None = None) -> tuple[float, float]:
     """First routing stage: R crosses a mirror; L is flipped onto R, crosses
     the block coupled to spin 1 and leaves as L. Net: R branch x mirror_T
     (default: the block's T); L branch x T with a Z on spin 1. Returns the
     mass the stage sent to detector B1 and the mass it absorbed."""
-    masses = _route(state, state._photon_mask(photon, spatial=False), 1, bc,
-                    mirror_T, DETECTOR_B1)
-    _log(trace, "mirror", photon, "pol=R")
-    _log(trace, "block", photon, f"pol=L spin=1 sink={DETECTOR_B1}")
-    return masses
+    return _route(state, state._photon_mask(photon, spatial=False), 1, bc, mirror_T)
 
 
 def stage_spatial(state: HyperState, photon: int, bc: BlockCoeffs,
-                  mirror_T: complex | None = None,
-                  trace: ElementTrace | None = None) -> tuple[float, float]:
+                  mirror_T: complex | None = None) -> tuple[float, float]:
     """Second routing stage: mode 1 crosses a mirror; mode 2 crosses the
     block coupled to spin 2, with flip plates keeping its polarization. Net:
     mode-1 branch x mirror_T (default: the block's T); mode-2 branch x T with
     a Z on spin 2. Returns the mass the stage sent to detector B2 and the
     mass it absorbed."""
-    masses = _route(state, state._photon_mask(photon, spatial=True), 2, bc,
-                    mirror_T, DETECTOR_B2)
-    _log(trace, "mirror", photon, "spatial=1")
-    _log(trace, "block", photon, f"spatial=2 spin=2 sink={DETECTOR_B2}")
-    return masses
+    return _route(state, state._photon_mask(photon, spatial=True), 2, bc, mirror_T)

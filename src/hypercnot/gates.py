@@ -11,8 +11,10 @@ CNOT on the polarization bits (control a) and, independently, a CNOT on the
 spatial bits, both applied to each target.
 
 A run is trace-decreasing: with block transmission T, the heralded-success
-probability is |T|^(4(N+1)) for N targets, the detector sinks hold the
-heralded-failure mass, and the absorbed sink holds the rest.
+probability is |T|^(4(N+1)) for N targets. Each routing stage returns the
+mass it sent to its heralding detector and the mass it absorbed; the run
+keeps those pairs in ``GateOutcome.stages``, and the gate's detector and
+absorbed totals are their sums.
 
 Two modes: "amplitude" evolves amplitudes once and reports the full outcome
 distribution (the conditional state is outcome-independent, so the reported
@@ -30,15 +32,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import ElementTrace, stage_polarization, stage_spatial
+from .circuit import stage_polarization, stage_spatial
 from .errors import DegeneratePhysicsError, ValidationError
 from .hyperstate import (
-    ABSORBED,
     DETECTOR_B1,
     DETECTOR_B2,
     BasisLabel,
@@ -124,9 +125,9 @@ class GateOutcome:
 
     stages holds one (click, absorbed) pair per routing stage, in run order:
     photon k's polarization stage (detector_B1) is entry 2k and its spatial
-    stage (detector_B2) is entry 2k+1, with the control as photon 0. Summed,
-    the clicks give detector_probs and the absorbed masses absorbed_prob, to
-    rounding.
+    stage (detector_B2) is entry 2k+1, with the control as photon 0. It is
+    the one record of where the probability went: detector_probs and
+    absorbed_prob are the math.fsum of its clicks and absorbed masses.
     """
 
     conditional_state: HyperState
@@ -137,7 +138,6 @@ class GateOutcome:
     absorbed_prob: float
     branches: tuple[OutcomeBranch, ...]
     stages: tuple[tuple[float, float], ...]
-    trace: ElementTrace = field(default_factory=ElementTrace)
 
     @property
     def heralded_failure_prob(self) -> float:
@@ -151,7 +151,7 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
 
 
 def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateConfig
-                  ) -> tuple[HyperState, list[tuple[float, float]], ElementTrace]:
+                  ) -> tuple[HyperState, list[tuple[float, float]]]:
     """Evolve the joint state through the whole optical train, up to (not
     including) the spin measurement. Also returns each routing stage's
     (click, absorbed) masses in run order."""
@@ -162,31 +162,21 @@ def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateC
             f"basic block never transmits (|T|={abs(bc.T):.3e}): "
             "the gate cannot herald a success")
     mirror_T = bc.T if cfg.mirror_T_override is None else cfg.mirror_T_override
-    trace = ElementTrace()
     state = init_state([control, *targets], spins="plus")
-    trace.append("prepare", None, f"{1 + len(targets)} photons, spins (up+down)/sqrt2")
-    stages = [stage_polarization(state, 0, bc, mirror_T, trace),
-              stage_spatial(state, 0, bc, mirror_T, trace)]
+    stages = [stage_polarization(state, 0, bc, mirror_T),
+              stage_spatial(state, 0, bc, mirror_T)]
     state.spin_hadamard(1)
-    trace.append("spin_hadamard", None, "spin=1")
     state.spin_hadamard(2)
-    trace.append("spin_hadamard", None, "spin=2")
     for i in range(1, 1 + len(targets)):
         state.pol_hadamard(i)
-        trace.append("pol_hadamard", i)
         state.spatial_hadamard(i)
-        trace.append("spatial_hadamard", i)
-        stages.append(stage_polarization(state, i, bc, mirror_T, trace))
-        stages.append(stage_spatial(state, i, bc, mirror_T, trace))
+        stages.append(stage_polarization(state, i, bc, mirror_T))
+        stages.append(stage_spatial(state, i, bc, mirror_T))
         state.pol_hadamard(i)
-        trace.append("pol_hadamard", i)
         state.spatial_hadamard(i)
-        trace.append("spatial_hadamard", i)
     state.spin_hadamard(1)
-    trace.append("spin_hadamard", None, "spin=1")
     state.spin_hadamard(2)
-    trace.append("spin_hadamard", None, "spin=2")
-    return state, stages, trace
+    return state, stages
 
 
 def _measure_and_correct(state: HyperState) -> tuple[OutcomeBranch, ...]:
@@ -209,11 +199,9 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig) -> GateOutcome:
     """Run the CNOT^N gate (photon a controls every target, in both degrees
     of freedom at once) and return the heralded outcome."""
-    state, stages, trace = _run_protocol(control, targets, cfg)
+    state, stages = _run_protocol(control, targets, cfg)
     success = state.norm_sq()
-    detector_probs = {DETECTOR_B1: state.sinks[DETECTOR_B1],
-                      DETECTOR_B2: state.sinks[DETECTOR_B2]}
-    absorbed = state.sinks[ABSORBED]
+    clicks = [click for click, _ in stages]
     branches = _measure_and_correct(state)
     chosen = branches[0]
     if cfg.mode == "sampled":
@@ -224,11 +212,11 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
         spin_record=chosen.spin_record,
         corrections=chosen.corrections,
         success_prob=success,
-        detector_probs=detector_probs,
-        absorbed_prob=absorbed,
+        detector_probs={DETECTOR_B1: math.fsum(clicks[0::2]),
+                        DETECTOR_B2: math.fsum(clicks[1::2])},
+        absorbed_prob=math.fsum(absorbed for _, absorbed in stages),
         branches=branches,
         stages=tuple(stages),
-        trace=trace,
     )
 
 

@@ -11,11 +11,12 @@ with "photon 0 pol" the least significant bit. This ordering is part of the
 public contract; CLI reports and tests rely on it.
 
 Amplitudes live in a sparse dict keyed by the packed label. The state is not
-kept normalized: heralding and absorption move probability mass out of the
-coherent amplitudes into named sink accumulators, so for any initially
+kept normalized: heralding and absorption take probability mass out of the
+coherent amplitudes. The state keeps no record of it; the element that
+removes the mass returns it (see ``circuit``), so for any initially
 normalized state
 
-    sum |amplitude|^2  +  sum sinks  =  1
+    sum |amplitude|^2  +  sum of the masses the elements returned  =  1
 
 holds (to rounding) after every complete element application. All probability
 reductions use math.fsum, so results do not depend on dict insertion order.
@@ -32,11 +33,11 @@ from .errors import AmplitudeLostError, ValidationError
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# Probability sinks for non-trace-preserving bookkeeping.
+# Where a heralded-failure or lost shot ends. The detector names key the
+# gate's detector_probs and SampleStats.detector_clicks.
 DETECTOR_B1 = "detector_B1"
 DETECTOR_B2 = "detector_B2"
 ABSORBED = "absorbed"
-SINK_IDS = (DETECTOR_B1, DETECTOR_B2, ABSORBED)
 
 # Tolerance on |c0|^2 + |c1|^2 = 1 for ingested coefficient pairs.
 NORM_TOL = 1e-9
@@ -164,23 +165,17 @@ class SpinMeasurement(NamedTuple):
 
 class HyperState:
     """Joint amplitude state of ``n_photons`` photons plus (optionally) the
-    two spins, with sink accumulators for heralded clicks and absorption.
-    Amplitudes that become exactly zero are dropped, so no information is
-    ever lost.
+    two spins. Amplitudes that become exactly zero are dropped, so no
+    information is ever lost.
     """
 
     def __init__(self, n_photons: int, amplitudes: dict[int, complex] | None = None,
-                 sinks: dict[str, float] | None = None, has_spins: bool = True):
+                 has_spins: bool = True):
         if n_photons < 1:
             raise ValidationError(f"need at least one photon, got {n_photons}")
         self.n_photons = n_photons
         self.has_spins = has_spins
         self.amplitudes = dict(amplitudes) if amplitudes else {}
-        self.sinks = {sid: 0.0 for sid in SINK_IDS}
-        if sinks:
-            for sid, mass in sinks.items():
-                self._check_sink(sid, mass)
-                self.sinks[sid] = float(mass)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -189,26 +184,21 @@ class HyperState:
         return 2 * self.n_photons + (2 if self.has_spins else 0)
 
     def copy(self) -> "HyperState":
-        return HyperState(self.n_photons, self.amplitudes, self.sinks, self.has_spins)
+        return HyperState(self.n_photons, self.amplitudes, self.has_spins)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperState):
             return NotImplemented
         return (self.n_photons == other.n_photons
                 and self.has_spins == other.has_spins
-                and self.amplitudes == other.amplitudes
-                and self.sinks == other.sinks)
+                and self.amplitudes == other.amplitudes)
 
     def __repr__(self) -> str:
         return (f"HyperState(n_photons={self.n_photons}, has_spins={self.has_spins}, "
-                f"{len(self.amplitudes)} amplitudes, sinks={self.sinks})")
+                f"{len(self.amplitudes)} amplitudes)")
 
     def norm_sq(self) -> float:
         return math.fsum(abs(a) ** 2 for a in self.amplitudes.values())
-
-    def total_probability(self) -> float:
-        """Coherent norm squared plus everything deposited in sinks."""
-        return math.fsum([self.norm_sq(), *self.sinks.values()])
 
     def labeled_amplitudes(self) -> list[tuple[BasisLabel, complex]]:
         """Amplitudes in canonical (ascending label) order."""
@@ -230,12 +220,6 @@ class HyperState:
         if which_spin not in (1, 2):
             raise ValidationError(f"invalid spin id {which_spin}, expected 1 or 2")
         return spin_mask(self.n_photons, which_spin)
-
-    def _check_sink(self, sink_id: str, mass: float) -> None:
-        if sink_id not in SINK_IDS:
-            raise ValidationError(f"unknown sink id {sink_id!r}, expected one of {SINK_IDS}")
-        if mass < 0:
-            raise ValidationError(f"sink mass must be >= 0, got {mass}")
 
     # -- generic bit operations -------------------------------------------
 
@@ -300,12 +284,6 @@ class HyperState:
     def spin_z(self, which_spin: int) -> "HyperState":
         """Negate amplitudes with this spin down."""
         self._phase(self._spin_bit_mask(which_spin))
-        return self
-
-    def deposit(self, sink_id: str, mass: float) -> "HyperState":
-        """Accumulate removed probability mass into a sink."""
-        self._check_sink(sink_id, mass)
-        self.sinks[sink_id] += mass
         return self
 
     # -- measurement -------------------------------------------------------

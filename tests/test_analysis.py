@@ -74,7 +74,11 @@ class TestSweepEfficiency:
             assert line == sorted(line, reverse=True)
 
     def test_uncoupled_rows_report_zero(self):
-        rows = sweep_efficiency(SweepGrid(g_ratios=(0.0,), ks_ratios=(0.0, 0.1)))
+        # with gamma = 0 the g = 0, ks = 0 point has no scattering coefficients
+        grids = [SweepGrid(g_ratios=(0.0,), ks_ratios=(0.0, 0.1), gamma_ratio=gamma)
+                 for gamma in (0.1, 0.0)]
+        rows = [row for grid in grids for row in sweep_efficiency(grid)]
+        assert len(rows) == 4
         for row in rows:
             assert row.abs_T == 0.0
             assert row.efficiency == 0.0
@@ -183,12 +187,20 @@ class TestReports:
         stream = io.StringIO("a,b,c\n1,2,3\n")
         with pytest.raises(ValidationError, match="bad report header"):
             load_report(stream, "csv")
+        header = ",".join(REPORT_COLUMNS)
+        for body, problem in (("1,2", "2 cells"), ("1,2,3,4,5,x", "could not convert")):
+            stream = io.StringIO(f"{header}\n1,2,3,4,5,6\n{body}\n")
+            with pytest.raises(ValidationError, match=f"bad row 2 in <stream>: {problem}"):
+                load_report(stream, "csv")
 
     def test_bad_json_rejected(self):
         with pytest.raises(ValidationError, match="bad JSON report"):
             load_report(io.StringIO("{not json"), "json")
         with pytest.raises(ValidationError, match="expected a list"):
             load_report(io.StringIO('{"g_ratio": 1}'), "json")
+        for body, problem in (('[{"g_ratio": 1}]', "missing"), ("[1]", "expected an object")):
+            with pytest.raises(ValidationError, match=f"bad row 1 in <stream>: {problem}"):
+                load_report(io.StringIO(body), "json")
 
     def test_row_fields_match_the_header(self):
         assert REPORT_COLUMNS == tuple(SweepRow.__dataclass_fields__)

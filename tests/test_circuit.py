@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 
 from hypercnot import (
-    ABSORBED,
-    DETECTOR_B1,
-    DETECTOR_B2,
     BlockCoeffs,
     CavityParams,
-    ElementTrace,
     HyperState,
     PhotonSpec,
     RoutingContractError,
-    SINK_IDS,
     ValidationError,
     block_coeffs,
     block_interact,
@@ -49,12 +44,12 @@ class TestMirror:
         rng = np.random.default_rng(0)
         state = init_state([PhotonSpec(pol=_random_pair(rng), spatial=(1, 0))])
         before = dict(state.amplitudes)
-        stage_spatial(state, 0, bc)  # every amplitude is in mode 1
+        click, absorbed = stage_spatial(state, 0, bc)  # every amplitude is in mode 1
         for label, amp in before.items():
             assert abs(state.amplitudes[label] - bc.T * amp) < 1e-15
-        assert state.sinks[ABSORBED] == pytest.approx(1.0 - abs(bc.T) ** 2, abs=1e-12)
-        assert state.sinks[DETECTOR_B2] == 0.0
-        assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+        assert absorbed == pytest.approx(1.0 - abs(bc.T) ** 2, abs=1e-12)
+        assert click == 0.0
+        assert state.norm_sq() + click + absorbed == pytest.approx(1.0, abs=1e-12)
 
     def test_gain_rejected(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
@@ -68,10 +63,10 @@ class TestMirror:
         state = init_state([PhotonSpec(pol=(1, 0), spatial=_random_pair(rng))])
         before = dict(state.amplitudes)
         t = complex(0.6, 0.3)
-        stage_polarization(state, 0, bc, mirror_T=t)  # every amplitude is R
+        _, absorbed = stage_polarization(state, 0, bc, mirror_T=t)  # every amplitude is R
         for label, amp in before.items():
             assert abs(state.amplitudes[label] - amp * t) < 1e-15
-        assert state.sinks[ABSORBED] == pytest.approx(1.0 - abs(t) ** 2, abs=1e-12)
+        assert absorbed == pytest.approx(1.0 - abs(t) ** 2, abs=1e-12)
 
 
 class TestBlockInteract:
@@ -81,32 +76,32 @@ class TestBlockInteract:
         amps = {pack_label([0], [0], (0, 0)): complex(math.sqrt(0.5)),
                 pack_label([0], [0], (1, 0)): complex(math.sqrt(0.5))}
         state = HyperState(1, amps)
-        block_interact(state, 0, 1, bc, DETECTOR_B1)
+        click, absorbed = block_interact(state, 0, 1, bc)
         up_label = pack_label([1], [0], (0, 0))
         down_label = pack_label([1], [0], (1, 0))
         assert abs(state.amplitudes[up_label] - bc.T * math.sqrt(0.5)) < 1e-15
         assert abs(state.amplitudes[down_label] + bc.T * math.sqrt(0.5)) < 1e-15
-        assert state.sinks[DETECTOR_B1] == pytest.approx(abs(bc.D) ** 2, abs=1e-12)
-        assert state.sinks[ABSORBED] == pytest.approx(
+        assert click == pytest.approx(abs(bc.D) ** 2, abs=1e-12)
+        assert absorbed == pytest.approx(
             1.0 - abs(bc.D) ** 2 - abs(bc.T) ** 2, abs=1e-12)
-        assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+        assert state.norm_sq() + click + absorbed == pytest.approx(1.0, abs=1e-12)
 
     def test_l_input_is_a_routing_bug(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
         state = HyperState(1, {pack_label([1], [0], (0, 0)): 1.0 + 0j})
         with pytest.raises(RoutingContractError):
-            block_interact(state, 0, 1, bc, DETECTOR_B1)
+            block_interact(state, 0, 1, bc)
 
     def test_unphysical_coefficients_rejected(self):
         state = HyperState(1, {pack_label([0], [0], (0, 0)): 1.0 + 0j})
         with pytest.raises(ValidationError):
-            block_interact(state, 0, 1, BlockCoeffs(D=0.8, T=0.8), DETECTOR_B1)
+            block_interact(state, 0, 1, BlockCoeffs(D=0.8, T=0.8))
 
     def test_second_spin_conditions_the_kick(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
         amps = {pack_label([0], [0], (1, 0)): 1.0 + 0j}  # spin1 down, spin2 up
         state = HyperState(1, amps)
-        block_interact(state, 0, 2, bc, DETECTOR_B2)
+        block_interact(state, 0, 2, bc)
         out = state.amplitudes[pack_label([1], [0], (1, 0))]
         assert abs(out - bc.T) < 1e-15  # spin 2 is up: no sign
 
@@ -117,7 +112,7 @@ class TestStages:
         rng = np.random.default_rng(6)
         state = _random_state(rng)
         before = dict(state.amplitudes)
-        stage_polarization(state, 0, bc)
+        click, absorbed = stage_polarization(state, 0, bc)
         pm = pol_mask(0)
         s1 = spin_mask(1, 1)
         l_norm = math.fsum(abs(a) ** 2 for l, a in before.items() if l & pm)
@@ -127,16 +122,14 @@ class TestStages:
             else:           # R: balancing mirror
                 want = bc.T * amp
             assert abs(state.amplitudes[label] - want) < 1e-14
-        assert state.sinks[DETECTOR_B1] == pytest.approx(
-            abs(bc.D) ** 2 * l_norm, abs=1e-12)
-        assert state.sinks[DETECTOR_B2] == 0.0
-        assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+        assert click == pytest.approx(abs(bc.D) ** 2 * l_norm, abs=1e-12)
+        assert state.norm_sq() + click + absorbed == pytest.approx(1.0, abs=1e-12)
 
     def test_spatial_stage_amplitude_law(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
         state = _random_state(np.random.default_rng(7))
         before = dict(state.amplitudes)
-        stage_spatial(state, 0, bc)
+        click, absorbed = stage_spatial(state, 0, bc)
         sm = 1 << 1
         s2 = spin_mask(1, 2)
         m2_norm = math.fsum(abs(a) ** 2 for l, a in before.items() if l & sm)
@@ -146,10 +139,8 @@ class TestStages:
             else:           # mode 1: balancing mirror
                 want = bc.T * amp
             assert abs(state.amplitudes[label] - want) < 1e-14
-        assert state.sinks[DETECTOR_B2] == pytest.approx(
-            abs(bc.D) ** 2 * m2_norm, abs=1e-12)
-        assert state.sinks[DETECTOR_B1] == 0.0
-        assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+        assert click == pytest.approx(abs(bc.D) ** 2 * m2_norm, abs=1e-12)
+        assert state.norm_sq() + click + absorbed == pytest.approx(1.0, abs=1e-12)
 
     def test_mirror_override_changes_only_the_mirror_branch(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
@@ -187,9 +178,8 @@ class TestStages:
                 rng.uniform(0.05, 0.2), rng.uniform(-1, 1), rng.uniform(-1, 1))
             bc = block_coeffs(scatter_coeffs(params))
             state = _random_state(rng)
-            stage_polarization(state, 0, bc)
-            stage_spatial(state, 0, bc)
-            assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+            removed = [*stage_polarization(state, 0, bc), *stage_spatial(state, 0, bc)]
+            assert math.fsum([state.norm_sq(), *removed]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStagesAgainstElements:
@@ -202,21 +192,21 @@ class TestStagesAgainstElements:
     AMP = complex(0.6, -0.8)
 
     def _reference(self, label, n_photons, photon, spatial, bc, mirror_T):
+        """The reference state and its (click, absorbed) masses."""
         ref = HyperState(n_photons, {label: self.AMP})
         branch = spatial_mask(photon) if spatial else pol_mask(photon)
         if not label & branch:  # mirror
             t = bc.T if mirror_T is None else mirror_T
             ref.amplitudes[label] = self.AMP * t
-            ref.deposit(ABSORBED, (1.0 - abs(t) ** 2) * abs(self.AMP) ** 2)
-            return ref
-        spin, sink = (2, DETECTOR_B2) if spatial else (1, DETECTOR_B1)
+            return ref, (0.0, (1.0 - abs(t) ** 2) * abs(self.AMP) ** 2)
+        spin = 2 if spatial else 1
         if label & pol_mask(photon):  # L enters flipped onto R, leaves as L
             ref.pol_flip(photon)
-            block_interact(ref, photon, spin, bc, sink)
+            masses = block_interact(ref, photon, spin, bc)
         else:                         # R leaves as L and is flipped back
-            block_interact(ref, photon, spin, bc, sink)
+            masses = block_interact(ref, photon, spin, bc)
             ref.pol_flip(photon)
-        return ref
+        return ref, masses
 
     @pytest.mark.parametrize("n_photons, photon", [(1, 0), (2, 0), (2, 1)])
     @pytest.mark.parametrize("mirror_T", [None, complex(0.5, -0.4)],
@@ -227,31 +217,12 @@ class TestStagesAgainstElements:
         stage = stage_spatial if spatial else stage_polarization
         for label in range(1 << (2 * n_photons + 2)):
             state = HyperState(n_photons, {label: self.AMP})
-            stage(state, photon, bc, mirror_T)
-            ref = self._reference(label, n_photons, photon, spatial, bc, mirror_T)
+            masses = stage(state, photon, bc, mirror_T)
+            ref, ref_masses = self._reference(label, n_photons, photon, spatial, bc,
+                                              mirror_T)
             assert state.amplitudes.keys() == ref.amplitudes.keys()
             for key, amp in ref.amplitudes.items():
                 assert abs(state.amplitudes[key] - amp) <= 1e-15
-            for sid in SINK_IDS:
-                assert abs(state.sinks[sid] - ref.sinks[sid]) <= 1e-15
+            for mass, ref_mass in zip(masses, ref_masses):
+                assert abs(mass - ref_mass) <= 1e-15
 
-
-class TestElementTrace:
-    def test_stages_log_identically_on_identical_runs(self, bench_params):
-        bc = block_coeffs(scatter_coeffs(bench_params))
-        traces = []
-        for _ in range(2):
-            state = _random_state(np.random.default_rng(11))
-            trace = ElementTrace()
-            stage_polarization(state, 0, bc, trace=trace)
-            stage_spatial(state, 0, bc, trace=trace)
-            traces.append(trace)
-        assert traces[0] == traces[1]
-        # one record per element a stage models: its mirror and its block
-        assert [element for element, _, _ in traces[0]] == ["mirror", "block"] * 2
-
-    def test_append_and_iter(self):
-        trace = ElementTrace()
-        trace.append("mirror", 0, "pol=R")
-        trace.append("block", None)
-        assert list(trace) == [("mirror", 0, "pol=R"), ("block", None, "")]

@@ -204,6 +204,16 @@ class TestSweep:
         cells = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(cells[4]) == pytest.approx(0.42418216697798017, abs=1e-12)
 
+    def test_undefined_point_reports_zeros(self, capsys):
+        # g = gamma = 0 on resonance: the scattering coefficients do not exist
+        code = main(["sweep", "--g-ratio", "0,1", "--ks-ratio", "0",
+                     "--gamma-ratio", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert [float(cell) for cell in lines[1].split(",")] == [0.0] * 6
+        assert float(lines[2].split(",")[5]) == pytest.approx(1.0, abs=1e-12)
+
     def test_bad_axis_exits_2(self, capsys):
         assert main(["sweep", "--g-ratio", "5:0:1", "--ks-ratio", "0"]) == 2
         assert "error:" in capsys.readouterr().err

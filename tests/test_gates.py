@@ -356,6 +356,6 @@ def test_single_target_wrapper_matches_the_general_gate(bench_config):
     b = hyper_cnot_n(control, [target], bench_config)
     assert a.success_prob == b.success_prob
     assert a.spin_record == b.spin_record
-    assert a.trace == b.trace
+    assert a.stages == b.stages
     for label, amp in a.conditional_state.amplitudes.items():
         assert b.conditional_state.amplitudes[label] == amp

@@ -6,11 +6,8 @@ import pytest
 
 from hypercnot import hyperstate
 from hypercnot import (
-    ABSORBED,
     AmplitudeLostError,
     BasisLabel,
-    DETECTOR_B1,
-    DETECTOR_B2,
     HyperState,
     PhotonSpec,
     Pol,
@@ -186,27 +183,10 @@ class TestSingleDofOps:
 
 
 class TestSinksAndBookkeeping:
-    def test_deposit_and_total_probability(self):
-        state = init_state([PhotonSpec.uniform()])
-        state.deposit(DETECTOR_B1, 0.25)
-        state.deposit(ABSORBED, 0.1)
-        state.deposit(DETECTOR_B1, 0.05)
-        assert state.sinks[DETECTOR_B1] == pytest.approx(0.3)
-        assert state.total_probability() == pytest.approx(1.4)
-
-    def test_deposit_validation(self):
-        state = init_state([PhotonSpec.uniform()])
-        with pytest.raises(ValidationError):
-            state.deposit("detector_B3", 0.1)
-        with pytest.raises(ValidationError):
-            state.deposit(DETECTOR_B2, -0.1)
-
     def test_copy_is_independent(self):
         state = init_state([PhotonSpec.uniform()])
         clone = state.copy()
         clone.pol_flip(0)
-        clone.deposit(ABSORBED, 0.5)
-        assert state.sinks[ABSORBED] == 0.0
         assert state == init_state([PhotonSpec.uniform()])
 
     def test_equality(self):

@@ -1,7 +1,8 @@
 """Property tests over fidelity_scan's parameter ranges and N = 1..3: the
-heralded success is |T|^(4(N+1)), probability is conserved, and the
-sampler's outcome masses form a distribution whose stage entries sum to the
-gate's detector and absorbed probabilities."""
+heralded success is |T|^(4(N+1)), probability is conserved, the sampler's
+outcome masses form a distribution whose stage entries sum to the gate's
+detector and absorbed probabilities, and every spin branch obeys the truth
+rule."""
 import math
 
 import pytest
@@ -16,8 +17,12 @@ from hypercnot import (
     CavityParams,
     GateConfig,
     PhotonSpec,
+    Pol,
+    Spatial,
     block_coeffs,
+    fidelity,
     hyper_cnot_n,
+    ideal_hyper_cnot_n,
     scatter_coeffs,
 )
 from hypercnot.analysis import _SCAN_RANGES
@@ -37,7 +42,7 @@ params_st = st.builds(CavityParams.from_ratios, g_ratio=_ratio("g_ratio"),
 
 
 @st.composite
-def photons(draw):
+def superpositions(draw):
     def pair():
         re0, im0, re1, im1 = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
         nrm = math.sqrt(re0 * re0 + im0 * im0 + re1 * re1 + im1 * im1)
@@ -46,8 +51,11 @@ def photons(draw):
     return PhotonSpec(pol=pair(), spatial=pair())
 
 
+basis_photons = st.builds(PhotonSpec.basis, st.sampled_from(Pol), st.sampled_from(Spatial))
+photons = st.one_of(basis_photons, superpositions())
+
 gates_st = st.integers(1, 3).flatmap(
-    lambda n: st.tuples(params_st, photons(), st.lists(photons(), min_size=n, max_size=n)))
+    lambda n: st.tuples(params_st, photons, st.lists(photons, min_size=n, max_size=n)))
 
 
 @PROPERTY_SETTINGS
@@ -74,9 +82,19 @@ def test_sampler_outcome_masses_are_a_distribution(gate, mirror_scale):
     masses += [b.probability for b in out.branches]
     assert min(masses) >= 0.0
     assert abs(math.fsum(masses) - 1.0) <= 1e-12
-    # two stages per photon, B1 then B2; their masses are the gate's sinks
+    # two stages per photon, B1 then B2; the gate's totals are their sums
     assert len(out.stages) == 2 * (len(targets) + 1)
     clicks = [click for click, _ in out.stages]
-    assert abs(math.fsum(clicks[0::2]) - out.detector_probs[DETECTOR_B1]) <= 1e-15
-    assert abs(math.fsum(clicks[1::2]) - out.detector_probs[DETECTOR_B2]) <= 1e-15
-    assert abs(math.fsum(a for _, a in out.stages) - out.absorbed_prob) <= 1e-15
+    assert math.fsum(clicks[0::2]) == out.detector_probs[DETECTOR_B1]
+    assert math.fsum(clicks[1::2]) == out.detector_probs[DETECTOR_B2]
+    assert math.fsum(a for _, a in out.stages) == out.absorbed_prob
+
+
+@PROPERTY_SETTINGS
+@given(gates_st)
+def test_every_branch_obeys_the_truth_rule(gate):
+    params, control, targets = gate
+    out = hyper_cnot_n(control, targets, GateConfig(params=params, n_targets=len(targets)))
+    ideal = ideal_hyper_cnot_n(control, targets)
+    for branch in out.branches:
+        assert fidelity(branch.state, ideal) >= 1.0 - 1e-10
