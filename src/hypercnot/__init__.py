@@ -52,7 +52,6 @@ from .hyperstate import (
     Pol,
     Spatial,
     Spin,
-    SpinMeasurement,
     fidelity,
     init_state,
     pack_label,
@@ -92,7 +91,6 @@ __all__ = [
     "ScatterCoeffs",
     "Spatial",
     "Spin",
-    "SpinMeasurement",
     "SweepGrid",
     "SweepRow",
     "ValidationError",

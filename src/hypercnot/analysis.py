@@ -20,7 +20,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePhysicsError, ValidationError
+from .errors import DegeneratePhysicsError, ValidationError, check_count
 from .gates import GateConfig, check_seed, hyper_cnot_n, ideal_hyper_cnot_n
 from .hyperstate import PhotonSpec, fidelity
 from .scattering import CavityParams, block_coeffs, efficiency, scatter_coeffs
@@ -47,8 +47,7 @@ class SweepGrid:
             raise ValidationError("g ratios must be >= 0")
         if any(k < 0 for k in self.ks_ratios):
             raise ValidationError("side-leakage ratios must be >= 0")
-        if self.n_targets < 1:
-            raise ValidationError(f"n_targets must be >= 1, got {self.n_targets}")
+        check_count(self.n_targets, "n_targets")
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,8 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
     balancing mirrors' transmission, deliberately unbalancing the gate;
     expect fidelities below 1 in that case.
     """
-    if n_cases < 1:
-        raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
-    if n_targets < 1:
-        raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
+    check_count(n_cases, "n_cases")
+    check_count(n_targets, "n_targets")
     check_seed(seed, "seed")
     rng = np.random.default_rng(seed)
     lo_hi = _SCAN_RANGES
@@ -233,14 +230,19 @@ def emit_report(rows: Sequence[SweepRow], fmt: str,
 
 def _report_row(cells: Sequence, where: str, number: int) -> SweepRow:
     """Report row ``number`` (1-based, after the header) from its cells in
-    REPORT_COLUMNS order."""
+    REPORT_COLUMNS order. Every figure a sweep writes is finite and >= 0."""
     if len(cells) != len(REPORT_COLUMNS):
         raise ValidationError(f"bad row {number} in {where}: {len(cells)} cells, "
                               f"expected {len(REPORT_COLUMNS)}")
     try:
-        return SweepRow(*(float(cell) for cell in cells))
-    except (TypeError, ValueError) as exc:
+        values = [float(cell) for cell in cells]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad row {number} in {where}: {exc}") from None
+    for col, value in zip(REPORT_COLUMNS, values):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"bad row {number} in {where}: {col} is {value!r}, "
+                                  "expected a finite number >= 0")
+    return SweepRow(*values)
 
 
 def load_report(source: str | Path | IO[str], fmt: str) -> list[SweepRow]:
@@ -281,6 +283,11 @@ def load_report(source: str | Path | IO[str], fmt: str) -> list[SweepRow]:
             missing = [col for col in REPORT_COLUMNS if col not in item]
             if missing:
                 raise ValidationError(f"bad row {number} in {where}: missing {missing}")
-            rows.append(_report_row([item[col] for col in REPORT_COLUMNS], where, number))
+            cells = [item[col] for col in REPORT_COLUMNS]
+            for col, cell in zip(REPORT_COLUMNS, cells):
+                if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                    raise ValidationError(
+                        f"bad row {number} in {where}: {col} is {cell!r}, expected a number")
+            rows.append(_report_row(cells, where, number))
         return rows
     raise ValidationError(f"unknown report format {fmt!r}, expected csv or json")

@@ -21,3 +21,9 @@ class AmplitudeLostError(DegeneratePhysicsError):
 class RoutingContractError(RuntimeError):
     """An optical element received a branch its contract forbids (a routing bug,
     not a physics outcome)."""
+
+
+def check_count(value, name: str) -> None:
+    """A count of targets, cases or shots: an int >= 1 that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be an int >= 1, got {value!r}")

@@ -6,9 +6,10 @@ in (up+down)/sqrt2; target photons are wrapped in polarization/spatial
 Hadamards so that a block transit toggles them conditioned on the spin, and
 final spin Hadamards convert the accumulated Z kicks into measurable flips.
 Measuring the spins and applying the outcome-dependent phase feed-forward to
-photon a leaves the same conditional photon state for every spin record: a
-CNOT on the polarization bits (control a) and, independently, a CNOT on the
-spatial bits, both applied to each target.
+photon a, done together in one pass over the amplitudes, leaves the same
+conditional photon state for every spin record: a CNOT on the polarization
+bits (control a) and, independently, a CNOT on the spatial bits, both
+applied to each target.
 
 A run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. Each routing stage returns the
@@ -38,7 +39,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .circuit import stage_polarization, stage_spatial
-from .errors import DegeneratePhysicsError, ValidationError
+from .errors import (
+    AmplitudeLostError,
+    DegeneratePhysicsError,
+    ValidationError,
+    check_count,
+)
 from .hyperstate import (
     DETECTOR_B1,
     DETECTOR_B2,
@@ -53,6 +59,7 @@ from .hyperstate import (
     pol_mask,
     product_amplitudes,
     spatial_mask,
+    spin_mask,
 )
 from .scattering import CavityParams, block_coeffs, scatter_coeffs
 
@@ -89,8 +96,7 @@ class GateConfig:
     def __post_init__(self):
         if not isinstance(self.params, CavityParams):
             raise ValidationError("params must be a CavityParams")
-        if self.n_targets < 1:
-            raise ValidationError(f"n_targets must be >= 1, got {self.n_targets}")
+        check_count(self.n_targets, "n_targets")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_seed(self.rng_seed, "rng_seed")
@@ -180,18 +186,36 @@ def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateC
 
 
 def _measure_and_correct(state: HyperState) -> tuple[OutcomeBranch, ...]:
-    """Spin measurement plus feed-forward: spin 1 down flips the sign of
-    photon a's L component, spin 2 down flips the sign of its mode-2
-    component. After that every branch holds the same photon state."""
+    """Spin measurement and feed-forward in one pass over the amplitudes.
+    Each amplitude, spin bits cleared, goes to its spin record's branch:
+    (up,up), (up,down), (down,up), (down,down), zero-probability ones left
+    out. Spin 1 down negates photon a's L component and spin 2 down its
+    mode-2 component, so every branch (photon-only, normalized) holds the
+    same photon state. Probabilities are absolute."""
+    m1 = spin_mask(state.n_photons, 1)
+    m2 = spin_mask(state.n_photons, 2)
+    photon_bits = m1 - 1
+    buckets: tuple[dict[int, complex], ...] = ({}, {}, {}, {})
+    for label, amp in state.amplitudes.items():
+        buckets[2 * bool(label & m1) + bool(label & m2)][label & photon_bits] = amp
     branches = []
-    for outcome, prob, collapsed in state.measure_spins():
-        fix_pol = outcome[0] is Spin.DOWN
-        fix_spatial = outcome[1] is Spin.DOWN
-        if fix_pol:
-            collapsed.pol_phase(0)
-        if fix_spatial:
-            collapsed.spatial_phase(0)
-        branches.append(OutcomeBranch(outcome, prob, (fix_pol, fix_spatial), collapsed))
+    for index, bucket in enumerate(buckets):
+        prob = math.fsum(abs(a) ** 2 for a in bucket.values())
+        if prob <= 0.0:
+            continue
+        down1, down2 = index >> 1, index & 1
+        # photon a's bits to negate on; a label with both is negated twice.
+        # Negated after scaling: (-a) * scale can differ from -(a * scale)
+        # in the sign of a zero component.
+        fix = down1 * pol_mask(0) | down2 * spatial_mask(0)
+        scale = 1.0 / math.sqrt(prob)
+        amps = {l: -(a * scale) if (l & fix) in (1, 2) else a * scale
+                for l, a in bucket.items()}
+        branches.append(OutcomeBranch((Spin(down1), Spin(down2)), prob,
+                                      (bool(down1), bool(down2)),
+                                      HyperState(state.n_photons, amps, has_spins=False)))
+    if not branches:
+        raise AmplitudeLostError("all amplitude lost: nothing left to measure")
     return tuple(branches)
 
 
@@ -325,8 +349,9 @@ def sample_shots(control: PhotonSpec, targets: Sequence[PhotonSpec],
     does not grow with ``shots``. Deterministic given the seed."""
     if cfg.rng_seed is None:
         raise ValidationError("sampling requires a GateConfig with rng_seed set")
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+    check_count(shots, "shots")
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {shots}")
     out = hyper_cnot_n(control, targets, cfg)
     masses = [m for stage in out.stages for m in stage]
     n = len(masses)

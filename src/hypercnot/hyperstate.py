@@ -27,9 +27,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
-from .errors import AmplitudeLostError, ValidationError
+from .errors import ValidationError
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -157,12 +157,6 @@ class BasisLabel:
         return " ".join(parts)
 
 
-class SpinMeasurement(NamedTuple):
-    outcome: tuple[Spin, Spin]
-    probability: float
-    state: "HyperState"  # collapsed, photon-only, normalized
-
-
 class HyperState:
     """Joint amplitude state of ``n_photons`` photons plus (optionally) the
     two spins. Amplitudes that become exactly zero are dropped, so no
@@ -178,10 +172,6 @@ class HyperState:
         self.amplitudes = dict(amplitudes) if amplitudes else {}
 
     # -- bookkeeping ------------------------------------------------------
-
-    @property
-    def n_bits(self) -> int:
-        return 2 * self.n_photons + (2 if self.has_spins else 0)
 
     def copy(self) -> "HyperState":
         return HyperState(self.n_photons, self.amplitudes, self.has_spins)
@@ -244,10 +234,6 @@ class HyperState:
     def _flip(self, mask: int) -> None:
         self.amplitudes = {label ^ mask: amp for label, amp in self.amplitudes.items()}
 
-    def _phase(self, mask: int) -> None:
-        self.amplitudes = {label: (-amp if label & mask else amp)
-                           for label, amp in self.amplitudes.items()}
-
     # -- public single-dof operations --------------------------------------
 
     def pol_hadamard(self, photon: int) -> "HyperState":
@@ -265,63 +251,11 @@ class HyperState:
         self._flip(self._photon_mask(photon, spatial=False))
         return self
 
-    def pol_phase(self, photon: int) -> "HyperState":
-        """Negate amplitudes with this photon in L."""
-        self._phase(self._photon_mask(photon, spatial=False))
-        return self
-
-    def spatial_phase(self, photon: int) -> "HyperState":
-        """Negate amplitudes with this photon in mode 2."""
-        self._phase(self._photon_mask(photon, spatial=True))
-        return self
-
     def spin_hadamard(self, which_spin: int) -> "HyperState":
         """up -> (up+down)/sqrt2, down -> (up-down)/sqrt2; maps the conjugate
         basis states (up +/- down)/sqrt2 back onto up/down."""
         self._hadamard(self._spin_bit_mask(which_spin))
         return self
-
-    def spin_z(self, which_spin: int) -> "HyperState":
-        """Negate amplitudes with this spin down."""
-        self._phase(self._spin_bit_mask(which_spin))
-        return self
-
-    # -- measurement -------------------------------------------------------
-
-    def measure_spins(self) -> list[SpinMeasurement]:
-        """Project both spins onto the up/down basis.
-
-        Returns the outcome branches with nonzero probability, in canonical
-        order (up,up), (up,down), (down,up), (down,down). Probabilities are
-        absolute (they sum to the remaining coherent norm squared, not to 1);
-        each collapsed state is photon-only and renormalized.
-        """
-        if not self.has_spins:
-            raise ValidationError("state has no spins (already measured out)")
-        m1 = spin_mask(self.n_photons, 1)
-        m2 = spin_mask(self.n_photons, 2)
-        photon_bits = (1 << (2 * self.n_photons)) - 1
-        buckets: dict[tuple[int, int], dict[int, complex]] = {}
-        for label, amp in self.amplitudes.items():
-            key = (1 if label & m1 else 0, 1 if label & m2 else 0)
-            buckets.setdefault(key, {})[label & photon_bits] = amp
-        total = self.norm_sq()
-        if total <= 0.0:
-            raise AmplitudeLostError("all amplitude lost: nothing left to measure")
-        results = []
-        for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            branch = buckets.get(key)
-            if not branch:
-                continue
-            prob = math.fsum(abs(a) ** 2 for a in branch.values())
-            if prob <= 0.0:
-                continue
-            scale = 1.0 / math.sqrt(prob)
-            collapsed = HyperState(self.n_photons,
-                                   {l: a * scale for l, a in branch.items()},
-                                   has_spins=False)
-            results.append(SpinMeasurement((Spin(key[0]), Spin(key[1])), prob, collapsed))
-        return results
 
 
 def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:

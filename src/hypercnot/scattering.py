@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegeneratePhysicsError, ValidationError
+from .errors import DegeneratePhysicsError, ValidationError, check_count
 
 # A scattering denominator no larger than this fraction of the summed
 # magnitudes of its terms has cancelled to rounding noise (or is exactly 0)
@@ -163,8 +163,7 @@ def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:
 def efficiency(T: complex, n_targets: int = 1) -> float:
     """Probability that every photon of a gate with ``n_targets`` target
     photons survives to the output: |T|^(4*(n_targets+1))."""
-    if n_targets < 1:
-        raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
+    check_count(n_targets, "n_targets")
     mag = abs(T)
     if mag > 1.0 + 1e-12:
         raise ValidationError(f"|T| must be <= 1, got {mag}")

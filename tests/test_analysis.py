@@ -33,6 +33,7 @@ class TestSweepGrid:
         {"g_ratios": (-0.5,), "ks_ratios": (0.1,)},
         {"g_ratios": (1.0,), "ks_ratios": (-0.1,)},
         {"g_ratios": (1.0,), "ks_ratios": (0.1,), "n_targets": 0},
+        {"g_ratios": (1.0,), "ks_ratios": (0.1,), "n_targets": 1.5},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
@@ -125,6 +126,7 @@ class TestFidelityScan:
     @pytest.mark.parametrize("kwargs", [
         {"n_cases": 0, "seed": 1},
         {"n_cases": 5, "seed": 1, "n_targets": 0},
+        {"n_cases": 2.5, "seed": 1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
@@ -188,7 +190,10 @@ class TestReports:
         with pytest.raises(ValidationError, match="bad report header"):
             load_report(stream, "csv")
         header = ",".join(REPORT_COLUMNS)
-        for body, problem in (("1,2", "2 cells"), ("1,2,3,4,5,x", "could not convert")):
+        for body, problem in (("1,2", "2 cells"), ("1,2,3,4,5,x", "could not convert"),
+                              ("nan,inf,-5,0,0,0", "g_ratio is nan"),
+                              ("0,inf,0,0,0,0", "ks_ratio is inf"),
+                              ("0,0,-5,0,0,0", "abs_T is -5.0")):
             stream = io.StringIO(f"{header}\n1,2,3,4,5,6\n{body}\n")
             with pytest.raises(ValidationError, match=f"bad row 2 in <stream>: {problem}"):
                 load_report(stream, "csv")
@@ -201,6 +206,15 @@ class TestReports:
         for body, problem in (('[{"g_ratio": 1}]', "missing"), ("[1]", "expected an object")):
             with pytest.raises(ValidationError, match=f"bad row 1 in <stream>: {problem}"):
                 load_report(io.StringIO(body), "json")
+        for cell, problem in (("true", "is True, expected a number"),
+                              ('"0.5"', "is '0.5', expected a number"),
+                              ("NaN", "is nan, expected a finite"),
+                              ("-1", "is -1.0, expected a finite")):
+            cells = ", ".join(f'"{col}": {cell if col == "fidelity" else 0}'
+                              for col in REPORT_COLUMNS)
+            with pytest.raises(ValidationError,
+                               match=f"bad row 1 in <stream>: fidelity {problem}"):
+                load_report(io.StringIO(f"[{{{cells}}}]"), "json")
 
     def test_row_fields_match_the_header(self):
         assert REPORT_COLUMNS == tuple(SweepRow.__dataclass_fields__)

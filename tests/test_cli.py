@@ -1,11 +1,16 @@
 """CLI parsing, subcommands, exit codes, and output formats."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hypercnot import ValidationError, load_report
 from hypercnot.cli import MAX_AXIS_POINTS, main, parse_axis, parse_photon_spec
 
+ROOT = Path(__file__).resolve().parent.parent
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
 ETA_1 = 0.6512926891789744
 
@@ -493,6 +498,17 @@ class TestParamsFileAsFlags:
                                       "targets": ["+,+"], "params": {"g": 3.3}})
         assert main(["run", "--params-file", path, "--control", "+,+"]) == 0
         assert "success probability" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_verify():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercnot", "verify", "--n-cases", "2", "--seed", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "overall: PASS"
 
 
 def test_help_exits_zero(capsys):

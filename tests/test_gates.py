@@ -12,6 +12,7 @@ from hypercnot import (
     CavityParams,
     DegeneratePhysicsError,
     GateConfig,
+    HyperState,
     PhotonSpec,
     Pol,
     Spatial,
@@ -23,11 +24,15 @@ from hypercnot import (
     hyper_cnot_n,
     ideal_hyper_cnot,
     ideal_hyper_cnot_n,
+    pack_label,
     random_photon_spec,
     sample_shots,
     scatter_coeffs,
     truth_table,
 )
+from hypercnot.gates import _measure_and_correct
+
+SQ2 = 1.0 / math.sqrt(2.0)
 
 # |T|^8 at the g/(kappa+kappa_s)=3, kappa_s=gamma=0.1kappa reference point,
 # cross-checked against a high-precision evaluation of the closed form.
@@ -43,6 +48,8 @@ class TestGateConfig:
     @pytest.mark.parametrize("kwargs", [
         {"params": "not params"},
         {"n_targets": 0},
+        {"n_targets": 1.5},
+        {"n_targets": True},
         {"mode": "exact"},
         {"mode": "sampled"},            # no seed
         {"mirror_T_override": 1.5},
@@ -136,9 +143,12 @@ class TestFeedForward:
         control, target = PhotonSpec.uniform(), PhotonSpec.uniform()
         ideal = ideal_hyper_cnot(control, target)
         out = hyper_cnot(control, target, bench_config)
-        spoiled = out.branches[3].state.copy()
-        spoiled.pol_phase(0)   # undo the feed-forward (the phases square to 1)
-        spoiled.spatial_phase(0)
+        # undo branch 3's feed-forward: negate photon a's L and its mode-2
+        # amplitudes once each (a label with both keeps its sign)
+        spoiled = HyperState(2, {
+            label: -amp if (label & 0b11) in (0b01, 0b10) else amp
+            for label, amp in out.branches[3].state.amplitudes.items()},
+            has_spins=False)
         assert fidelity(spoiled, ideal) < 1.0 - 1e-6
 
     def test_unbalanced_mirror_breaks_the_state(self, bench_params):
@@ -147,6 +157,53 @@ class TestFeedForward:
         out = hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform(), cfg)
         ideal = ideal_hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform())
         assert fidelity(out.conditional_state, ideal) < 1.0 - 1e-6
+
+
+class TestMeasureAndCorrect:
+    def test_four_branch_measurement(self):
+        amps = {
+            pack_label([0], [0], (0, 0)): 0.5,
+            pack_label([1], [0], (0, 1)): 0.5j,
+            pack_label([0], [1], (1, 0)): -0.5,
+            pack_label([1], [1], (1, 1)): 0.5,
+        }
+        branches = _measure_and_correct(HyperState(1, amps))
+        assert [b.spin_record for b in branches] == [
+            (Spin.UP, Spin.UP), (Spin.UP, Spin.DOWN),
+            (Spin.DOWN, Spin.UP), (Spin.DOWN, Spin.DOWN)]
+        assert [b.corrections for b in branches] == [
+            (False, False), (False, True), (True, False), (True, True)]
+        for b in branches:
+            assert b.probability == pytest.approx(0.25)
+            assert b.state.has_spins is False
+            assert b.state.norm_sq() == pytest.approx(1.0)
+        # collapsed photon labels keep only the photon bits
+        assert list(branches[1].state.amplitudes) == [1]
+        assert branches[1].state.amplitudes[1] == pytest.approx(1j)
+        # R,2 has no L bit for spin 1's correction to negate; L,2 is negated
+        # by both corrections and keeps its sign
+        assert branches[2].state.amplitudes == {0b10: pytest.approx(-1.0)}
+        assert branches[3].state.amplitudes == {0b11: pytest.approx(1.0)}
+
+    def test_zero_probability_outcomes_omitted(self):
+        amps = {
+            pack_label([0], [0], (0, 0)): SQ2,
+            pack_label([0], [0], (1, 1)): SQ2,
+        }
+        branches = _measure_and_correct(HyperState(1, amps))
+        assert [b.spin_record for b in branches] == [
+            (Spin.UP, Spin.UP), (Spin.DOWN, Spin.DOWN)]
+
+    def test_probabilities_are_absolute(self):
+        # state deliberately not normalized: norm^2 = 0.5
+        amps = {pack_label([0], [0], (0, 0)): 0.5,
+                pack_label([0], [0], (1, 1)): 0.5}
+        branches = _measure_and_correct(HyperState(1, amps))
+        assert math.fsum(b.probability for b in branches) == pytest.approx(0.5)
+
+    def test_all_amplitude_lost(self):
+        with pytest.raises(AmplitudeLostError, match="all amplitude lost"):
+            _measure_and_correct(HyperState(1, {}))
 
 
 class TestIdealOracle:
@@ -302,10 +359,9 @@ class TestShotSampling:
             sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()],
                          GateConfig(params=bench_params), 10)
         cfg = GateConfig(params=bench_params, rng_seed=1)
-        with pytest.raises(ValidationError):
-            sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()], cfg, 0)
-        with pytest.raises(ValidationError):
-            sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()], cfg, 2**63)
+        for shots in (0, 2**63, 1.5, 1000.7, True):
+            with pytest.raises(ValidationError, match="shots"):
+                sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()], cfg, shots)
 
 
 def _count_tolerance(shots, p, alpha=1e-9):

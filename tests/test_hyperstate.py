@@ -1,4 +1,4 @@
-"""Sparse dual-DOF state container: packing, single-DOF ops, measurement."""
+"""Sparse dual-DOF state container: packing, single-DOF ops, fidelity."""
 import math
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from hypercnot import hyperstate
 from hypercnot import (
-    AmplitudeLostError,
     BasisLabel,
     HyperState,
     PhotonSpec,
@@ -152,27 +151,11 @@ class TestSingleDofOps:
         assert abs(state.amplitudes[0] - 0.8) < 1e-15
         assert abs(state.amplitudes[1] - 0.6) < 1e-15
 
-    def test_phases_negate_the_set_bit(self):
-        state = init_state([PhotonSpec(pol=(SQ2, SQ2), spatial=(SQ2, SQ2))],
-                           spins="up")
-        state.pol_phase(0)
-        assert state.amplitudes[0b01].real < 0 and state.amplitudes[0b00].real > 0
-        state.spatial_phase(0)
-        assert state.amplitudes[0b10].real < 0
-        assert state.amplitudes[0b11].real > 0  # negated twice
-
     def test_spin_hadamard_maps_plus_to_up(self):
         state = init_state([PhotonSpec.basis(Pol.R, Spatial.M1)], spins="plus")
         state.spin_hadamard(1).spin_hadamard(2)
         assert list(state.amplitudes) == [0]
         assert abs(state.amplitudes[0] - 1.0) < 1e-15
-
-    def test_spin_z(self):
-        state = init_state([PhotonSpec.basis(Pol.R, Spatial.M1)], spins="plus")
-        state.spin_z(1)
-        m1 = 1 << 2
-        for label, amp in state.amplitudes.items():
-            assert (amp.real < 0) == bool(label & m1)
 
     def test_index_validation(self):
         state = init_state([PhotonSpec.uniform()])
@@ -193,55 +176,8 @@ class TestSinksAndBookkeeping:
         a = init_state([PhotonSpec.uniform()])
         b = init_state([PhotonSpec.uniform()])
         assert a == b
-        b.pol_phase(0)
+        b.pol_hadamard(0)
         assert a != b
-
-
-class TestMeasureSpins:
-    def test_four_branch_measurement(self):
-        amps = {
-            pack_label([0], [0], (0, 0)): 0.5,
-            pack_label([1], [0], (0, 1)): 0.5j,
-            pack_label([0], [1], (1, 0)): -0.5,
-            pack_label([1], [1], (1, 1)): 0.5,
-        }
-        state = HyperState(1, amps)
-        results = state.measure_spins()
-        assert [r.outcome for r in results] == [
-            (Spin.UP, Spin.UP), (Spin.UP, Spin.DOWN),
-            (Spin.DOWN, Spin.UP), (Spin.DOWN, Spin.DOWN)]
-        for r in results:
-            assert r.probability == pytest.approx(0.25)
-            assert r.state.has_spins is False
-            assert r.state.norm_sq() == pytest.approx(1.0)
-        # collapsed photon labels keep only the photon bits
-        assert list(results[1].state.amplitudes) == [1]
-        assert results[1].state.amplitudes[1] == pytest.approx(1j)
-
-    def test_zero_probability_outcomes_omitted(self):
-        amps = {
-            pack_label([0], [0], (0, 0)): SQ2,
-            pack_label([0], [0], (1, 1)): SQ2,
-        }
-        results = HyperState(1, amps).measure_spins()
-        assert [r.outcome for r in results] == [
-            (Spin.UP, Spin.UP), (Spin.DOWN, Spin.DOWN)]
-
-    def test_probabilities_are_absolute(self):
-        # state deliberately not normalized: norm^2 = 0.5
-        amps = {pack_label([0], [0], (0, 0)): 0.5,
-                pack_label([0], [0], (1, 1)): 0.5}
-        results = HyperState(1, amps).measure_spins()
-        assert math.fsum(r.probability for r in results) == pytest.approx(0.5)
-
-    def test_all_amplitude_lost(self):
-        with pytest.raises(AmplitudeLostError, match="all amplitude lost"):
-            HyperState(1, {}).measure_spins()
-
-    def test_photon_only_state_cannot_measure(self):
-        state = HyperState(1, {0: 1.0 + 0j}, has_spins=False)
-        with pytest.raises(ValidationError):
-            state.measure_spins()
 
 
 class TestFidelity:
