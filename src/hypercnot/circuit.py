@@ -24,9 +24,12 @@ those pairs as its one record of where the probability went.
 
 Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
-and the block branch by T with a Z on the block's spin. ``stage_polarization``
-and ``stage_spatial`` apply exactly that, in one pass over the amplitudes,
-and return the (click, absorbed) masses the stage removed.
+and the block branch by T with a Z on the block's spin. ``stage_factors``
+holds those factors and ``stage_masses`` turns a stage's mirror and block
+mass into its (click, absorbed) pair; the gate engine in ``gates`` and the
+stages here both use them. ``stage_polarization`` and ``stage_spatial``
+apply a stage in one pass over a sparse state and return the masses it
+removed.
 """
 from __future__ import annotations
 
@@ -79,23 +82,43 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     return math.fsum(clicked), math.fsum(lost)
 
 
-def _route(state: HyperState, branch_mask: int, which_spin: int,
-           bc: BlockCoeffs, mirror_T: complex | None) -> tuple[float, float]:
-    """Net map of one routing stage, applied in place in one pass over the
-    amplitudes. Returns the stage's (click, absorbed) masses.
-
-    An amplitude with the branch_mask bit clear crosses the mirror: x mirror_T
-    (the block's T when None). One with the bit set crosses the block: x T,
-    negated when which_spin is down. No label moves. The block branch's mass
-    times |D|^2 is the click; the rest of both branches' loss is absorbed.
-    Amplitudes that become exactly zero are dropped.
+def stage_factors(bc: BlockCoeffs, mirror_T: complex | None = None
+                  ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The one definition of what a routing stage multiplies an amplitude
+    by, indexed [branch bit][spin bit]. The mirror branch (bit clear) crosses
+    the mirror: x mirror_T (the block's T when None), whatever the spin. The
+    block branch (bit set) crosses the block: x T, negated when the block's
+    spin is down. Refuses a mirror with gain or a block that is not passive.
     """
     t_mirror = bc.T if mirror_T is None else mirror_T
     if abs(t_mirror) > 1.0 + 1e-12:
         raise ValidationError(f"mirror transmission |T|={abs(t_mirror)} exceeds 1")
+    _block_probs(bc)
+    return (t_mirror, t_mirror), (bc.T, -bc.T)
+
+
+def stage_masses(mirror_mass, block_mass, bc: BlockCoeffs,
+                 mirror_T: complex | None = None):
+    """(click, absorbed) of a stage whose mirror branch carried mirror_mass
+    and whose block branch carried block_mass; elementwise on arrays. The
+    block branch's mass times |D|^2 clicks; the rest of both branches' loss
+    is absorbed. Checked as ``stage_factors`` checks."""
+    (t_mirror, _), _ = stage_factors(bc, mirror_T)
     d2, t2 = _block_probs(bc)
+    return d2 * block_mass, (max(0.0, 1.0 - abs(t_mirror) ** 2) * mirror_mass
+                             + max(0.0, 1.0 - d2 - t2) * block_mass)
+
+
+def _route(state: HyperState, branch_mask: int, which_spin: int,
+           bc: BlockCoeffs, mirror_T: complex | None) -> tuple[float, float]:
+    """Net map of one routing stage, applied in place in one pass over the
+    amplitudes: an amplitude with the branch_mask bit set takes the block
+    branch of ``stage_factors``, one with it clear the mirror branch. No label
+    moves; amplitudes that become exactly zero are dropped. Returns the
+    stage's (click, absorbed) masses.
+    """
+    (t_mirror, _), (t_up, t_down) = stage_factors(bc, mirror_T)
     zm = state._spin_bit_mask(which_spin)
-    t_up, t_down = bc.T, -bc.T
     amps = state.amplitudes
     mirror_mass: list[float] = []
     block_mass: list[float] = []
@@ -112,10 +135,7 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
             zeros.append(label)
     for label in zeros:
         del amps[label]
-    m_block = math.fsum(block_mass)
-    return d2 * m_block, math.fsum(
-        [max(0.0, 1.0 - abs(t_mirror) ** 2) * math.fsum(mirror_mass),
-         max(0.0, 1.0 - d2 - t2) * m_block])
+    return stage_masses(math.fsum(mirror_mass), math.fsum(block_mass), bc, mirror_T)
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,

@@ -1,33 +1,56 @@
 """Heralded hyperparallel CNOT and CNOT^N gate runs.
 
-One run sends the control photon (a) and then each target photon through the
-polarization and spatial routing stages of ``circuit``. The two spins start
-in (up+down)/sqrt2; target photons are wrapped in polarization/spatial
-Hadamards so that a block transit toggles them conditioned on the spin, and
-final spin Hadamards convert the accumulated Z kicks into measurable flips.
-Measuring the spins and applying the outcome-dependent phase feed-forward to
-photon a, done together in one pass over the amplitudes, leaves the same
-conditional photon state for every spin record: a CNOT on the polarization
-bits (control a) and, independently, a CNOT on the spatial bits, both
-applied to each target.
+The hardware sends the control photon (a) and then each target photon
+through the polarization and spatial routing stages of ``circuit``. The two
+spins start in (up+down)/sqrt2; each target is wrapped in polarization and
+spatial Hadamards (K) so that a block transit toggles it conditioned on the
+spin, and final spin Hadamards turn the accumulated Z kicks into measurable
+flips. Measuring the spins and applying the phase feed-forward to photon a
+leaves the same photon state for every spin record: a CNOT on the
+polarization bits (control a) and, independently, a CNOT on the spatial
+bits, both applied to each target.
 
-A run is trace-decreasing: with block transmission T, the heralded-success
-probability is |T|^(4(N+1)) for N targets. Each routing stage returns the
-mass it sent to its heralding detector and the mass it absorbed; the run
-keeps those pairs in ``GateOutcome.stages``, and the gate's detector and
-absorbed totals are their sums.
+The run is computed in factored form, never as one joint state. A photon is
+a 4-vector indexed k = p + 2m (p its polarization bit, m its spatial bit); a
+spin value is sigma = 2*s1 + s2. Its two stages multiply entry k by
+F[sigma, k] = f(p, s1) * f(m, s2), with f from ``circuit.stage_factors``:
+mirror_T on the mirror branch, +/-T on the block branch. Every stage is
+diagonal in the spins, so:
 
-Two modes: "amplitude" evolves amplitudes once and reports the full outcome
-distribution (the conditional state is outcome-independent, so the reported
-spin record is just the canonical first branch); "sampled" additionally draws
-the spin record from a seeded RNG.
+  * the control's basis index c leaves its stages and the middle spin
+    Hadamards on the one spin value sigma(c) = (s1 = p, s2 = m), with
+    amplitude F[0, c] * x_c;
+  * target i then sees that spin value and leaves as t_i = K (F_sigma o K x_i);
+  * before the final spin Hadamards the state is a sum of four product
+    states, sum_c |sigma(c)> (x) F[0, c] x_c |c> (x) t_1 (x) ... (x) t_N;
+  * the final spin Hadamards give the term of c the sign
+    (-1)^(record . sigma(c)) / 2, the very sign the feed-forward undoes
+    (negating photon a's L when spin 1 is down and its mode 2 when spin 2 is
+    down). So each of the four spin records has probability success / 4 and
+    the same corrected state.
 
-``GateOutcome.stages`` records where the probability went at each routing
-stage: the (click, absorbed) masses of each photon's polarization stage and
-spatial stage, in run order. With the branch probabilities they are every
-way a shot can end. Shots of the heralding itself (click / absorb / succeed)
-come from ``sample_shots``: one multinomial draw over those masses, whose
-cost does not grow with the shot count.
+|F[sigma, k]| does not depend on sigma, so the success probability and every
+stage's masses are products of per-photon sums, computed with the photons
+stacked on one numpy axis. Only the expansion of the corrected state grows
+with the output: each term is expanded over its factors' nonzero entries
+(basis inputs stay at a few labels), and a result above
+``hyperstate.MAX_AMPLITUDES`` is refused before it is built. The Hadamards are
+elementwise butterflies, so exact cancellations give exact zeros.
+
+The run is trace-decreasing: with block transmission T, the heralded-success
+probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
+where the rest went: the (click, absorbed) masses of each photon's
+polarization stage and spatial stage, in run order, from
+``circuit.stage_masses``; the gate's detector and absorbed totals are their
+sums.
+
+Two modes: "amplitude" reports the full outcome distribution (the
+conditional state is outcome-independent, so the reported spin record is
+just the canonical first branch); "sampled" additionally draws the spin
+record from a seeded RNG. With the branch probabilities, the stage masses
+are every way a shot can end; shots of the heralding itself (click / absorb
+/ succeed) come from ``sample_shots``: one multinomial draw over those
+masses, whose cost does not grow with the shot count.
 """
 from __future__ import annotations
 
@@ -38,7 +61,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import stage_polarization, stage_spatial
+from . import hyperstate
+from .circuit import stage_factors, stage_masses
 from .errors import (
     AmplitudeLostError,
     DegeneratePhysicsError,
@@ -55,11 +79,9 @@ from .hyperstate import (
     Spatial,
     Spin,
     fidelity,
-    init_state,
     pol_mask,
     product_amplitudes,
     spatial_mask,
-    spin_mask,
 )
 from .scattering import CavityParams, block_coeffs, scatter_coeffs
 
@@ -67,6 +89,8 @@ from .scattering import CavityParams, block_coeffs, scatter_coeffs
 MIN_BLOCK_T = 1e-12
 
 MODES = ("amplitude", "sampled")
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def check_seed(seed, name: str) -> None:
@@ -103,6 +127,11 @@ class GateConfig:
         if self.mode == "sampled" and self.rng_seed is None:
             raise ValidationError("sampled mode requires rng_seed")
         if self.mirror_T_override is not None:
+            if (isinstance(self.mirror_T_override, bool)
+                    or not isinstance(self.mirror_T_override, (int, float, complex))):
+                raise ValidationError(
+                    f"mirror override must be an int, float or complex, "
+                    f"got {self.mirror_T_override!r}")
             if not cmath.isfinite(self.mirror_T_override):
                 raise ValidationError(
                     f"mirror override {self.mirror_T_override} is not finite")
@@ -126,8 +155,8 @@ class GateOutcome:
 
     success_prob + heralded_failure_prob + absorbed_prob = 1 (to rounding).
     branches lists every nonzero spin outcome; conditional_state is the
-    corrected state of the reported branch (they are all equal up to a global
-    phase, which is the point of the feed-forward).
+    corrected state of the reported branch (they are all the same state,
+    which is the point of the feed-forward).
 
     stages holds one (click, absorbed) pair per routing stage, in run order:
     photon k's polarization stage (detector_B1) is entry 2k and its spatial
@@ -156,77 +185,126 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
             f"got {len(targets)} target specs but n_targets={cfg.n_targets}")
 
 
-def _run_protocol(control: PhotonSpec, targets: Sequence[PhotonSpec], cfg: GateConfig
-                  ) -> tuple[HyperState, list[tuple[float, float]]]:
-    """Evolve the joint state through the whole optical train, up to (not
-    including) the spin measurement. Also returns each routing stage's
-    (click, absorbed) masses in run order."""
-    _check_targets(targets, cfg)
-    bc = block_coeffs(scatter_coeffs(cfg.params))
-    if abs(bc.T) < MIN_BLOCK_T:
-        raise DegeneratePhysicsError(
-            f"basic block never transmits (|T|={abs(bc.T):.3e}): "
-            "the gate cannot herald a success")
-    mirror_T = bc.T if cfg.mirror_T_override is None else cfg.mirror_T_override
-    state = init_state([control, *targets], spins="plus")
-    stages = [stage_polarization(state, 0, bc, mirror_T),
-              stage_spatial(state, 0, bc, mirror_T)]
-    state.spin_hadamard(1)
-    state.spin_hadamard(2)
-    for i in range(1, 1 + len(targets)):
-        state.pol_hadamard(i)
-        state.spatial_hadamard(i)
-        stages.append(stage_polarization(state, i, bc, mirror_T))
-        stages.append(stage_spatial(state, i, bc, mirror_T))
-        state.pol_hadamard(i)
-        state.spatial_hadamard(i)
-    state.spin_hadamard(1)
-    state.spin_hadamard(2)
-    return state, stages
+# A photon's 4-vector is indexed k = p + 2m (polarization bit low, spatial
+# bit high, as in the labels); a spin value is sigma = 2*s1 + s2.
+_P = np.array([0, 1, 0, 1])
+_M = np.array([0, 0, 1, 1])
+_S1 = _M[:, None]   # s1 of sigma, as a column: sigma has the bit layout of k
+_S2 = _P[:, None]   # with its bits swapped
+# sigma(c): the one spin value the control's basis index c leaves after the
+# middle spin Hadamards (s1 = p, s2 = m).
+_SIGMA = (0, 2, 1, 3)
+# The butterfly over bit b pairs entry k & ~b with k | b; the entry with the
+# bit set takes the difference.
+_LO = {b: np.array([k & ~b for k in range(4)]) for b in (1, 2)}
+_HI = {b: np.array([k | b for k in range(4)]) for b in (1, 2)}
+_SIGN = {b: np.array([-1.0 if k & b else 1.0 for k in range(4)]) for b in (1, 2)}
+# Spin record and feed-forward flags of the four branches, in branch order.
+_RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
+                 for d1 in (0, 1) for d2 in (0, 1))
 
 
-def _measure_and_correct(state: HyperState) -> tuple[OutcomeBranch, ...]:
-    """Spin measurement and feed-forward in one pass over the amplitudes.
-    Each amplitude, spin bits cleared, goes to its spin record's branch:
-    (up,up), (up,down), (down,up), (down,down), zero-probability ones left
-    out. Spin 1 down negates photon a's L component and spin 2 down its
-    mode-2 component, so every branch (photon-only, normalized) holds the
-    same photon state. Probabilities are absolute."""
-    m1 = spin_mask(state.n_photons, 1)
-    m2 = spin_mask(state.n_photons, 2)
-    photon_bits = m1 - 1
-    buckets: tuple[dict[int, complex], ...] = ({}, {}, {}, {})
-    for label, amp in state.amplitudes.items():
-        buckets[2 * bool(label & m1) + bool(label & m2)][label & photon_bits] = amp
-    branches = []
-    for index, bucket in enumerate(buckets):
-        prob = math.fsum(abs(a) ** 2 for a in bucket.values())
-        if prob <= 0.0:
-            continue
-        down1, down2 = index >> 1, index & 1
-        # photon a's bits to negate on; a label with both is negated twice.
-        # Negated after scaling: (-a) * scale can differ from -(a * scale)
-        # in the sign of a zero component.
-        fix = down1 * pol_mask(0) | down2 * spatial_mask(0)
-        scale = 1.0 / math.sqrt(prob)
-        amps = {l: -(a * scale) if (l & fix) in (1, 2) else a * scale
-                for l, a in bucket.items()}
-        branches.append(OutcomeBranch((Spin(down1), Spin(down2)), prob,
-                                      (bool(down1), bool(down2)),
-                                      HyperState(state.n_photons, amps, has_spins=False)))
-    if not branches:
-        raise AmplitudeLostError("all amplitude lost: nothing left to measure")
-    return tuple(branches)
+def _hadamards(a: np.ndarray) -> np.ndarray:
+    """Polarization then spatial Hadamard (K) on the last axis, each as an
+    elementwise butterfly h*a_lo +/- h*a_hi, so that exact cancellations
+    give exact zeros."""
+    for bit in (1, 2):
+        ha = _SQRT_HALF * a
+        a = ha[..., _LO[bit]] + _SIGN[bit] * ha[..., _HI[bit]]
+    return a
+
+
+def _mass_table(g_mirror: float, g_block: float) -> np.ndarray:
+    """(4, 6) table taking a photon's |amplitude|^2 4-vector, as it enters
+    its polarization stage, to: the masses entering the polarization stage's
+    mirror and block branches, those entering the spatial stage's mirror and
+    block branches, the mass kept after both, and the mass that entered.
+    g_mirror and g_block are |mirror_T|^2 and |T|^2."""
+    g = (g_mirror, g_block)
+    return np.array([[p == 0, p == 1, g[p] * (m == 0), g[p] * (m == 1),
+                      g[p] * g[m], 1.0] for m in (0, 1) for p in (0, 1)], dtype=float)
+
+
+def _photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
+    """(P, 4) array of the photons' input 4-vectors."""
+    for i, spec in enumerate(photons):
+        if not isinstance(spec, PhotonSpec):
+            raise ValidationError(f"photon {i} is not a PhotonSpec")
+    pairs = np.array([(spec.pol, spec.spatial) for spec in photons])
+    return (pairs[:, 1, :, None] * pairs[:, 0, None, :]).reshape(-1, 4)
+
+
+def _corrected_state(head: list[complex], t: np.ndarray, limit: int
+                     ) -> dict[int, complex]:
+    """Amplitudes of the corrected photon state: the sum over the control
+    index c of head[c] |c> (x) the targets' vectors t[sigma(c), i]. Each term
+    is expanded over its own factors' nonzero entries, and the terms lie on
+    disjoint labels. Refused, before anything is built, when the four branch
+    states would together hold more than ``limit`` amplitudes."""
+    terms = []
+    for c, coef in enumerate(head):
+        if coef:
+            terms.append((c, coef, [[(k << 2 * i, v) for k, v in enumerate(row) if v]
+                                    for i, row in enumerate(t[_SIGMA[c]].tolist(), 1)]))
+    needed = 4 * sum(math.prod(map(len, factors)) for _, _, factors in terms)
+    if needed > limit:
+        raise ValidationError(
+            f"the four branch states need {needed} amplitudes, more than "
+            f"MAX_AMPLITUDES = {limit}")
+    amps: dict[int, complex] = {}
+    for c, coef, factors in terms:
+        term = {c: coef}
+        for nonzero in factors:
+            term = {label | bits: amp for label, a in term.items()
+                    for bits, v in nonzero if (amp := a * v)}
+        amps.update(term)
+    return amps
 
 
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig) -> GateOutcome:
     """Run the CNOT^N gate (photon a controls every target, in both degrees
     of freedom at once) and return the heralded outcome."""
-    state, stages = _run_protocol(control, targets, cfg)
-    success = state.norm_sq()
-    clicks = [click for click, _ in stages]
-    branches = _measure_and_correct(state)
+    _check_targets(targets, cfg)
+    bc = block_coeffs(scatter_coeffs(cfg.params))
+    if abs(bc.T) < MIN_BLOCK_T:
+        raise DegeneratePhysicsError(
+            f"basic block never transmits (|T|={abs(bc.T):.3e}): "
+            "the gate cannot herald a success")
+    f = np.array(stage_factors(bc, cfg.mirror_T_override))  # f[branch bit, spin bit]
+    factors = f[_P, _S1] * f[_M, _S2]             # F[sigma, k]
+    x = _photon_vectors([control, *targets])
+    v = _hadamards(x)
+    v[0] = x[0]                # the control enters its stages as it came
+    t = _hadamards(factors[:, None, :] * v[None, 1:])   # t[sigma, i]
+    # |F[sigma, k]| does not depend on sigma, so no mass does either: a
+    # photon's stage masses are its own, times the mass the photons before it
+    # kept and the input norms of the photons after it.
+    n = len(x)
+    table = _mass_table(abs(f[0, 0]) ** 2, abs(bc.T) ** 2)
+    routed = ((np.abs(v) ** 2)[:, :, None] * table).sum(axis=1)
+    chain = np.ones((2, n + 1))
+    chain[0, 1:] = routed[:, 4]
+    chain[1, 1:] = routed[::-1, 5]
+    np.cumprod(chain, axis=1, out=chain)  # kept up to photon j; norms from the last back
+    routed = routed[:, :4] * (chain[0, :-1] * chain[1, -2::-1])[:, None]
+    clicks, absorbed = stage_masses(routed[:, 0::2], routed[:, 1::2], bc,
+                                    cfg.mirror_T_override)
+    clicks = clicks.ravel().tolist()
+    stages = tuple(zip(clicks, absorbed.ravel().tolist()))
+    success = float(chain[0, -1])
+    branches = ()
+    if success > 0.0:
+        # the control's amplitude F[0, c] x_c on sigma(c), with the branch's
+        # Hadamard sign, feed-forward sign and normalization folded in
+        head = (factors[0] * (x[0] / math.sqrt(success))).tolist()
+        amps = _corrected_state(head, t, hyperstate.MAX_AMPLITUDES)
+        if amps:
+            branches = tuple(OutcomeBranch(record, success / 4.0, corrections,
+                                           HyperState(n, amps, has_spins=False))
+                             for record, corrections in _RECORDS)
+    if not branches:
+        raise AmplitudeLostError("all amplitude lost: nothing left to measure")
     chosen = branches[0]
     if cfg.mode == "sampled":
         masses = [b.probability for b in branches]
@@ -238,9 +316,9 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
         success_prob=success,
         detector_probs={DETECTOR_B1: math.fsum(clicks[0::2]),
                         DETECTOR_B2: math.fsum(clicks[1::2])},
-        absorbed_prob=math.fsum(absorbed for _, absorbed in stages),
+        absorbed_prob=math.fsum(a for _, a in stages),
         branches=branches,
-        stages=tuple(stages),
+        stages=stages,
     )
 
 

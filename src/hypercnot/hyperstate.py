@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
 
 from .errors import ValidationError
 
@@ -42,10 +43,12 @@ ABSORBED = "absorbed"
 # Tolerance on |c0|^2 + |c1|^2 = 1 for ingested coefficient pairs.
 NORM_TOL = 1e-9
 
-# Most amplitudes a state may hold: CNOT^8 with every photon in superposition
-# (4 labels per photon, times 4 for the two spins). Preparing that state
-# takes about 200 MB; each further photon in superposition multiplies memory
-# and time by 4, so such a state is refused instead of exhausting memory.
+# Most amplitudes the library builds for one result, checked before it is
+# built: the four corrected branch states of a gate together, a state with
+# the spins from ``init_state`` or a Hadamard, or an ideal output state. The
+# limit admits CNOT^8 with every photon in superposition (4 branches of 4^9
+# photon labels); each further photon in superposition multiplies the count
+# by 4, so such a result is refused instead of exhausting memory.
 MAX_AMPLITUDES = 4**10
 
 
@@ -70,16 +73,21 @@ class Spin(IntEnum):
 @dataclass(frozen=True)
 class PhotonSpec:
     """Input single-photon state: complex coefficient pairs for (R, L) and
-    (mode 1, mode 2). Each pair must be finite and normalized within
-    NORM_TOL."""
+    (mode 1, mode 2). Each pair must be a sequence (not a string) of exactly
+    two numbers (not bools), finite and normalized within NORM_TOL."""
 
     pol: tuple[complex, complex]
     spatial: tuple[complex, complex]
 
     def __post_init__(self):
-        object.__setattr__(self, "pol", (complex(self.pol[0]), complex(self.pol[1])))
-        object.__setattr__(self, "spatial",
-                           (complex(self.spatial[0]), complex(self.spatial[1])))
+        for name in ("pol", "spatial"):
+            pair = getattr(self, name)
+            if (isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence)
+                    or len(pair) != 2
+                    or not all(isinstance(c, numbers.Number) and not isinstance(c, bool)
+                               for c in pair)):
+                raise ValidationError(f"{name} must be a pair of numbers, got {pair!r}")
+            object.__setattr__(self, name, (complex(pair[0]), complex(pair[1])))
         for name, pair in (("pol", self.pol), ("spatial", self.spatial)):
             if not all(map(cmath.isfinite, pair)):
                 raise ValidationError(f"{name} pair {pair} is not finite")
@@ -235,16 +243,6 @@ class HyperState:
         self.amplitudes = {label ^ mask: amp for label, amp in self.amplitudes.items()}
 
     # -- public single-dof operations --------------------------------------
-
-    def pol_hadamard(self, photon: int) -> "HyperState":
-        """R -> (R+L)/sqrt2, L -> (R-L)/sqrt2 on one photon (half-wave plate)."""
-        self._hadamard(self._photon_mask(photon, spatial=False))
-        return self
-
-    def spatial_hadamard(self, photon: int) -> "HyperState":
-        """mode1 -> (m1+m2)/sqrt2, mode2 -> (m1-m2)/sqrt2 (50:50 beam splitter)."""
-        self._hadamard(self._photon_mask(photon, spatial=True))
-        return self
 
     def pol_flip(self, photon: int) -> "HyperState":
         """Swap R and L amplitudes of one photon (bit-flip plate)."""

@@ -24,15 +24,11 @@ from hypercnot import (
     hyper_cnot_n,
     ideal_hyper_cnot,
     ideal_hyper_cnot_n,
-    pack_label,
     random_photon_spec,
     sample_shots,
     scatter_coeffs,
     truth_table,
 )
-from hypercnot.gates import _measure_and_correct
-
-SQ2 = 1.0 / math.sqrt(2.0)
 
 # |T|^8 at the g/(kappa+kappa_s)=3, kappa_s=gamma=0.1kappa reference point,
 # cross-checked against a high-precision evaluation of the closed form.
@@ -55,6 +51,8 @@ class TestGateConfig:
         {"mirror_T_override": 1.5},
         {"mirror_T_override": math.nan},
         {"mirror_T_override": complex(0.5, math.nan)},
+        {"mirror_T_override": "x"},
+        {"mirror_T_override": True},
     ])
     def test_rejects(self, bench_params, kwargs):
         kwargs.setdefault("params", bench_params)
@@ -159,53 +157,6 @@ class TestFeedForward:
         assert fidelity(out.conditional_state, ideal) < 1.0 - 1e-6
 
 
-class TestMeasureAndCorrect:
-    def test_four_branch_measurement(self):
-        amps = {
-            pack_label([0], [0], (0, 0)): 0.5,
-            pack_label([1], [0], (0, 1)): 0.5j,
-            pack_label([0], [1], (1, 0)): -0.5,
-            pack_label([1], [1], (1, 1)): 0.5,
-        }
-        branches = _measure_and_correct(HyperState(1, amps))
-        assert [b.spin_record for b in branches] == [
-            (Spin.UP, Spin.UP), (Spin.UP, Spin.DOWN),
-            (Spin.DOWN, Spin.UP), (Spin.DOWN, Spin.DOWN)]
-        assert [b.corrections for b in branches] == [
-            (False, False), (False, True), (True, False), (True, True)]
-        for b in branches:
-            assert b.probability == pytest.approx(0.25)
-            assert b.state.has_spins is False
-            assert b.state.norm_sq() == pytest.approx(1.0)
-        # collapsed photon labels keep only the photon bits
-        assert list(branches[1].state.amplitudes) == [1]
-        assert branches[1].state.amplitudes[1] == pytest.approx(1j)
-        # R,2 has no L bit for spin 1's correction to negate; L,2 is negated
-        # by both corrections and keeps its sign
-        assert branches[2].state.amplitudes == {0b10: pytest.approx(-1.0)}
-        assert branches[3].state.amplitudes == {0b11: pytest.approx(1.0)}
-
-    def test_zero_probability_outcomes_omitted(self):
-        amps = {
-            pack_label([0], [0], (0, 0)): SQ2,
-            pack_label([0], [0], (1, 1)): SQ2,
-        }
-        branches = _measure_and_correct(HyperState(1, amps))
-        assert [b.spin_record for b in branches] == [
-            (Spin.UP, Spin.UP), (Spin.DOWN, Spin.DOWN)]
-
-    def test_probabilities_are_absolute(self):
-        # state deliberately not normalized: norm^2 = 0.5
-        amps = {pack_label([0], [0], (0, 0)): 0.5,
-                pack_label([0], [0], (1, 1)): 0.5}
-        branches = _measure_and_correct(HyperState(1, amps))
-        assert math.fsum(b.probability for b in branches) == pytest.approx(0.5)
-
-    def test_all_amplitude_lost(self):
-        with pytest.raises(AmplitudeLostError, match="all amplitude lost"):
-            _measure_and_correct(HyperState(1, {}))
-
-
 class TestIdealOracle:
     def test_against_a_dense_matrix(self):
         # CNOT on the polarization bits and CNOT on the spatial bits, built as
@@ -273,15 +224,34 @@ class TestValidationAndDegeneracy:
                        PhotonSpec.basis(Pol.R, Spatial.M1), cfg)
 
     def test_spread_past_the_amplitude_limit_is_refused(self, bench_params, monkeypatch):
-        # basis inputs keep 4 labels through the balanced gate; an unbalanced
-        # mirror spreads them over 4^(N+1), so only the Hadamards can see it
-        monkeypatch.setattr(hyperstate, "MAX_AMPLITUDES", 16)
+        # basis inputs keep one label per branch through the balanced gate
+        # (4 amplitudes in all); an unbalanced mirror spreads each target
+        # over 4, so the four branch states would need 4 * 16
+        monkeypatch.setattr(hyperstate, "MAX_AMPLITUDES", 8)
         basis = PhotonSpec.basis(Pol.L, Spatial.M2)
         hyper_cnot_n(basis, [basis] * 2, GateConfig(params=bench_params, n_targets=2))
         T = block_coeffs(scatter_coeffs(bench_params)).T
         cfg = GateConfig(params=bench_params, n_targets=2, mirror_T_override=0.9 * T)
-        with pytest.raises(ValidationError, match="spread to 32 amplitudes"):
+        with pytest.raises(ValidationError,
+                           match="need 64 amplitudes, more than MAX_AMPLITUDES = 8"):
             hyper_cnot_n(basis, [basis] * 2, cfg)
+
+    def test_cnot1000_on_basis_inputs(self, bench_params):
+        n = 1000
+        rng = np.random.default_rng(26)
+        photons = [PhotonSpec.basis(Pol(int(p)), Spatial(int(m)))
+                   for p, m in rng.integers(0, 2, size=(n + 1, 2))]
+        out = hyper_cnot_n(photons[0], photons[1:],
+                           GateConfig(params=bench_params, n_targets=n))
+        T = block_coeffs(scatter_coeffs(bench_params)).T
+        assert out.success_prob == pytest.approx(abs(T) ** (4 * (n + 1)), rel=1e-10)
+        total = math.fsum([out.success_prob, out.heralded_failure_prob,
+                           out.absorbed_prob])
+        assert abs(total - 1.0) <= 1e-12
+        assert len(out.branches) == 4
+        ideal = ideal_hyper_cnot_n(photons[0], photons[1:])
+        for branch in out.branches:
+            assert fidelity(branch.state, ideal) >= 1.0 - 1e-10
 
     def test_single_target_wrapper_checks_config(self, bench_params):
         cfg = GateConfig(params=bench_params, n_targets=2)

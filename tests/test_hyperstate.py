@@ -51,6 +51,21 @@ class TestPhotonSpec:
         with pytest.raises(ValidationError, match="spatial pair .* is not finite"):
             PhotonSpec(pol=(1, 0), spatial=(1, bad))
 
+    @pytest.mark.parametrize("bad", [
+        (1, 0, 7), "10", b"10", (1,), None, (True, False), (1, "0"), {1, 0}, 1.0,
+    ], ids=["three", "str", "bytes", "one", "none", "bools", "str_entry", "set",
+            "scalar"])
+    def test_rejects_what_is_not_a_pair_of_numbers(self, bad):
+        with pytest.raises(ValidationError, match="pol must be a pair of numbers"):
+            PhotonSpec(pol=bad, spatial=(1, 0))
+        with pytest.raises(ValidationError, match="spatial must be a pair of numbers"):
+            PhotonSpec(pol=(1, 0), spatial=bad)
+
+    def test_accepts_lists_and_numpy_scalars(self):
+        spec = PhotonSpec(pol=[np.float64(0.6), np.complex128(0.8j)],
+                          spatial=[np.int64(1), 0])
+        assert spec.pol == (0.6 + 0j, 0.8j) and spec.spatial == (1 + 0j, 0j)
+
     def test_accepts_complex_within_tolerance(self):
         PhotonSpec(pol=(complex(0.6, 0.0), complex(0.0, 0.8)),
                    spatial=(SQ2, -SQ2))
@@ -127,21 +142,21 @@ class TestInitState:
 
 
 class TestSingleDofOps:
-    def test_pol_hadamard_involution(self):
+    def test_spin_hadamard_involution(self):
         rng = np.random.default_rng(7)
-        state = init_state([PhotonSpec(pol=_random_pair(rng),
-                                       spatial=_random_pair(rng))])
+        state = HyperState(1, {label: complex(*rng.standard_normal(2))
+                               for label in range(16)})
         before = dict(state.amplitudes)
-        state.pol_hadamard(0).pol_hadamard(0)
+        state.spin_hadamard(1).spin_hadamard(1)
         assert set(state.amplitudes) == set(before)
         for label, amp in before.items():
             assert abs(state.amplitudes[label] - amp) < 1e-15
 
     def test_hadamard_prunes_exact_cancellation(self):
-        state = init_state([PhotonSpec(pol=(SQ2, SQ2), spatial=(1, 0))],
-                           spins="up")
-        state.pol_hadamard(0)
-        # (R+L)/sqrt2 maps exactly onto R; the L amplitude cancels to 0.0
+        down1 = pack_label([0], [0], (1, 0))
+        state = HyperState(1, {0: SQ2, down1: SQ2})
+        state.spin_hadamard(1)
+        # (up+down)/sqrt2 maps exactly onto up; the down amplitude cancels to 0.0
         assert list(state.amplitudes) == [0]
 
     def test_pol_flip_swaps(self):
@@ -160,9 +175,11 @@ class TestSingleDofOps:
     def test_index_validation(self):
         state = init_state([PhotonSpec.uniform()])
         with pytest.raises(ValidationError):
-            state.pol_hadamard(1)
+            state.spin_hadamard(0)
         with pytest.raises(ValidationError):
             state.spin_hadamard(3)
+        with pytest.raises(ValidationError, match="no spins"):
+            HyperState(1, {0: 1.0 + 0j}, has_spins=False).spin_hadamard(1)
 
 
 class TestSinksAndBookkeeping:
@@ -176,7 +193,7 @@ class TestSinksAndBookkeeping:
         a = init_state([PhotonSpec.uniform()])
         b = init_state([PhotonSpec.uniform()])
         assert a == b
-        b.pol_hadamard(0)
+        b.spin_hadamard(1)
         assert a != b
 
 
