@@ -32,10 +32,14 @@ diagonal in the spins, so:
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums, computed with the photons
 stacked on one numpy axis. Only the expansion of the corrected state grows
-with the output: each term is expanded over its factors' nonzero entries
-(basis inputs stay at a few labels), and a result above
-``hyperstate.MAX_AMPLITUDES`` is refused before it is built. The Hadamards are
-elementwise butterflies, so exact cancellations give exact zeros.
+with the output: ``hyperstate.expand_products`` expands each term over its
+factors' nonzero entries (basis inputs stay at a few labels) and refuses a
+result above ``hyperstate.MAX_AMPLITUDES`` before it is built. The Hadamards
+are elementwise butterflies, so exact cancellations give exact zeros.
+
+A success probability below the smallest normal float (thousands of targets)
+cannot normalize the branch states and is refused with ValidationError; one
+of exactly 0 (a dead mirror on a basis input) raises AmplitudeLostError.
 
 The run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
@@ -56,12 +60,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import hyperstate
 from .circuit import stage_factors, stage_masses
 from .errors import (
     AmplitudeLostError,
@@ -78,9 +82,10 @@ from .hyperstate import (
     Pol,
     Spatial,
     Spin,
+    expand_products,
     fidelity,
+    photon_vectors,
     pol_mask,
-    product_amplitudes,
     spatial_mask,
 )
 from .scattering import CavityParams, block_coeffs, scatter_coeffs
@@ -225,42 +230,6 @@ def _mass_table(g_mirror: float, g_block: float) -> np.ndarray:
                       g[p] * g[m], 1.0] for m in (0, 1) for p in (0, 1)], dtype=float)
 
 
-def _photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
-    """(P, 4) array of the photons' input 4-vectors."""
-    for i, spec in enumerate(photons):
-        if not isinstance(spec, PhotonSpec):
-            raise ValidationError(f"photon {i} is not a PhotonSpec")
-    pairs = np.array([(spec.pol, spec.spatial) for spec in photons])
-    return (pairs[:, 1, :, None] * pairs[:, 0, None, :]).reshape(-1, 4)
-
-
-def _corrected_state(head: list[complex], t: np.ndarray, limit: int
-                     ) -> dict[int, complex]:
-    """Amplitudes of the corrected photon state: the sum over the control
-    index c of head[c] |c> (x) the targets' vectors t[sigma(c), i]. Each term
-    is expanded over its own factors' nonzero entries, and the terms lie on
-    disjoint labels. Refused, before anything is built, when the four branch
-    states would together hold more than ``limit`` amplitudes."""
-    terms = []
-    for c, coef in enumerate(head):
-        if coef:
-            terms.append((c, coef, [[(k << 2 * i, v) for k, v in enumerate(row) if v]
-                                    for i, row in enumerate(t[_SIGMA[c]].tolist(), 1)]))
-    needed = 4 * sum(math.prod(map(len, factors)) for _, _, factors in terms)
-    if needed > limit:
-        raise ValidationError(
-            f"the four branch states need {needed} amplitudes, more than "
-            f"MAX_AMPLITUDES = {limit}")
-    amps: dict[int, complex] = {}
-    for c, coef, factors in terms:
-        term = {c: coef}
-        for nonzero in factors:
-            term = {label | bits: amp for label, a in term.items()
-                    for bits, v in nonzero if (amp := a * v)}
-        amps.update(term)
-    return amps
-
-
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig) -> GateOutcome:
     """Run the CNOT^N gate (photon a controls every target, in both degrees
@@ -273,7 +242,7 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
             "the gate cannot herald a success")
     f = np.array(stage_factors(bc, cfg.mirror_T_override))  # f[branch bit, spin bit]
     factors = f[_P, _S1] * f[_M, _S2]             # F[sigma, k]
-    x = _photon_vectors([control, *targets])
+    x = photon_vectors([control, *targets])
     v = _hadamards(x)
     v[0] = x[0]                # the control enters its stages as it came
     t = _hadamards(factors[:, None, :] * v[None, 1:])   # t[sigma, i]
@@ -293,12 +262,20 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     clicks = clicks.ravel().tolist()
     stages = tuple(zip(clicks, absorbed.ravel().tolist()))
     success = float(chain[0, -1])
+    if 0.0 < success < sys.float_info.min:
+        # a subnormal success has lost its precision: dividing by its root
+        # would not normalize the branch states
+        raise ValidationError(
+            f"the success probability {success:.3g} of {n - 1} targets is below "
+            f"the smallest normal float: the branch states cannot be normalized")
     branches = ()
     if success > 0.0:
         # the control's amplitude F[0, c] x_c on sigma(c), with the branch's
         # Hadamard sign, feed-forward sign and normalization folded in
         head = (factors[0] * (x[0] / math.sqrt(success))).tolist()
-        amps = _corrected_state(head, t, hyperstate.MAX_AMPLITUDES)
+        # the terms lie on disjoint labels, one per control index c
+        amps = expand_products([(c, coef, t[_SIGMA[c]]) for c, coef in enumerate(head)],
+                               1, "the four branch states")
         if amps:
             branches = tuple(OutcomeBranch(record, success / 4.0, corrections,
                                            HyperState(n, amps, has_spins=False))
@@ -343,7 +320,8 @@ def ideal_hyper_cnot_n(control: PhotonSpec,
     spat_flip = sum(spatial_mask(i) for i in range(1, n))
     # indexed by the control's (pol, spatial) bits, the label's two lowest
     flips = (0, pol_flip, spat_flip, pol_flip | spat_flip)
-    amps = product_amplitudes([control, *targets])
+    amps = expand_products([(0, 1 + 0j, photon_vectors([control, *targets]))], 0,
+                           "the truth-rule states of the four branches")
     return HyperState(n, {label ^ flips[label & 3]: amp for label, amp in amps.items()},
                       has_spins=False)
 

@@ -20,6 +20,13 @@ normalized state
 
 holds (to rounding) after every complete element application. All probability
 reductions use math.fsum, so results do not depend on dict insertion order.
+
+Every state the library builds from photons is built here, by one expander,
+``expand_products``, from per-photon 4-vectors (``photon_vectors``): the
+input of ``init_state``, the truth-rule state of ``gates.ideal_hyper_cnot_n``
+and the gate's four corrected branch states. The expander holds the one
+count against MAX_AMPLITUDES, made before anything is built; a Hadamard on a
+caller-built state checks its own output.
 """
 from __future__ import annotations
 
@@ -29,6 +36,8 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -44,8 +53,9 @@ ABSORBED = "absorbed"
 NORM_TOL = 1e-9
 
 # Most amplitudes the library builds for one result, checked before it is
-# built: the four corrected branch states of a gate together, a state with
-# the spins from ``init_state`` or a Hadamard, or an ideal output state. The
+# built: four per photon label, for the four corrected branch states of a
+# gate together, a state with the spins from ``init_state``, or an ideal
+# output state (against the four branches); a Hadamard checks its output. The
 # limit admits CNOT^8 with every photon in superposition (4 branches of 4^9
 # photon labels); each further photon in superposition multiplies the count
 # by 4, so such a result is refused instead of exhausting memory.
@@ -134,6 +144,11 @@ def pack_label(pol_bits: Sequence[int], spatial_bits: Sequence[int],
     return bits
 
 
+# Report names of a photon's two bits, indexed k = p + 2m, and of a spin bit.
+_PHOTON_NAMES = ("R,1", "L,1", "R,2", "L,2")
+_SPIN_NAMES = ("up", "down")
+
+
 @dataclass(frozen=True)
 class BasisLabel:
     """Unpacked view of one basis label; str() gives the report form, e.g.
@@ -158,10 +173,12 @@ class BasisLabel:
         return "b" if self.n_photons == 2 else f"b{photon}"
 
     def __str__(self) -> str:
-        parts = [f"{self.photon_name(i)}:{self.pol(i).name},{int(self.spatial(i)) + 1}"
+        bits = self.bits
+        parts = [f"{self.photon_name(i)}:{_PHOTON_NAMES[(bits >> 2 * i) & 3]}"
                  for i in range(self.n_photons)]
         if self.has_spins:
-            parts.append(f"s1:{self.spin(1).name.lower()} s2:{self.spin(2).name.lower()}")
+            spins = bits >> 2 * self.n_photons
+            parts.append(f"s1:{_SPIN_NAMES[spins & 1]} s2:{_SPIN_NAMES[(spins >> 1) & 1]}")
         return " ".join(parts)
 
 
@@ -266,41 +283,54 @@ def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState
         raise ValidationError("need at least one photon")
     if spins not in ("plus", "up"):
         raise ValidationError(f"spins must be 'plus' or 'up', got {spins!r}")
-    state = HyperState(len(photons), product_amplitudes(photons), has_spins=True)
+    amps = expand_products([(0, 1 + 0j, photon_vectors(photons))], 0,
+                           "the input photons with the spins")
+    state = HyperState(len(photons), amps, has_spins=True)
     if spins == "plus":
         state.spin_hadamard(1)
         state.spin_hadamard(2)
     return state
 
 
-def product_amplitudes(photons: Sequence[PhotonSpec]) -> dict[int, complex]:
-    """Amplitudes of the product state of the given photons, keyed by
-    photon-only labels (spin bits clear); zero coefficients add no label.
-    Refuses a product that, with the two spins, exceeds MAX_AMPLITUDES."""
-    amps: dict[int, complex] = {0: 1.0 + 0j}
+def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
+    """(P, 4) array of the photons' 4-vectors, entry k = p + 2m holding the
+    amplitude of polarization bit p and spatial bit m."""
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
-        amps = _expand(amps, pol_mask(i), spec.pol)
-        amps = _expand(amps, spatial_mask(i), spec.spatial)
-    return amps
+    pairs = np.array([(spec.pol, spec.spatial) for spec in photons])
+    return (pairs[:, 1, :, None] * pairs[:, 0, None, :]).reshape(-1, 4)
 
 
-def _expand(amps: dict[int, complex], mask: int,
-            pair: tuple[complex, complex]) -> dict[int, complex]:
-    c0, c1 = pair
-    # refused before the labels are built: 4 spin labels per photon label
-    if c0 != 0 and c1 != 0 and 4 * 2 * len(amps) > MAX_AMPLITUDES:
+def expand_products(terms, first: int, what: str) -> dict[int, complex]:
+    """Photon-only amplitudes of a sum of product states. Each term is
+    (seed, coef, vectors): amplitude coef on ``seed``, a label of the photons
+    before ``first``, times the product of ``vectors``, the 4-vectors of
+    photons first, first + 1, ... The terms must lie on disjoint labels.
+    Each term is expanded over its own factors' nonzero entries, and a
+    product that is exactly zero adds no label.
+
+    Refused, before anything is built, when four amplitudes per label (the
+    spin values of a state, or the four branches of a gate) exceed
+    MAX_AMPLITUDES; ``what`` names them in the message."""
+    expanded = []
+    for seed, coef, vectors in terms:
+        if coef:
+            expanded.append((seed, coef, [[(k << 2 * i, v) for k, v in enumerate(row) if v]
+                                          for i, row in enumerate(vectors.tolist(), first)]))
+    needed = 4 * sum(math.prod(map(len, factors)) for _, _, factors in expanded)
+    if needed > MAX_AMPLITUDES:
         raise ValidationError(
-            f"the input photons need more than MAX_AMPLITUDES = {MAX_AMPLITUDES} "
-            "amplitudes with the spins")
-    out: dict[int, complex] = {}
-    for label, amp in amps.items():
-        if c0 != 0:
-            out[label] = amp * c0
-        if c1 != 0:
-            out[label | mask] = amp * c1
-    return out
+            f"{what} need {needed} amplitudes, more than "
+            f"MAX_AMPLITUDES = {MAX_AMPLITUDES}")
+    amps: dict[int, complex] = {}
+    for seed, coef, factors in expanded:
+        term = {seed: coef}
+        for nonzero in factors:
+            term = {label | bits: amp for label, a in term.items()
+                    for bits, v in nonzero if (amp := a * v)}
+        amps.update(term)
+    return amps
 
 
 def fidelity(state: HyperState, ideal: HyperState) -> float:

@@ -320,7 +320,8 @@ def test_negative_seed_exits_2(argv, capsys):
     ["run", "--control", "+,+", *["--target", "+,+"] * 9, *BENCH],
     ["sweep", "--g-ratio", "1", "--ks-ratio", "0", "--n-targets", "12"],
     ["verify", "--n-cases", "2", "--n-targets", "12"],
-], ids=["verify_seed", "run_cnot9", "sweep_cnot12", "verify_cnot12"])
+    ["run", "--control", "L,2", *["--target", "L,2"] * 3400, *BENCH],
+], ids=["verify_seed", "run_cnot9", "sweep_cnot12", "verify_cnot12", "run_underflow"])
 def test_unrunnable_input_is_one_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Gate runs: heralding arithmetic, truth behavior, feed-forward, sampling."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -159,27 +160,29 @@ class TestFeedForward:
 
 class TestIdealOracle:
     def test_against_a_dense_matrix(self):
-        # CNOT on the polarization bits and CNOT on the spatial bits, built as
-        # an explicit 16x16 permutation over packed labels.
-        M = np.zeros((16, 16))
-        for lab in range(16):
-            cp, cs = lab & 1, (lab >> 1) & 1
-            tp, ts = (lab >> 2) & 1, (lab >> 3) & 1
-            out = cp | (cs << 1) | ((tp ^ cp) << 2) | ((ts ^ cs) << 3)
-            M[out, lab] = 1.0
+        # CNOT on the polarization bits and CNOT on the spatial bits of every
+        # target, built as an explicit permutation over packed labels.
         rng = np.random.default_rng(24)
-        for _ in range(10):
-            control, target = random_photon_spec(rng), random_photon_spec(rng)
-            vec = np.zeros(16, dtype=complex)
-            for lab in range(16):
-                cp, cs = lab & 1, (lab >> 1) & 1
-                tp, ts = (lab >> 2) & 1, (lab >> 3) & 1
-                vec[lab] = (control.pol[cp] * control.spatial[cs]
-                            * target.pol[tp] * target.spatial[ts])
-            want = M @ vec
-            got = ideal_hyper_cnot(control, target)
-            for lab in range(16):
-                assert abs(got.amplitudes.get(lab, 0.0) - want[lab]) < 1e-12
+        for n_targets in (1, 2):
+            size = 4 ** (n_targets + 1)
+            M = np.zeros((size, size))
+            for lab in range(size):
+                flips = (lab & 3) * sum(1 << 2 * i for i in range(1, n_targets + 1))
+                M[lab ^ flips, lab] = 1.0
+            for _ in range(10):
+                photons = [random_photon_spec(rng) for _ in range(n_targets + 1)]
+                vec = np.zeros(size, dtype=complex)
+                for lab in range(size):
+                    vec[lab] = math.prod(spec.pol[(lab >> 2 * i) & 1]
+                                         * spec.spatial[(lab >> 2 * i + 1) & 1]
+                                         for i, spec in enumerate(photons))
+                want = M @ vec
+                if n_targets == 1:
+                    got = ideal_hyper_cnot(photons[0], photons[1])
+                else:
+                    got = ideal_hyper_cnot_n(photons[0], photons[1:])
+                for lab in range(size):
+                    assert abs(got.amplitudes.get(lab, 0.0) - want[lab]) < 1e-12
 
     def test_rejects_non_specs(self):
         with pytest.raises(ValidationError):
@@ -235,6 +238,19 @@ class TestValidationAndDegeneracy:
         with pytest.raises(ValidationError,
                            match="need 64 amplitudes, more than MAX_AMPLITUDES = 8"):
             hyper_cnot_n(basis, [basis] * 2, cfg)
+
+    def test_subnormal_success_is_refused(self, bench_params):
+        # |T|^4 = 0.81 here, so the success |T|^(4(N+1)) is 4.3e-308 at
+        # N = 3300 and subnormal from about N = 3370, where dividing by its
+        # root no longer normalizes the branch states
+        basis = PhotonSpec.basis(Pol.L, Spatial.M2)
+        out = hyper_cnot_n(basis, [basis] * 3300,
+                           GateConfig(params=bench_params, n_targets=3300))
+        assert out.success_prob >= sys.float_info.min
+        assert abs(out.conditional_state.norm_sq() - 1.0) <= 2e-12
+        with pytest.raises(ValidationError, match="below the smallest normal float"):
+            hyper_cnot_n(basis, [basis] * 3400,
+                         GateConfig(params=bench_params, n_targets=3400))
 
     def test_cnot1000_on_basis_inputs(self, bench_params):
         n = 1000

@@ -14,6 +14,7 @@ from hypercnot import (
     Spin,
     ValidationError,
     fidelity,
+    ideal_hyper_cnot_n,
     init_state,
     pack_label,
 )
@@ -86,6 +87,13 @@ class TestLabels:
     def test_str_photon_names_beyond_two(self):
         label = BasisLabel(0, 3, has_spins=False)
         assert str(label) == "a:R,1 b1:R,1 b2:R,1"
+        # every label of a 3-photon state with spins, against the accessors
+        for bits in range(4 ** 4):
+            label = BasisLabel(bits, 3)
+            photons = [f"{label.photon_name(i)}:{label.pol(i).name},"
+                       f"{int(label.spatial(i)) + 1}" for i in range(3)]
+            spins = [f"s{s}:{label.spin(s).name.lower()}" for s in (1, 2)]
+            assert str(label) == " ".join(photons + spins)
 
     def test_accessors(self):
         label = BasisLabel(pack_label([1, 0], [0, 1], (1, 0)), 2)
@@ -133,12 +141,18 @@ class TestInitState:
         assert hyperstate.MAX_AMPLITUDES == 4 ** (8 + 2)
         monkeypatch.setattr(hyperstate, "MAX_AMPLITUDES", 4 ** 4)
         u = PhotonSpec.uniform()
-        assert len(init_state([u] * 3).amplitudes) == 4 ** 4
         basis = PhotonSpec.basis(Pol.L, Spatial.M2)
-        assert len(init_state([u] * 3 + [basis] * 5).amplitudes) == 4 ** 4
         half = PhotonSpec(pol=(1, 0), spatial=(SQ2, SQ2))
-        with pytest.raises(ValidationError, match="MAX_AMPLITUDES"):
-            init_state([u] * 3 + [half])
+        # one rule for the input and the truth-rule state: four amplitudes per
+        # photon label (the spin values, or the gate's four branches)
+        for build, per_label in (
+                (init_state, 4),
+                (lambda photons: ideal_hyper_cnot_n(photons[0], photons[1:]), 1)):
+            assert len(build([u] * 3).amplitudes) == per_label * 4 ** 3
+            assert len(build([u] * 3 + [basis] * 5).amplitudes) == per_label * 4 ** 3
+            with pytest.raises(ValidationError,
+                               match="need 512 amplitudes, more than MAX_AMPLITUDES = 256"):
+                build([u] * 3 + [half])
 
 
 class TestSingleDofOps:
