@@ -1,12 +1,21 @@
 """Parameter sweeps, randomized fidelity scans, and report serialization.
 
-The sweep drives the full gate over a (g ratio, side-leakage ratio) grid with
-the canonical hardest input -- uniform superposition in both degrees of
-freedom for every photon -- and records transmission, efficiency, success
+The sweep drives the gate over a (g ratio, side-leakage ratio) grid with the
+canonical hardest input -- uniform superposition in both degrees of freedom
+for every photon -- and records transmission, efficiency, success
 probability and fidelity per point. The fidelity scan draws random cavity
 parameters and random input states and checks that the heralded gate stays
 exact and probability stays conserved; ``verify`` in the CLI is a thin
 wrapper over it.
+
+Both run the gate's factored kernel (``gates.factored_run``) on a batch of
+cavity points at once: the coefficients come from ``scattering.ratio_coeffs``
+as arrays, one entry per point, and the fidelity with the truth rule from
+``FactoredRun.truth_fidelity``, so no point builds a CavityParams, a
+GateConfig or an amplitude dict. Each pass works through its points in
+chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory does not grow
+with the grid or the number of cases. A grid or scan is refused where the
+single-point path would refuse any of its points.
 """
 from __future__ import annotations
 
@@ -20,16 +29,35 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePhysicsError, ValidationError, check_count
-from .gates import GateConfig, check_seed, hyper_cnot_n, ideal_hyper_cnot_n
-from .hyperstate import PhotonSpec, fidelity
-from .scattering import CavityParams, block_coeffs, efficiency, scatter_coeffs
+from .errors import (
+    AmplitudeLostError,
+    DegeneratePhysicsError,
+    ValidationError,
+    check_count,
+    refuse_where,
+)
+from .gates import MIN_BLOCK_T, check_seed, check_transmits, factored_run
+from .hyperstate import PhotonSpec, pair_vectors, photon_vectors
+from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
+
+# Photons one chunk of a batched pass holds, over all its cavity points: a
+# point of N targets takes N + 1, and a chunk holds at least one point.
+_CHUNK_PHOTONS = 4096
+
+
+def _chunks(n_points: int, n_targets: int):
+    """(start, stop) of the chunks of a pass over n_points points."""
+    step = max(1, _CHUNK_PHOTONS // (n_targets + 1))
+    return ((start, min(start + step, n_points)) for start in range(0, n_points, step))
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian grid of coupling and side-leakage ratios. gamma and the
-    detunings are held fixed across the grid (ratios of kappa)."""
+    detunings are held fixed across the grid (ratios of kappa). Every value
+    must be finite, the ratios >= 0, and g/(kappa+kappa_s) times
+    kappa + kappa_s must stay finite: what CavityParams.from_ratios accepts
+    at every point."""
 
     g_ratios: tuple[float, ...]
     ks_ratios: tuple[float, ...]
@@ -39,14 +67,26 @@ class SweepGrid:
     n_targets: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "g_ratios", tuple(float(g) for g in self.g_ratios))
-        object.__setattr__(self, "ks_ratios", tuple(float(k) for k in self.ks_ratios))
+        for name in ("g_ratios", "ks_ratios"):
+            values = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{name} must be finite, got {values}")
+        for name in ("gamma_ratio", "detuning_c", "detuning_x"):
+            value = float(getattr(self, name))
+            object.__setattr__(self, name, value)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.g_ratios or not self.ks_ratios:
             raise ValidationError("sweep axes must be non-empty")
         if any(g < 0 for g in self.g_ratios):
             raise ValidationError("g ratios must be >= 0")
         if any(k < 0 for k in self.ks_ratios):
             raise ValidationError("side-leakage ratios must be >= 0")
+        if self.gamma_ratio < 0:
+            raise ValidationError(f"gamma_ratio must be >= 0, got {self.gamma_ratio}")
+        if not math.isfinite(max(self.g_ratios) * (1.0 + max(self.ks_ratios))):
+            raise ValidationError("g_ratios times 1 + ks_ratios must be finite")
         check_count(self.n_targets, "n_targets")
 
 
@@ -63,60 +103,77 @@ class SweepRow:
 REPORT_COLUMNS = ("g_ratio", "ks_ratio", "abs_T", "efficiency",
                   "success_prob", "fidelity")
 
+# The sweep's input photon, uniform in both degrees of freedom, as a 4-vector.
+_UNIFORM = photon_vectors([PhotonSpec.uniform()])[0]
+
 
 def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
     """Run the gate at every grid point, rows in grid order (g outer, ks
-    inner). Points where the block transmission vanishes (e.g. g = 0 exactly
-    on resonance) get success_prob = fidelity = 0.0: the gate never heralds
-    there, so the conditional state does not exist. Points whose scattering
+    inner). Points where the block transmission vanishes (|T| <
+    MIN_BLOCK_T, e.g. g = 0 exactly on resonance) or where every amplitude
+    is lost get success_prob = fidelity = 0.0: the gate never heralds there,
+    so the conditional state does not exist. Points whose scattering
     coefficients are undefined (g = gamma = 0 on resonance) get 0.0 in every
     figure."""
     n = grid.n_targets
-    control = PhotonSpec.uniform()
-    targets = [PhotonSpec.uniform()] * n
-    ideal = ideal_hyper_cnot_n(control, targets)
+    x = np.broadcast_to(_UNIFORM, (n + 1, 4))
+    g_axis = np.array(grid.g_ratios)
+    ks_axis = np.array(grid.ks_ratios)
     rows = []
-    for g in grid.g_ratios:
-        for ks in grid.ks_ratios:
-            params = CavityParams.from_ratios(g, ks, grid.gamma_ratio,
-                                              grid.detuning_c, grid.detuning_x)
-            try:
-                bc = block_coeffs(scatter_coeffs(params))
-            except DegeneratePhysicsError:
-                rows.append(SweepRow(g, ks, 0.0, 0.0, 0.0, 0.0))
-                continue
-            abs_t = abs(bc.T)
-            eff = efficiency(bc.T, n)
-            try:
-                outcome = hyper_cnot_n(control, targets,
-                                       GateConfig(params=params, n_targets=n))
-                success = outcome.success_prob
-                fid = fidelity(outcome.conditional_state, ideal)
-            except DegeneratePhysicsError:
-                success = 0.0
-                fid = 0.0
-            rows.append(SweepRow(g, ks, abs_t, eff, success, fid))
+    for start, stop in _chunks(len(g_axis) * len(ks_axis), n):
+        g, ks = np.divmod(np.arange(start, stop), len(ks_axis))
+        g, ks = g_axis[g], ks_axis[ks]
+        coeffs, ok = ratio_coeffs(g, ks, grid.gamma_ratio, grid.detuning_c, grid.detuning_x)
+        bc = block_coeffs(coeffs)
+        T = np.where(ok, bc.T, 0.0)   # undefined coefficients report 0
+        abs_t = np.abs(T)
+        eff = efficiency(T, n)
+        success = np.zeros(len(g))
+        fid = np.zeros(len(g))
+        live = abs_t >= MIN_BLOCK_T
+        if live.any():
+            run = factored_run(BlockCoeffs(D=bc.D[live], T=T[live]), None, x)
+            success[live] = run.success
+            # where every amplitude is lost (success 0) there is no state
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fid[live] = np.where(run.success > 0.0, run.truth_fidelity(), 0.0)
+        rows += map(SweepRow, g.tolist(), ks.tolist(), abs_t.tolist(), eff.tolist(),
+                    success.tolist(), fid.tolist())
     return rows
+
+
+def _pair(v: list[float]) -> tuple[complex, complex] | None:
+    """The coefficient pair (v0 + i v1, v2 + i v3), normalized; None when it
+    is too short to normalize."""
+    c0 = complex(v[0], v[1])
+    c1 = complex(v[2], v[3])
+    nrm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    return (c0 / nrm, c1 / nrm) if nrm > 1e-6 else None
+
+
+def _random_pairs(rng: np.random.Generator, count: int) -> list[tuple[complex, complex]]:
+    """``count`` normalized coefficient pairs, each from the next four
+    standard normals of the stream that make one long enough to normalize."""
+    pairs = [pair for pair in map(_pair, rng.standard_normal((count, 4)).tolist()) if pair]
+    while len(pairs) < count:
+        pair = _pair(rng.standard_normal(4).tolist())
+        if pair:
+            pairs.append(pair)
+    return pairs
 
 
 def random_photon_spec(rng: np.random.Generator) -> PhotonSpec:
     """Haar-ish random input photon: each coefficient pair drawn from complex
     normals and normalized."""
-    def pair() -> tuple[complex, complex]:
-        while True:
-            v = rng.standard_normal(4)
-            c0 = complex(v[0], v[1])
-            c1 = complex(v[2], v[3])
-            nrm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-            if nrm > 1e-6:
-                return (c0 / nrm, c1 / nrm)
-    return PhotonSpec(pol=pair(), spatial=pair())
+    pol, spatial = _random_pairs(rng, 2)
+    return PhotonSpec(pol=pol, spatial=spatial)
 
 
 @dataclass(frozen=True)
 class ScanSummary:
     """Worst-case figures over a randomized scan. Fidelity statistics cover
-    every spin-outcome branch of every case, not just the reported one."""
+    every case; every spin-outcome branch of a case has the same corrected
+    state, so they cover every branch too."""
 
     n_cases: int
     n_targets: int
@@ -135,6 +192,11 @@ _SCAN_RANGES = {
     "gamma_ratio": (0.05, 0.2),
     "detuning": (-1.0, 1.0),
 }
+# One case's uniform draws, in order: the arguments of
+# ``scattering.ratio_coeffs``, each low + (high - low) * u as numpy's
+# Generator.uniform draws it.
+_SCAN_DRAWS = tuple(_SCAN_RANGES[k] for k in ("g_ratio", "ks_ratio", "gamma_ratio",
+                                               "detuning", "detuning"))
 
 
 def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
@@ -142,50 +204,54 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
     """Random-case check that the heralded gate is exact.
 
     Each case draws cavity parameters from _SCAN_RANGES and fresh random
-    input photons, runs the gate, and compares every corrected spin branch
-    against the truth-rule state. mirror_scale (if given) multiplies the
-    balancing mirrors' transmission, deliberately unbalancing the gate;
-    expect fidelities below 1 in that case.
+    input photons, runs the gate, and compares the corrected state (every
+    spin branch's) against the truth-rule state. mirror_scale (if given, a
+    finite int or float) multiplies the balancing mirrors' transmission,
+    deliberately unbalancing the gate; expect fidelities below 1 in that
+    case.
     """
     check_count(n_cases, "n_cases")
     check_count(n_targets, "n_targets")
     check_seed(seed, "seed")
+    if mirror_scale is not None and (isinstance(mirror_scale, bool)
+                                     or not isinstance(mirror_scale, (int, float))
+                                     or not math.isfinite(mirror_scale)):
+        raise ValidationError(
+            f"mirror_scale must be None or a finite int or float, got {mirror_scale!r}")
     rng = np.random.default_rng(seed)
-    lo_hi = _SCAN_RANGES
-    fids: list[float] = []
+    fid_sums: list[float] = []
     min_fid = math.inf
     max_dev = 0.0
     max_cons = 0.0
-    for _ in range(n_cases):
-        params = CavityParams.from_ratios(
-            g_ratio=rng.uniform(*lo_hi["g_ratio"]),
-            ks_ratio=rng.uniform(*lo_hi["ks_ratio"]),
-            gamma_ratio=rng.uniform(*lo_hi["gamma_ratio"]),
-            detuning_c=rng.uniform(*lo_hi["detuning"]),
-            detuning_x=rng.uniform(*lo_hi["detuning"]),
-        )
-        bc = block_coeffs(scatter_coeffs(params))
+    for start, stop in _chunks(n_cases, n_targets):
+        ratios = []
+        pairs = []
+        for _ in range(start, stop):
+            ratios.append([lo + (hi - lo) * u
+                           for (lo, hi), u in zip(_SCAN_DRAWS, rng.random(5).tolist())])
+            pairs += _random_pairs(rng, 2 * (n_targets + 1))
+        coeffs, ok = ratio_coeffs(*np.array(ratios).T)
+        refuse_where(~ok, ok, DegeneratePhysicsError,
+                     "scattering denominator vanishes at a scanned point")
+        bc = block_coeffs(coeffs)
+        check_transmits(bc.T)
         override = None if mirror_scale is None else mirror_scale * bc.T
-        cfg = GateConfig(params=params, n_targets=n_targets,
-                         mirror_T_override=override)
-        control = random_photon_spec(rng)
-        targets = [random_photon_spec(rng) for _ in range(n_targets)]
-        outcome = hyper_cnot_n(control, targets, cfg)
-        ideal = ideal_hyper_cnot_n(control, targets)
-        for branch in outcome.branches:
-            f = fidelity(branch.state, ideal)
-            fids.append(f)
-            min_fid = min(min_fid, f)
-        expected = abs(bc.T) ** (4 * (n_targets + 1))
-        max_dev = max(max_dev, abs(outcome.success_prob - expected))
-        total = math.fsum([outcome.success_prob, outcome.heralded_failure_prob,
-                           outcome.absorbed_prob])
-        max_cons = max(max_cons, abs(total - 1.0))
+        x = pair_vectors(np.array(pairs).reshape(stop - start, n_targets + 1, 2, 2))
+        run = factored_run(bc, override, x)
+        refuse_where(run.success == 0.0, run.success, AmplitudeLostError,
+                     "all amplitude lost: nothing left to measure")
+        fid = run.truth_fidelity()
+        fid_sums.append(math.fsum(fid.tolist()))
+        min_fid = min(min_fid, float(fid.min()))
+        expected = np.abs(bc.T) ** (4 * (n_targets + 1))
+        max_dev = max(max_dev, float(np.abs(run.success - expected).max()))
+        total = run.success + run.clicks.sum(axis=(-2, -1)) + run.absorbed.sum(axis=(-2, -1))
+        max_cons = max(max_cons, float(np.abs(total - 1.0).max()))
     return ScanSummary(
         n_cases=n_cases,
         n_targets=n_targets,
         min_fidelity=min_fid,
-        mean_fidelity=math.fsum(fids) / len(fids),
+        mean_fidelity=math.fsum(fid_sums) / n_cases,
         max_success_deviation=max_dev,
         max_conservation_error=max_cons,
     )

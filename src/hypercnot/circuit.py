@@ -35,17 +35,19 @@ from __future__ import annotations
 
 import math
 
-from .errors import RoutingContractError, ValidationError
+from .errors import RoutingContractError, ValidationError, refuse_where
 from .hyperstate import HyperState
-from .scattering import BlockCoeffs
+from .scattering import BlockCoeffs, clip_unit
 
 
-def _block_probs(bc: BlockCoeffs) -> tuple[float, float]:
-    """|D|^2 and |T|^2 of a basic block, checked for passivity."""
+def _block_probs(bc: BlockCoeffs):
+    """|D|^2 and |T|^2 of a basic block, checked for passivity; elementwise
+    on arrays."""
     d2 = abs(bc.D) ** 2
     t2 = abs(bc.T) ** 2
-    if d2 + t2 > 1.0 + 1e-9:
-        raise ValidationError(f"block coefficients violate |D|^2+|T|^2<=1 ({d2 + t2})")
+    total = d2 + t2
+    refuse_where(total > 1.0 + 1e-9, total, ValidationError,
+                 "block coefficients violate |D|^2+|T|^2<=1 ({})")
     return d2, t2
 
 
@@ -82,31 +84,39 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     return math.fsum(clicked), math.fsum(lost)
 
 
-def stage_factors(bc: BlockCoeffs, mirror_T: complex | None = None
-                  ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+def _checked(bc: BlockCoeffs, mirror_T):
+    """The mirror's transmission (the block's T when None), |D|^2 and |T|^2,
+    refusing a mirror with gain or a block that is not passive."""
+    t_mirror = bc.T if mirror_T is None else mirror_T
+    mag = abs(t_mirror)
+    refuse_where(mag > 1.0 + 1e-12, mag, ValidationError,
+                 "mirror transmission |T|={} exceeds 1")
+    d2, t2 = _block_probs(bc)
+    return t_mirror, d2, t2
+
+
+def stage_factors(bc: BlockCoeffs, mirror_T: complex | None = None):
     """The one definition of what a routing stage multiplies an amplitude
     by, indexed [branch bit][spin bit]. The mirror branch (bit clear) crosses
     the mirror: x mirror_T (the block's T when None), whatever the spin. The
     block branch (bit set) crosses the block: x T, negated when the block's
     spin is down. Refuses a mirror with gain or a block that is not passive.
+    Elementwise when bc's fields and mirror_T are arrays of one shape.
     """
-    t_mirror = bc.T if mirror_T is None else mirror_T
-    if abs(t_mirror) > 1.0 + 1e-12:
-        raise ValidationError(f"mirror transmission |T|={abs(t_mirror)} exceeds 1")
-    _block_probs(bc)
+    t_mirror, _, _ = _checked(bc, mirror_T)
     return (t_mirror, t_mirror), (bc.T, -bc.T)
 
 
 def stage_masses(mirror_mass, block_mass, bc: BlockCoeffs,
                  mirror_T: complex | None = None):
     """(click, absorbed) of a stage whose mirror branch carried mirror_mass
-    and whose block branch carried block_mass; elementwise on arrays. The
+    and whose block branch carried block_mass; elementwise on arrays, bc's
+    fields and mirror_T broadcasting against the masses' trailing axes. The
     block branch's mass times |D|^2 clicks; the rest of both branches' loss
     is absorbed. Checked as ``stage_factors`` checks."""
-    (t_mirror, _), _ = stage_factors(bc, mirror_T)
-    d2, t2 = _block_probs(bc)
-    return d2 * block_mass, (max(0.0, 1.0 - abs(t_mirror) ** 2) * mirror_mass
-                             + max(0.0, 1.0 - d2 - t2) * block_mass)
+    t_mirror, d2, t2 = _checked(bc, mirror_T)
+    return d2 * block_mass, (clip_unit(1.0 - abs(t_mirror) ** 2) * mirror_mass
+                             + clip_unit(1.0 - d2 - t2) * block_mass)
 
 
 def _route(state: HyperState, branch_mask: int, which_spin: int,

@@ -109,9 +109,9 @@ def parse_photon_spec(text: str, field: str = "photon") -> PhotonSpec:
     return PhotonSpec(pol=_POL_SHORTHAND[pol_tok], spatial=_SPAT_SHORTHAND[spat_tok])
 
 
-# Most points one sweep axis may hold. A sweep runs one gate per grid point,
-# so a longer axis would not finish; the count is checked before the axis is
-# built.
+# Most points one sweep axis may hold. A sweep keeps one report row per grid
+# point, so two longer axes would not fit in memory; the count is checked
+# before the axis is built.
 MAX_AXIS_POINTS = 10_000
 
 

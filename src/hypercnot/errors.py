@@ -27,3 +27,16 @@ def check_count(value, name: str) -> None:
     """A count of targets, cases or shots: an int >= 1 that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be an int >= 1, got {value!r}")
+
+
+def refuse_where(bad, value, error: type, message: str) -> None:
+    """Raise ``error(message.format(v))`` if ``bad`` holds. ``bad`` and
+    ``value`` are a bool and a number, or arrays of one shape checked
+    elementwise, where v is the value at the first entry that is bad."""
+    if bad is False:   # one point that passes: the common case, kept cheap
+        return
+    if getattr(bad, "ndim", 0):
+        if bad.any():
+            raise error(message.format(value[bad][0]))
+    elif bad:
+        raise error(message.format(value))

@@ -37,6 +37,15 @@ factors' nonzero entries (basis inputs stay at a few labels) and refuses a
 result above ``hyperstate.MAX_AMPLITUDES`` before it is built. The Hadamards
 are elementwise butterflies, so exact cancellations give exact zeros.
 
+``factored_run`` is that computation, written over leading numpy axes: for
+one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
+points (``analysis.sweep_efficiency`` and ``fidelity_scan``) they have one,
+so one call runs the gate at every point of a chunk. Its result gives the
+fidelity with the truth-rule state without expanding either state
+(``FactoredRun.truth_fidelity``): the ideal is the same kind of sum over the
+control's index c, each target's 4-vector permuted by the truth rule's XOR
+by c, so the overlap and both norms are sums over c of per-target products.
+
 A success probability below the smallest normal float (thousands of targets)
 cannot normalize the branch states and is refused with ValidationError; one
 of exactly 0 (a dead mirror on a basis input) raises AmplitudeLostError.
@@ -72,6 +81,7 @@ from .errors import (
     DegeneratePhysicsError,
     ValidationError,
     check_count,
+    refuse_where,
 )
 from .hyperstate import (
     DETECTOR_B1,
@@ -191,11 +201,12 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
 
 
 # A photon's 4-vector is indexed k = p + 2m (polarization bit low, spatial
-# bit high, as in the labels); a spin value is sigma = 2*s1 + s2.
+# bit high, as in the labels); a spin value is sigma = 2*s1 + s2, the bit
+# layout of k with its bits swapped, so s1 = _M[sigma] and s2 = _P[sigma].
 _P = np.array([0, 1, 0, 1])
 _M = np.array([0, 0, 1, 1])
-_S1 = _M[:, None]   # s1 of sigma, as a column: sigma has the bit layout of k
-_S2 = _P[:, None]   # with its bits swapped
+_P_COL = _P[:, None]
+_M_COL = _M[:, None]
 # sigma(c): the one spin value the control's basis index c leaves after the
 # middle spin Hadamards (s1 = p, s2 = m).
 _SIGMA = (0, 2, 1, 3)
@@ -209,6 +220,22 @@ _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
 
 
+# The truth rule permutes target i's 4-vector by k -> k ^ c on the control's
+# basis index c: it flips the pol bit on the control's L, the spatial bit on
+# its mode 2. _XOR[c, k] = k ^ c.
+_XOR = np.array([[k ^ c for k in range(4)] for c in range(4)])
+# The mass table of ``_mass_table``, row k = p + 2m, is _TABLE_1 plus the sum
+# over j of G[j] * _TABLE_G[j], for G = (g0, g1, g0 g0, g0 g1, g1 g1) and
+# g = (|mirror_T|^2, |T|^2) indexed by branch bit. Each entry takes one term,
+# so the sum is exact.
+_TABLE_1 = np.array([[p == 0, p == 1, 0, 0, 0, 1] for m in (0, 1) for p in (0, 1)],
+                    dtype=float)
+_TABLE_G = np.array([[[(j == p and col == 2 + m)       # g_p, into the spatial stage
+                        or (j == 2 + p + m and col == 4)  # g_p g_m, kept
+                        for col in range(6)] for m in (0, 1) for p in (0, 1)]
+                      for j in range(5)], dtype=float)
+
+
 def _hadamards(a: np.ndarray) -> np.ndarray:
     """Polarization then spatial Hadamard (K) on the last axis, each as an
     elementwise butterfly h*a_lo +/- h*a_hi, so that exact cancellations
@@ -219,15 +246,109 @@ def _hadamards(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _mass_table(g_mirror: float, g_block: float) -> np.ndarray:
-    """(4, 6) table taking a photon's |amplitude|^2 4-vector, as it enters
-    its polarization stage, to: the masses entering the polarization stage's
-    mirror and block branches, those entering the spatial stage's mirror and
-    block branches, the mass kept after both, and the mass that entered.
-    g_mirror and g_block are |mirror_T|^2 and |T|^2."""
-    g = (g_mirror, g_block)
-    return np.array([[p == 0, p == 1, g[p] * (m == 0), g[p] * (m == 1),
-                      g[p] * g[m], 1.0] for m in (0, 1) for p in (0, 1)], dtype=float)
+def _mass_table(g_mirror, g_block) -> np.ndarray:
+    """(..., 1, 4, 6) table taking a photon's |amplitude|^2 4-vector, as it
+    enters its polarization stage, to: the masses entering the polarization
+    stage's mirror and block branches, those entering the spatial stage's
+    mirror and block branches, the mass kept after both, and the mass that
+    entered. g_mirror and g_block are |mirror_T|^2 and |T|^2, numbers or
+    arrays over the leading axes."""
+    G = np.array((g_mirror, g_block, g_mirror * g_mirror, g_mirror * g_block,
+                  g_block * g_block)).T
+    return (G[..., None, :, None, None] * _TABLE_G).sum(axis=-3) + _TABLE_1
+
+
+def check_transmits(T) -> None:
+    """Refuse a block that never transmits: the gate cannot herald there.
+    Elementwise on an array of T."""
+    mag = abs(T)
+    refuse_where(mag < MIN_BLOCK_T, mag, DegeneratePhysicsError,
+                 "basic block never transmits (|T|={:.3e}): the gate cannot herald a success")
+
+
+class FactoredRun(NamedTuple):
+    """The gate in factored form at one cavity point or, along a leading
+    batch axis, at many. Arrays, over the same leading axes:
+
+      x         photon 4-vectors x[..., photon, k], the control first; when
+                every point has the same photons it may lack the batch axis
+      factors   stage factors F[..., sigma, k]
+      t         target i's output t[..., sigma, i, k] on spin value sigma
+      success   heralded-success probability (a float for one point)
+      clicks    detector clicks [..., photon, stage], the polarization
+                stage first; absorbed is indexed alike
+    """
+    x: np.ndarray
+    factors: np.ndarray
+    t: np.ndarray
+    success: np.ndarray
+    clicks: np.ndarray
+    absorbed: np.ndarray
+
+    def truth_fidelity(self) -> np.ndarray:
+        """Fidelity of the corrected branch state (the same for every spin
+        record) with the truth-rule state of ``ideal_hyper_cnot_n``, without
+        expanding either. The control's index c picks the term
+        F[0, c] x0_c |c> (x) t[sigma(c), 1] (x) ... of the branch state and
+        x0_c |c> (x) P_c x_1 (x) ... of the ideal, P_c the truth rule's XOR
+        by c, so
+
+          <ideal|psi> = sum_c conj(x0_c) F[0, c] x0_c prod_i <P_c x_i | t[sigma(c), i]>
+
+        and both norms factor alike. Each t[sigma, i] is first divided by its
+        norm, which does not depend on sigma (|F[sigma, k]| does not), so
+        the products cannot underflow."""
+        x = self.x
+        norm = np.sqrt((np.abs(self.t) ** 2).sum(axis=-1))
+        u = (self.t / norm[..., None])[..., _SIGMA, :, :]   # unit, u[..., c, i, k]
+        ideal = np.swapaxes(x[..., 1:, _XOR], -3, -2)       # P_c x_i, [..., c, i, k]
+        w0 = np.abs(x[..., 0, :]) ** 2
+        head = self.factors[..., 0, :]
+        inner = (head * w0 * (ideal.conj() * u).sum(axis=-1).prod(axis=-1)).sum(axis=-1)
+        norm_psi = (np.abs(head) ** 2 * w0
+                    * (np.abs(u) ** 2).sum(axis=-1).prod(axis=-1)).sum(axis=-1)
+        norm_ideal = w0.sum(axis=-1) * (np.abs(x[..., 1:, :]) ** 2).sum(axis=-1).prod(axis=-1)
+        return np.abs(inner) ** 2 / (norm_psi * norm_ideal)
+
+
+def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
+    """The gate on photon vectors x (``hyperstate.photon_vectors``) in
+    factored form. bc's fields and mirror_T (None: the block's T) are numbers
+    for one cavity point, or arrays of shape (B,) for a batch of B points,
+    with x of shape (P, 4) or (B, P, 4). The caller has checked that every
+    block transmits (``check_transmits``). Refuses what ``stage_factors``
+    refuses and a success below the smallest normal float (ValidationError),
+    at any point."""
+    fs = stage_factors(bc, mirror_T)
+    f = np.array(fs)                                # f[branch bit, spin bit, ...]
+    # F[..., sigma, k] = f(p, s1) f(m, s2), built as [k, sigma, ...] and
+    # transposed, which moves a batch axis to the front
+    factors = (f[_P_COL, _M] * f[_M_COL, _P]).T
+    v = _hadamards(x)
+    v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
+    t = _hadamards(factors[..., :, None, :] * v[..., None, 1:, :])
+    # |F[sigma, k]| does not depend on sigma, so no mass does either: a
+    # photon's stage masses are its own, times the mass the photons before it
+    # kept and the input norms of the photons after it.
+    n = x.shape[-2]
+    # |mirror_T| from stage_factors' own number, not from f: numpy's complex
+    # abs rounds differently from Python's, which one point keeps
+    table = _mass_table(abs(fs[0][0]) ** 2, abs(bc.T) ** 2)
+    routed = ((np.abs(v) ** 2)[..., :, :, None] * table).sum(axis=-2)
+    chain = np.ones(routed.shape[:-2] + (2, n + 1))
+    chain[..., 0, 1:] = routed[..., 4]
+    chain[..., 1, 1:] = routed[..., ::-1, 5]
+    np.cumprod(chain, axis=-1, out=chain)  # kept up to photon j; norms from the last back
+    routed = routed[..., :4] * (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
+    # transposed, the batch axis is last, where bc's fields broadcast
+    clicks, absorbed = stage_masses(routed.T[0::2], routed.T[1::2], bc, mirror_T)
+    success = chain[..., 0, -1][()]   # [()]: a float for one point
+    # a subnormal success has lost its precision: dividing by its root would
+    # not normalize the branch states
+    refuse_where((0.0 < success) & (success < sys.float_info.min), success, ValidationError,
+                 f"the success probability {{:.3g}} of {n - 1} targets is below "
+                 "the smallest normal float: the branch states cannot be normalized")
+    return FactoredRun(x, factors, t, success, clicks.T, absorbed.T)
 
 
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
@@ -236,50 +357,27 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     of freedom at once) and return the heralded outcome."""
     _check_targets(targets, cfg)
     bc = block_coeffs(scatter_coeffs(cfg.params))
-    if abs(bc.T) < MIN_BLOCK_T:
-        raise DegeneratePhysicsError(
-            f"basic block never transmits (|T|={abs(bc.T):.3e}): "
-            "the gate cannot herald a success")
-    f = np.array(stage_factors(bc, cfg.mirror_T_override))  # f[branch bit, spin bit]
-    factors = f[_P, _S1] * f[_M, _S2]             # F[sigma, k]
+    check_transmits(bc.T)
     x = photon_vectors([control, *targets])
-    v = _hadamards(x)
-    v[0] = x[0]                # the control enters its stages as it came
-    t = _hadamards(factors[:, None, :] * v[None, 1:])   # t[sigma, i]
-    # |F[sigma, k]| does not depend on sigma, so no mass does either: a
-    # photon's stage masses are its own, times the mass the photons before it
-    # kept and the input norms of the photons after it.
-    n = len(x)
-    table = _mass_table(abs(f[0, 0]) ** 2, abs(bc.T) ** 2)
-    routed = ((np.abs(v) ** 2)[:, :, None] * table).sum(axis=1)
-    chain = np.ones((2, n + 1))
-    chain[0, 1:] = routed[:, 4]
-    chain[1, 1:] = routed[::-1, 5]
-    np.cumprod(chain, axis=1, out=chain)  # kept up to photon j; norms from the last back
-    routed = routed[:, :4] * (chain[0, :-1] * chain[1, -2::-1])[:, None]
-    clicks, absorbed = stage_masses(routed[:, 0::2], routed[:, 1::2], bc,
-                                    cfg.mirror_T_override)
-    clicks = clicks.ravel().tolist()
-    stages = tuple(zip(clicks, absorbed.ravel().tolist()))
-    success = float(chain[0, -1])
-    if 0.0 < success < sys.float_info.min:
-        # a subnormal success has lost its precision: dividing by its root
-        # would not normalize the branch states
-        raise ValidationError(
-            f"the success probability {success:.3g} of {n - 1} targets is below "
-            f"the smallest normal float: the branch states cannot be normalized")
+    run = factored_run(bc, cfg.mirror_T_override, x)
+    clicks = run.clicks.ravel().tolist()
+    stages = tuple(zip(clicks, run.absorbed.ravel().tolist()))
+    success = float(run.success)
     branches = ()
     if success > 0.0:
         # the control's amplitude F[0, c] x_c on sigma(c), with the branch's
         # Hadamard sign, feed-forward sign and normalization folded in
-        head = (factors[0] * (x[0] / math.sqrt(success))).tolist()
+        head = (run.factors[0] * (x[0] / math.sqrt(success))).tolist()
         # the terms lie on disjoint labels, one per control index c
-        amps = expand_products([(c, coef, t[_SIGMA[c]]) for c, coef in enumerate(head)],
+        amps = expand_products([(c, coef, run.t[_SIGMA[c]]) for c, coef in enumerate(head)],
                                1, "the four branch states")
         if amps:
-            branches = tuple(OutcomeBranch(record, success / 4.0, corrections,
-                                           HyperState(n, amps, has_spins=False))
-                             for record, corrections in _RECORDS)
+            states = [HyperState(len(x), amps, has_spins=False) for _ in _RECORDS[1:]]
+            # the expanded dict is the first branch's own; the others copy it
+            states.insert(0, HyperState(len(x), has_spins=False))
+            states[0].amplitudes = amps
+            branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
+                             for (record, corrections), state in zip(_RECORDS, states))
     if not branches:
         raise AmplitudeLostError("all amplitude lost: nothing left to measure")
     chosen = branches[0]

@@ -298,8 +298,13 @@ def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
-    pairs = np.array([(spec.pol, spec.spatial) for spec in photons])
-    return (pairs[:, 1, :, None] * pairs[:, 0, None, :]).reshape(-1, 4)
+    return pair_vectors(np.array([(spec.pol, spec.spatial) for spec in photons]))
+
+
+def pair_vectors(pairs: np.ndarray) -> np.ndarray:
+    """(..., P, 4) photon 4-vectors from (..., P, 2, 2) coefficient pairs,
+    indexed [photon, (pol, spatial), bit]; elementwise over leading axes."""
+    return (pairs[..., 1, :, None] * pairs[..., 0, None, :]).reshape(pairs.shape[:-2] + (4,))
 
 
 def expand_products(terms, first: int, what: str) -> dict[int, complex]:

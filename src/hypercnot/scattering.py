@@ -23,13 +23,20 @@ effective amplitudes
 
 and the end-to-end photon survival of a gate with ``n`` target photons is
 |T|^(4*(n+1)).
+
+The formulas are written once, in ``_coeffs``, and apply elementwise: to the
+floats of one ``CavityParams`` (``scatter_coeffs``) or to numpy arrays of
+ratios, one entry per cavity point (``ratio_coeffs``, for the batched sweep
+and scan). ``block_coeffs`` and ``efficiency`` are elementwise too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegeneratePhysicsError, ValidationError, check_count
+import numpy as np
+
+from .errors import DegeneratePhysicsError, ValidationError, check_count, refuse_where
 
 # A scattering denominator no larger than this fraction of the summed
 # magnitudes of its terms has cancelled to rounding noise (or is exactly 0)
@@ -84,17 +91,17 @@ class CavityParams:
         """Build parameters in kappa = 1 units from the dimensionless ratios
         g/(kappa+kappa_s), kappa_s/kappa and gamma/kappa. Detunings are
         omega_c - omega and omega_x - omega in units of kappa."""
-        kappa = 1.0
-        kappa_s = ks_ratio * kappa
-        return cls(
-            g=g_ratio * (kappa + kappa_s),
-            kappa=kappa,
-            kappa_s=kappa_s,
-            gamma=gamma_ratio * kappa,
-            omega=0.0,
-            omega_c=detuning_c,
-            omega_x=detuning_x,
-        )
+        return cls(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x))
+
+
+def _rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x) -> dict:
+    """CavityParams' fields, in kappa = 1 units, from the ratios of
+    ``CavityParams.from_ratios``; elementwise on arrays."""
+    kappa = 1.0
+    kappa_s = ks_ratio * kappa
+    return {"g": g_ratio * (kappa + kappa_s), "kappa": kappa, "kappa_s": kappa_s,
+            "gamma": gamma_ratio * kappa, "omega": 0.0,
+            "omega_c": detuning_c, "omega_x": detuning_x}
 
 
 @dataclass(frozen=True)
@@ -131,43 +138,133 @@ class DephasingParams:
             raise ValidationError(f"t2 must be > 0, got {self.t2}")
 
 
-def _checked_div(num: complex, den: complex, scale: float) -> complex:
-    """num / den, where ``scale`` is the summed magnitude of den's terms."""
-    if not abs(den) > DENOMINATOR_REL_EPS * scale:
+class _Complexes:
+    """Complex numbers held as (real, imag) numpy arrays whose arithmetic
+    rounds as CPython's complex numbers do, a float operand first made the
+    complex (x, 0.0). numpy's own complex multiply, divide and abs round
+    differently, and a batch of points must give bit for bit the
+    coefficients of ``scatter_coeffs``: a sweep point reports the single
+    point's |T|, down to the exact 0 that hot and cold coefficients often
+    give at g = 0. Only the operations of ``_coeffs`` are defined."""
+
+    __array_ufunc__ = None   # an ndarray operand defers to this class
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    @staticmethod
+    def _of(z) -> "_Complexes":
+        return z if isinstance(z, _Complexes) else _Complexes(z, 0.0)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return _Complexes(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return _Complexes(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Smith's method, as CPython divides: scaled by whichever of the
+        divisor's parts is larger in magnitude (the real part on a tie). A
+        zero divisor gives nan."""
+        b = self._of(other)
+        swap = abs(b.im) > abs(b.re)
+        big, small = np.where(swap, b.im, b.re), np.where(swap, b.re, b.im)
+        u, w = np.where(swap, self.im, self.re), np.where(swap, self.re, self.im)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = small / big
+            denom = big + small * ratio
+            return _Complexes((u + w * ratio) / denom,
+                              np.where(swap, u * ratio - w, w - u * ratio) / denom)
+
+    def __rtruediv__(self, other):
+        return self._of(other) / self
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)   # libm's hypot, as abs(complex)
+
+    def array(self) -> np.ndarray:
+        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        out.real = self.re
+        out.imag = self.im
+        return out
+
+
+def _checked_div(num, den, scale):
+    """num / den and whether den stands clear of rounding noise, ``scale``
+    being the summed magnitude of den's terms. On arrays, elementwise: where
+    den does not, the quotient is meaningless. On one point such a den
+    raises DegeneratePhysicsError."""
+    ok = abs(den) > DENOMINATOR_REL_EPS * scale
+    if not (isinstance(ok, np.ndarray) or ok):
         raise DegeneratePhysicsError(
             f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
-    return num / den
+    return num / den, ok
+
+
+def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x, number=complex):
+    """The formulas of the module docstring, in ``number``: Python's complex
+    for one point, ``_Complexes`` for numpy arrays of points. The
+    ScatterCoeffs, and where both denominators stand clear of rounding noise
+    (see ``_checked_div``)."""
+    dipole = number(0.0, omega_x - omega) + gamma / 2.0
+    cavity = number(0.0, omega_c - omega) + kappa + kappa_s / 2.0
+    t, hot = _checked_div(-kappa * dipole, dipole * cavity + g * g,
+                          abs(dipole) * abs(cavity) + g * g)
+    t0, cold = _checked_div(number(-kappa, 0.0), cavity, abs(cavity))
+    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0), hot & cold
 
 
 def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
     """Full coefficient set for the given parameters: the hot pair (r, t) at
     coupling p.g, plus the cold pair (r0, t0) of the same cavity. At g = 0
     the hot pair reduces to the cold one."""
-    dx = p.omega_x - p.omega
-    dc = p.omega_c - p.omega
-    dipole = complex(0.0, dx) + p.gamma / 2.0
-    cavity = complex(0.0, dc) + p.kappa + p.kappa_s / 2.0
-    t = _checked_div(-p.kappa * dipole, dipole * cavity + p.g * p.g,
-                     abs(dipole) * abs(cavity) + p.g * p.g)
-    t0 = _checked_div(complex(-p.kappa), cavity, abs(cavity))
-    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0)
+    return _coeffs(p.g, p.kappa, p.kappa_s, p.gamma, p.omega, p.omega_c, p.omega_x)[0]
+
+
+def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
+    """``scatter_coeffs`` of ``CavityParams.from_ratios``, elementwise over
+    numpy arrays of ratios (broadcast together), one entry per cavity point:
+    the ScatterCoeffs of complex arrays, bit for bit those of each point, and
+    the mask of the points whose denominators stand clear of rounding noise
+    (elsewhere the coefficients are meaningless). The ratios are not
+    checked: the caller passes what CavityParams would accept."""
+    s, ok = _coeffs(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x),
+                    number=_Complexes)
+    return ScatterCoeffs(r=s.r.array(), t=s.t.array(), r0=s.r0.array(), t0=s.t0.array()), ok
 
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:
-    """Effective basic-block amplitudes from the single-pass coefficients."""
+    """Effective basic-block amplitudes from the single-pass coefficients;
+    elementwise on arrays."""
     D = (s.t + s.r + s.t0 + s.r0) / 2.0
     T = (s.t + s.r - s.t0 - s.r0) / 2.0
     return BlockCoeffs(D=D, T=T)
 
 
-def efficiency(T: complex, n_targets: int = 1) -> float:
+def clip_unit(value):
+    """value limited to [0, 1]: builtin min and max on a float, elementwise
+    on an array."""
+    if isinstance(value, np.ndarray):
+        return np.minimum(np.maximum(value, 0.0), 1.0)
+    return max(0.0, min(value, 1.0))
+
+
+def efficiency(T, n_targets: int = 1):
     """Probability that every photon of a gate with ``n_targets`` target
-    photons survives to the output: |T|^(4*(n_targets+1))."""
+    photons survives to the output: |T|^(4*(n_targets+1)); elementwise on an
+    array of T."""
     check_count(n_targets, "n_targets")
     mag = abs(T)
-    if mag > 1.0 + 1e-12:
-        raise ValidationError(f"|T| must be <= 1, got {mag}")
-    return min(mag, 1.0) ** (4 * (n_targets + 1))
+    refuse_where(mag > 1.0 + 1e-12, mag, ValidationError, "|T| must be <= 1, got {}")
+    return clip_unit(mag) ** (4 * (n_targets + 1))
 
 
 def dephasing_penalty(d: DephasingParams) -> float:

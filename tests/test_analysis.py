@@ -34,10 +34,28 @@ class TestSweepGrid:
         {"g_ratios": (1.0,), "ks_ratios": (-0.1,)},
         {"g_ratios": (1.0,), "ks_ratios": (0.1,), "n_targets": 0},
         {"g_ratios": (1.0,), "ks_ratios": (0.1,), "n_targets": 1.5},
+        {"g_ratios": (math.nan,), "ks_ratios": (0.1,)},
+        {"g_ratios": (1.0,), "ks_ratios": (math.inf,)},
+        {"g_ratios": (1.0,), "ks_ratios": (0.1,), "gamma_ratio": -1.0},
+        {"g_ratios": (1.0,), "ks_ratios": (0.1,), "detuning_c": math.nan},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
             SweepGrid(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("g_ratios", (math.nan,)), ("ks_ratios", (math.inf,)), ("gamma_ratio", -1.0),
+        ("gamma_ratio", math.inf), ("detuning_c", math.nan), ("detuning_x", -math.inf),
+    ])
+    def test_refusal_names_the_field(self, field, value):
+        kwargs = {"g_ratios": (1.0,), "ks_ratios": (0.1,), field: value}
+        with pytest.raises(ValidationError, match=field):
+            SweepGrid(**kwargs)
+
+    def test_rejects_a_coupling_that_overflows(self):
+        # g = g_ratio * (kappa + kappa_s) is inf: CavityParams refuses it
+        with pytest.raises(ValidationError, match="finite"):
+            SweepGrid(g_ratios=(1e308,), ks_ratios=(1.0,))
 
 
 class TestSweepEfficiency:
@@ -127,6 +145,9 @@ class TestFidelityScan:
         {"n_cases": 0, "seed": 1},
         {"n_cases": 5, "seed": 1, "n_targets": 0},
         {"n_cases": 2.5, "seed": 1},
+        {"n_cases": 2, "seed": 1, "mirror_scale": True},
+        {"n_cases": 2, "seed": 1, "mirror_scale": math.nan},
+        {"n_cases": 2, "seed": 1, "mirror_scale": "0.8"},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
