@@ -10,12 +10,17 @@ wrapper over it.
 
 Both run the gate's factored kernel (``gates.factored_run``) on a batch of
 cavity points at once: the coefficients come from ``scattering.ratio_coeffs``
-as arrays, one entry per point, and the fidelity with the truth rule from
+as numpy arrays, one entry per point (they agree with the single-point
+coefficients to about 4e-16, and the block's T is exactly 0 at g = 0 on
+both paths), and the fidelity with the truth rule from
 ``FactoredRun.truth_fidelity``, so no point builds a CavityParams, a
 GateConfig or an amplitude dict. Each pass works through its points in
 chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory does not grow
 with the grid or the number of cases. A grid or scan is refused where the
-single-point path would refuse any of its points.
+single-point path would refuse any of its points, with one exception: a
+success probability below the smallest normal float, which ``hyper_cnot_n``
+refuses because it cannot normalize the branch states by its root, is
+reported, since the factored fidelity normalizes each target on its own.
 """
 from __future__ import annotations
 

@@ -47,8 +47,11 @@ control's index c, each target's 4-vector permuted by the truth rule's XOR
 by c, so the overlap and both norms are sums over c of per-target products.
 
 A success probability below the smallest normal float (thousands of targets)
-cannot normalize the branch states and is refused with ValidationError; one
-of exactly 0 (a dead mirror on a basis input) raises AmplitudeLostError.
+cannot normalize the branch states, and ``hyper_cnot_n`` refuses it with
+ValidationError; one of exactly 0 (a dead mirror on a basis input) raises
+AmplitudeLostError. ``factored_run`` and ``truth_fidelity`` need no
+normalized state (the fidelity normalizes each target on its own), so a
+sweep reports such a point.
 
 The run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
@@ -104,8 +107,6 @@ from .scattering import CavityParams, block_coeffs, scatter_coeffs
 MIN_BLOCK_T = 1e-12
 
 MODES = ("amplitude", "sampled")
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def check_seed(seed, name: str) -> None:
@@ -237,13 +238,13 @@ _TABLE_G = np.array([[[(j == p and col == 2 + m)       # g_p, into the spatial s
 
 
 def _hadamards(a: np.ndarray) -> np.ndarray:
-    """Polarization then spatial Hadamard (K) on the last axis, each as an
-    elementwise butterfly h*a_lo +/- h*a_hi, so that exact cancellations
-    give exact zeros."""
+    """Polarization then spatial Hadamard (K) on the last axis: two unscaled
+    elementwise butterflies a_lo +/- a_hi, so that exact cancellations give
+    exact zeros, then one factor 1/sqrt2 * 1/sqrt2 = 0.5, which is exact, so
+    K keeps a basis vector's norm exactly."""
     for bit in (1, 2):
-        ha = _SQRT_HALF * a
-        a = ha[..., _LO[bit]] + _SIGN[bit] * ha[..., _HI[bit]]
-    return a
+        a = a[..., _LO[bit]] + _SIGN[bit] * a[..., _HI[bit]]
+    return 0.5 * a
 
 
 def _mass_table(g_mirror, g_block) -> np.ndarray:
@@ -317,8 +318,7 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     for one cavity point, or arrays of shape (B,) for a batch of B points,
     with x of shape (P, 4) or (B, P, 4). The caller has checked that every
     block transmits (``check_transmits``). Refuses what ``stage_factors``
-    refuses and a success below the smallest normal float (ValidationError),
-    at any point."""
+    refuses, at any point."""
     fs = stage_factors(bc, mirror_T)
     f = np.array(fs)                                # f[branch bit, spin bit, ...]
     # F[..., sigma, k] = f(p, s1) f(m, s2), built as [k, sigma, ...] and
@@ -343,11 +343,6 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     # transposed, the batch axis is last, where bc's fields broadcast
     clicks, absorbed = stage_masses(routed.T[0::2], routed.T[1::2], bc, mirror_T)
     success = chain[..., 0, -1][()]   # [()]: a float for one point
-    # a subnormal success has lost its precision: dividing by its root would
-    # not normalize the branch states
-    refuse_where((0.0 < success) & (success < sys.float_info.min), success, ValidationError,
-                 f"the success probability {{:.3g}} of {n - 1} targets is below "
-                 "the smallest normal float: the branch states cannot be normalized")
     return FactoredRun(x, factors, t, success, clicks.T, absorbed.T)
 
 
@@ -363,6 +358,12 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     clicks = run.clicks.ravel().tolist()
     stages = tuple(zip(clicks, run.absorbed.ravel().tolist()))
     success = float(run.success)
+    # a subnormal success has lost its precision: dividing by its root would
+    # not normalize the branch states
+    if 0.0 < success < sys.float_info.min:
+        raise ValidationError(
+            f"the success probability {success:.3g} of {len(targets)} targets is below "
+            "the smallest normal float: the branch states cannot be normalized")
     branches = ()
     if success > 0.0:
         # the control's amplitude F[0, c] x_c on sigma(c), with the branch's

@@ -1,28 +1,38 @@
 """Steady-state scattering coefficients of a quantum-dot-microcavity system.
 
-A singly charged quantum dot sits in a double-sided microcavity. In the weak
-excitation approximation the cavity acts on a resonant single photon as a
-beam-splitter-like element whose reflection/transmission amplitudes depend on
-whether the dipole is coupled ("hot", g > 0) or uncoupled ("cold", g = 0):
+A singly charged quantum dot sits in a double-sided microcavity (Hu et al.,
+PRB 78, 085307 (2008)). In the weak excitation approximation the cavity acts
+on a single photon as a beam-splitter-like element whose reflection and
+transmission amplitudes depend on whether the dipole is coupled ("hot",
+g > 0) or uncoupled ("cold", g = 0). With
 
-    hot:   t  = -kappa * (i*dx + gamma/2) /
-                 [ (i*dx + gamma/2) * (i*dc + kappa + kappa_s/2) + g^2 ]
-           r  = 1 + t
-    cold:  t0 = -kappa / (i*dc + kappa + kappa_s/2)
-           r0 = 1 + t0
+    d = i*(omega_x - omega) + gamma/2               (dipole)
+    c = i*(omega_c - omega) + kappa + kappa_s/2     (cavity)
 
-with dx = omega_x - omega and dc = omega_c - omega. All rates and detunings
-share one arbitrary unit (the CLI normalizes kappa = 1); the formulas are
-homogeneous in that unit.
+they are
 
-The composite gate element ("basic block") built around one cavity has the
-effective amplitudes
+    hot:   t  = -kappa * d / (d*c + g^2)    r  = 1 + t
+    cold:  t0 = -kappa / c                  r0 = 1 + t0
 
-    D = (t + r + t0 + r0) / 2      reflection -> heralding detector
-    T = (t + r - t0 - r0) / 2      transmission -> next stage
+All rates and detunings share one arbitrary unit (the CLI normalizes
+kappa = 1); the formulas are homogeneous in that unit.
 
-and the end-to-end photon survival of a gate with ``n`` target photons is
-|T|^(4*(n+1)).
+The composite gate element ("basic block") built around one cavity
+sandwiches it between two Hadamard wave plates, H = [[1, 1], [1, -1]]/sqrt2
+on (R, L). The cavity answers both of its ports alike: h = t + r on the
+polarization the spin couples to the dipole, h0 = t0 + r0 on the other. Spin
+up couples the first Hadamard-frame polarization and spin down the second,
+so the block maps an incoming R photon by
+
+    H diag(h, h0) H = [[D, T], [T, D]]      (spin down: T -> -T)
+
+    D = (h + h0)/2 = 1 + t + t0     on R: to the heralding detector
+    T = (h - h0)/2 = t - t0         on L: to the next stage
+                   = kappa g^2 / (c (d*c + g^2))
+
+``_coeffs`` takes T from that closed form and builds t = t0 + T, so at g = 0
+the hot pair is the cold pair exactly and T is exactly 0. The end-to-end
+photon survival of a gate with ``n`` target photons is |T|^(4*(n+1)).
 
 The formulas are written once, in ``_coeffs``, and apply elementwise: to the
 floats of one ``CavityParams`` (``scatter_coeffs``) or to numpy arrays of
@@ -138,115 +148,59 @@ class DephasingParams:
             raise ValidationError(f"t2 must be > 0, got {self.t2}")
 
 
-class _Complexes:
-    """Complex numbers held as (real, imag) numpy arrays whose arithmetic
-    rounds as CPython's complex numbers do, a float operand first made the
-    complex (x, 0.0). numpy's own complex multiply, divide and abs round
-    differently, and a batch of points must give bit for bit the
-    coefficients of ``scatter_coeffs``: a sweep point reports the single
-    point's |T|, down to the exact 0 that hot and cold coefficients often
-    give at g = 0. Only the operations of ``_coeffs`` are defined."""
-
-    __array_ufunc__ = None   # an ndarray operand defers to this class
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def _of(z) -> "_Complexes":
-        return z if isinstance(z, _Complexes) else _Complexes(z, 0.0)
-
-    def __add__(self, other):
-        other = self._of(other)
-        return _Complexes(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._of(other)
-        return _Complexes(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Smith's method, as CPython divides: scaled by whichever of the
-        divisor's parts is larger in magnitude (the real part on a tie). A
-        zero divisor gives nan."""
-        b = self._of(other)
-        swap = abs(b.im) > abs(b.re)
-        big, small = np.where(swap, b.im, b.re), np.where(swap, b.re, b.im)
-        u, w = np.where(swap, self.im, self.re), np.where(swap, self.re, self.im)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = small / big
-            denom = big + small * ratio
-            return _Complexes((u + w * ratio) / denom,
-                              np.where(swap, u * ratio - w, w - u * ratio) / denom)
-
-    def __rtruediv__(self, other):
-        return self._of(other) / self
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)   # libm's hypot, as abs(complex)
-
-    def array(self) -> np.ndarray:
-        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
-        out.real = self.re
-        out.imag = self.im
-        return out
-
-
-def _checked_div(num, den, scale):
-    """num / den and whether den stands clear of rounding noise, ``scale``
-    being the summed magnitude of den's terms. On arrays, elementwise: where
-    den does not, the quotient is meaningless. On one point such a den
-    raises DegeneratePhysicsError."""
+def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
+    """The formulas of the module docstring, in the arithmetic of the
+    inputs: Python's complex for the floats of one point, numpy complex
+    arrays for arrays of points. The ScatterCoeffs, and whether the hot
+    denominator d*c + g^2 stands clear of rounding noise, its magnitude
+    above ``DENOMINATOR_REL_EPS`` times |d|*|c| + g^2 (c never vanishes:
+    its real part is at least kappa > 0). On arrays that test is
+    elementwise and the coefficients where it fails are meaningless; on one
+    point a failure raises DegeneratePhysicsError."""
+    dipole = 1j * (omega_x - omega) + gamma / 2.0
+    cavity = 1j * (omega_c - omega) + kappa + kappa_s / 2.0
+    g2 = g * g
+    den = dipole * cavity + g2
+    scale = abs(dipole) * abs(cavity) + g2
     ok = abs(den) > DENOMINATOR_REL_EPS * scale
     if not (isinstance(ok, np.ndarray) or ok):
         raise DegeneratePhysicsError(
             f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
-    return num / den, ok
-
-
-def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x, number=complex):
-    """The formulas of the module docstring, in ``number``: Python's complex
-    for one point, ``_Complexes`` for numpy arrays of points. The
-    ScatterCoeffs, and where both denominators stand clear of rounding noise
-    (see ``_checked_div``)."""
-    dipole = number(0.0, omega_x - omega) + gamma / 2.0
-    cavity = number(0.0, omega_c - omega) + kappa + kappa_s / 2.0
-    t, hot = _checked_div(-kappa * dipole, dipole * cavity + g * g,
-                          abs(dipole) * abs(cavity) + g * g)
-    t0, cold = _checked_div(number(-kappa, 0.0), cavity, abs(cavity))
-    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0), hot & cold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leak = kappa / cavity   # -t0
+        # T = kappa g^2 / (c (d c + g^2)), exactly 0 at g = 0
+        T = leak * (g2 / den)
+    t0 = -leak
+    t = t0 + T
+    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0), ok
 
 
 def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
     """Full coefficient set for the given parameters: the hot pair (r, t) at
     coupling p.g, plus the cold pair (r0, t0) of the same cavity. At g = 0
-    the hot pair reduces to the cold one."""
+    the hot pair is the cold one exactly."""
     return _coeffs(p.g, p.kappa, p.kappa_s, p.gamma, p.omega, p.omega_c, p.omega_x)[0]
 
 
 def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
     """``scatter_coeffs`` of ``CavityParams.from_ratios``, elementwise over
     numpy arrays of ratios (broadcast together), one entry per cavity point:
-    the ScatterCoeffs of complex arrays, bit for bit those of each point, and
-    the mask of the points whose denominators stand clear of rounding noise
-    (elsewhere the coefficients are meaningless). The ratios are not
+    the ScatterCoeffs of complex arrays (the cold pair over ks_ratio and
+    detuning_c only, the ratios it depends on), which agree with each
+    point's to about 4e-16 (numpy rounds complex products and quotients
+    differently from Python; the block's T is exactly 0 at g = 0 on both),
+    and the mask of the points whose denominators stand clear of rounding
+    noise (elsewhere the coefficients are meaningless). The ratios are not
     checked: the caller passes what CavityParams would accept."""
-    s, ok = _coeffs(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x),
-                    number=_Complexes)
-    return ScatterCoeffs(r=s.r.array(), t=s.t.array(), r0=s.r0.array(), t0=s.t0.array()), ok
+    return _coeffs(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x))
 
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:
-    """Effective basic-block amplitudes from the single-pass coefficients;
-    elementwise on arrays."""
-    D = (s.t + s.r + s.t0 + s.r0) / 2.0
-    T = (s.t + s.r - s.t0 - s.r0) / 2.0
-    return BlockCoeffs(D=D, T=T)
+    """Effective basic-block amplitudes from the single-pass coefficients,
+    H diag(h, h0) H of the module docstring; elementwise on arrays."""
+    h = s.t + s.r
+    h0 = s.t0 + s.r0
+    return BlockCoeffs(D=(h + h0) / 2.0, T=(h - h0) / 2.0)
 
 
 def clip_unit(value):

@@ -1,6 +1,7 @@
 """The batched pass of sweeps and scans against the single-point gate path."""
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypercnot import (
 from hypercnot import analysis
 from hypercnot.gates import factored_run
 from hypercnot.hyperstate import photon_vectors
-from hypercnot.scattering import BlockCoeffs
+from hypercnot.scattering import BlockCoeffs, ratio_coeffs
 
 
 def _random_case(rng, nrng, case):
@@ -82,6 +83,25 @@ def test_a_batch_matches_one_point_at_a_time(n):
         assert abs(fids[j] - fidelity(outcome.conditional_state, ideal)) <= 1e-12
 
 
+def test_batched_coefficients_match_one_point_and_vanish_at_g_zero():
+    # the scan's ranges, with g = 0 at every other point
+    rng = np.random.default_rng(91)
+    ratios = [rng.uniform(lo, hi, 2000) for lo, hi in
+              ((0.2, 5.0), (0.0, 1.0), (0.05, 0.2), (-1.0, 1.0), (-1.0, 1.0))]
+    ratios[0][::2] = 0.0
+    coeffs, ok = ratio_coeffs(*ratios)
+    assert ok.all()
+    bc = block_coeffs(coeffs)
+    assert (coeffs.t[::2] == coeffs.t0[::2]).all()
+    assert (bc.T[::2] == 0.0).all()
+    for j, args in enumerate(zip(*ratios)):
+        one = scatter_coeffs(CavityParams.from_ratios(*args))
+        one_bc = block_coeffs(one)
+        for got, want in ((coeffs.t[j], one.t), (coeffs.r[j], one.r), (coeffs.t0[j], one.t0),
+                          (coeffs.r0[j], one.r0), (bc.D[j], one_bc.D), (bc.T[j], one_bc.T)):
+            assert abs(got - want) <= 1e-15
+
+
 def _single_point_rows(grid):
     """The sweep as a loop of single-point gate runs: the reference the
     batched pass must reproduce."""
@@ -130,8 +150,10 @@ def test_sweep_rows_match_the_single_point_path(gamma, detuning_c, detuning_x, n
 
 def test_underflowing_success_reports_zero_and_a_subnormal_one_is_refused():
     # at N = 6, |T| just above MIN_BLOCK_T: the success underflows to 0 (no
-    # state, a row of zeros) or, a little higher, lands subnormal (refused,
-    # as the single-point gate refuses it)
+    # state, a row of zeros) or, a little higher, lands subnormal. The sweep
+    # reports a subnormal point, since its fidelity normalizes each target on
+    # its own; the single-point gate, which normalizes the branch states by
+    # the success's root, refuses it
     grid = SweepGrid(g_ratios=(2.5e-7, 3e-7, 8e-7, 1e-6), ks_ratios=(0.0,), n_targets=6)
     rows = sweep_efficiency(grid)
     for row, ref in zip(rows, _single_point_rows(grid)):
@@ -140,8 +162,11 @@ def test_underflowing_success_reports_zero_and_a_subnormal_one_is_refused():
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14, (got, ref)
     assert [row.success_prob == 0.0 for row in rows] == [True, True, False, False]
     subnormal = SweepGrid(g_ratios=(1e-6, 6e-7), ks_ratios=(0.0,), n_targets=6)
-    with pytest.raises(ValidationError, match="smallest normal float"):
-        sweep_efficiency(subnormal)
+    normal, tiny = sweep_efficiency(subnormal)
+    assert normal.success_prob >= sys.float_info.min
+    assert 0.0 < tiny.success_prob < sys.float_info.min
+    assert tiny.success_prob == pytest.approx(tiny.efficiency, rel=1e-9)
+    assert abs(tiny.fidelity - 1.0) <= 1e-12
     with pytest.raises(ValidationError, match="smallest normal float"):
         _single_point_rows(subnormal)
 

@@ -20,6 +20,7 @@ from hypercnot import (
     efficiency,
     scatter_coeffs,
 )
+from hypercnot.circuit import stage_factors
 
 # Frozen reference-point values (50-digit oracle, rounded to nearest double).
 T_HOT = -0.004569339730408956
@@ -112,12 +113,42 @@ class TestIdentities:
             assert abs(bc.D) ** 2 + abs(bc.T) ** 2 <= 1.0 + 1e-12
 
     def test_cold_coeffs_are_g_zero_limit(self):
-        p = CavityParams.from_ratios(2.0, 0.3, 0.15, detuning_c=0.4)
-        zero_g = scatter_coeffs(replace(p, g=0.0))
-        assert abs(zero_g.t - zero_g.t0) < 1e-12
-        assert abs(zero_g.r - zero_g.r0) < 1e-12
-        # the cold pair does not depend on the coupling at all
-        assert zero_g.t0 == scatter_coeffs(p).t0
+        # T = kappa g^2 / (c (d c + g^2)) is exactly 0 at g = 0, whatever the
+        # rounding of the other rates
+        rng = np.random.default_rng(404)
+        for _ in range(10_000):
+            p = _random_params(rng)
+            zero_g = scatter_coeffs(replace(p, g=0.0))
+            assert zero_g.t == zero_g.t0
+            assert zero_g.r == zero_g.r0
+            assert block_coeffs(zero_g).T == 0.0
+            # the cold pair does not depend on the coupling at all
+            assert zero_g.t0 == scatter_coeffs(p).t0
+
+    def test_block_is_the_cavity_between_hadamards(self):
+        # criterion 7's draws. Hadamard wave plates sandwich the cavity,
+        # which answers h = t + r on the polarization the spin couples to the
+        # dipole and h0 = t0 + r0 on the other: spin up couples the first
+        # Hadamard-frame polarization, spin down the second. An incoming R
+        # photon leaves with D on R (the detector) and the stage's block
+        # factor, +T for spin up and -T for spin down, on L
+        rng = np.random.default_rng(2029)
+        H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        for _ in range(10_000):
+            p = _random_params(rng)
+            sc = scatter_coeffs(p)
+            bc = block_coeffs(sc)
+            h, h0 = sc.t + sc.r, sc.t0 + sc.r0
+            for cavity, factor in zip((np.diag([h, h0]), np.diag([h0, h])),
+                                      stage_factors(bc)[1]):
+                out_R, out_L = (H @ cavity @ H)[:, 0]
+                assert abs(out_R - bc.D) <= 1e-15
+                assert abs(out_L - factor) <= 1e-15
+            # the closed form of Hu et al., PRB 78, 085307 (2008)
+            d = complex(p.gamma / 2.0, p.omega_x - p.omega)
+            c = complex(p.kappa + p.kappa_s / 2.0, p.omega_c - p.omega)
+            T = p.kappa * p.g ** 2 / (c * (d * c + p.g ** 2))
+            assert abs(bc.T - T) <= 1e-15
 
     def test_lossless_limit_is_exact(self):
         # gamma = 0 and kappa_s = 0 give T = 1, D = 0 with no rounding at all
