@@ -47,6 +47,7 @@ from .hyperstate import (
     DETECTOR_B1,
     DETECTOR_B2,
     BasisLabel,
+    FactoredState,
     HyperState,
     PhotonSpec,
     Pol,
@@ -81,6 +82,7 @@ __all__ = [
     "DephasingParams",
     "GateConfig",
     "GateOutcome",
+    "FactoredState",
     "HyperState",
     "OutcomeBranch",
     "PhotonSpec",

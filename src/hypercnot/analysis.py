@@ -13,14 +13,15 @@ cavity points at once: the coefficients come from ``scattering.ratio_coeffs``
 as numpy arrays, one entry per point (they agree with the single-point
 coefficients to about 4e-16, and the block's T is exactly 0 at g = 0 on
 both paths), and the fidelity with the truth rule from
-``FactoredRun.truth_fidelity``, so no point builds a CavityParams, a
-GateConfig or an amplitude dict. Each pass works through its points in
+``FactoredRun.truth_fidelity``, the overlap kernel that ``fidelity`` also
+uses on a single point's factored states, so no point builds a CavityParams,
+a GateConfig or an amplitude dict. Each pass works through its points in
 chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory does not grow
 with the grid or the number of cases. A grid or scan is refused where the
-single-point path would refuse any of its points, with one exception: a
-success probability below the smallest normal float, which ``hyper_cnot_n``
-refuses because it cannot normalize the branch states by its root, is
-reported, since the factored fidelity normalizes each target on its own.
+single-point path would refuse any of its points. Both report a success
+probability below the smallest normal float, since the factored fidelity
+normalizes each target on its own; only the branch state's amplitudes,
+normalized by the success's root, are refused there.
 """
 from __future__ import annotations
 

@@ -31,27 +31,31 @@ diagonal in the spins, so:
 
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums, computed with the photons
-stacked on one numpy axis. Only the expansion of the corrected state grows
-with the output: ``hyperstate.expand_products`` expands each term over its
-factors' nonzero entries (basis inputs stay at a few labels) and refuses a
-result above ``hyperstate.MAX_AMPLITUDES`` before it is built. The Hadamards
-are elementwise butterflies, so exact cancellations give exact zeros.
+stacked on one numpy axis. The Hadamards are elementwise butterflies, so
+exact cancellations give exact zeros.
 
 ``factored_run`` is that computation, written over leading numpy axes: for
 one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
 points (``analysis.sweep_efficiency`` and ``fidelity_scan``) they have one,
-so one call runs the gate at every point of a chunk. Its result gives the
-fidelity with the truth-rule state without expanding either state
-(``FactoredRun.truth_fidelity``): the ideal is the same kind of sum over the
-control's index c, each target's 4-vector permuted by the truth rule's XOR
-by c, so the overlap and both norms are sums over c of per-target products.
+so one call runs the gate at every point of a chunk. The truth-rule state is
+the same kind of sum over the control's index c, each target's 4-vector
+permuted by the truth rule's XOR by c, so the overlap and both norms are
+sums over c of per-target products (``hyperstate.product_overlap``), for
+one point (``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
+
+Only the corrected state's amplitudes grow with the output, and
+``hyper_cnot_n`` does not write them: its four branches share one
+``hyperstate.FactoredState`` holding the four terms. Reading its amplitudes
+expands it once, over each term's nonzero entries (basis inputs stay at a
+few labels), and refuses a result above ``hyperstate.MAX_AMPLITUDES``
+before it is built. So the masses, the shot counts and the fidelity cost the
+same at any output size.
 
 A success probability below the smallest normal float (thousands of targets)
-cannot normalize the branch states, and ``hyper_cnot_n`` refuses it with
-ValidationError; one of exactly 0 (a dead mirror on a basis input) raises
-AmplitudeLostError. ``factored_run`` and ``truth_fidelity`` need no
-normalized state (the fidelity normalizes each target on its own), so a
-sweep reports such a point.
+cannot normalize the branch states: the gate and its fidelity run, and the
+first read of the amplitudes is refused with ValidationError. One of
+exactly 0 (a dead mirror on a basis input) leaves no state, and
+``hyper_cnot_n`` raises AmplitudeLostError.
 
 The run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
@@ -90,16 +94,15 @@ from .hyperstate import (
     DETECTOR_B1,
     DETECTOR_B2,
     BasisLabel,
+    FactoredState,
     HyperState,
     PhotonSpec,
     Pol,
     Spatial,
     Spin,
-    expand_products,
     fidelity,
     photon_vectors,
-    pol_mask,
-    spatial_mask,
+    product_overlap,
 )
 from .scattering import CavityParams, block_coeffs, scatter_coeffs
 
@@ -158,7 +161,8 @@ class GateConfig:
 
 class OutcomeBranch(NamedTuple):
     """One spin-measurement branch after feed-forward. probability is
-    absolute (all branches together sum to the success probability)."""
+    absolute (all branches together sum to the success probability). The
+    branches of one run share their state object."""
     spin_record: tuple[Spin, Spin]
     probability: float
     corrections: tuple[bool, bool]  # (pol phase applied, spatial phase applied)
@@ -288,27 +292,12 @@ class FactoredRun(NamedTuple):
 
     def truth_fidelity(self) -> np.ndarray:
         """Fidelity of the corrected branch state (the same for every spin
-        record) with the truth-rule state of ``ideal_hyper_cnot_n``, without
-        expanding either. The control's index c picks the term
-        F[0, c] x0_c |c> (x) t[sigma(c), 1] (x) ... of the branch state and
-        x0_c |c> (x) P_c x_1 (x) ... of the ideal, P_c the truth rule's XOR
-        by c, so
-
-          <ideal|psi> = sum_c conj(x0_c) F[0, c] x0_c prod_i <P_c x_i | t[sigma(c), i]>
-
-        and both norms factor alike. Each t[sigma, i] is first divided by its
-        norm, which does not depend on sigma (|F[sigma, k]| does not), so
-        the products cannot underflow."""
-        x = self.x
-        norm = np.sqrt((np.abs(self.t) ** 2).sum(axis=-1))
-        u = (self.t / norm[..., None])[..., _SIGMA, :, :]   # unit, u[..., c, i, k]
-        ideal = np.swapaxes(x[..., 1:, _XOR], -3, -2)       # P_c x_i, [..., c, i, k]
-        w0 = np.abs(x[..., 0, :]) ** 2
-        head = self.factors[..., 0, :]
-        inner = (head * w0 * (ideal.conj() * u).sum(axis=-1).prod(axis=-1)).sum(axis=-1)
-        norm_psi = (np.abs(head) ** 2 * w0
-                    * (np.abs(u) ** 2).sum(axis=-1).prod(axis=-1)).sum(axis=-1)
-        norm_ideal = w0.sum(axis=-1) * (np.abs(x[..., 1:, :]) ** 2).sum(axis=-1).prod(axis=-1)
+        record) with the truth-rule state of ``ideal_hyper_cnot_n``, from the
+        factors of both (``hyperstate.product_overlap``). The control's index
+        c picks the branch state's term F[0, c] x0_c |c> (x) t[sigma(c), 1]
+        (x) ..., unnormalized."""
+        branch = (self.factors[..., 0, :] * self.x[..., 0, :], self.t[..., _SIGMA, :, :])
+        inner, norm_psi, norm_ideal = product_overlap(branch, _truth_factors(self.x))
         return np.abs(inner) ** 2 / (norm_psi * norm_ideal)
 
 
@@ -346,10 +335,21 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     return FactoredRun(x, factors, t, success, clicks.T, absorbed.T)
 
 
+def _truth_factors(x: np.ndarray):
+    """The truth-rule state of photon vectors x[..., photon, k] as
+    ``FactoredState`` factors: x0_c |c> (x) P_c x_1 (x) ..., with
+    (P_c x_i)[k] = x_i[k ^ c]. The vectors are copied out of the swapped
+    view: with the strided view, numpy's arithmetic in ``product_overlap``
+    rounded a point differently in a batch of one than in a longer batch,
+    so a scan's fidelities moved with its chunks."""
+    return x[..., 0, :], np.swapaxes(x[..., 1:, _XOR], -3, -2).copy()
+
+
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                  cfg: GateConfig) -> GateOutcome:
     """Run the CNOT^N gate (photon a controls every target, in both degrees
-    of freedom at once) and return the heralded outcome."""
+    of freedom at once) and return the heralded outcome. Its branches share
+    one ``FactoredState``, expanded on the first read of its amplitudes."""
     _check_targets(targets, cfg)
     bc = block_coeffs(scatter_coeffs(cfg.params))
     check_transmits(bc.T)
@@ -358,29 +358,21 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     clicks = run.clicks.ravel().tolist()
     stages = tuple(zip(clicks, run.absorbed.ravel().tolist()))
     success = float(run.success)
-    # a subnormal success has lost its precision: dividing by its root would
-    # not normalize the branch states
-    if 0.0 < success < sys.float_info.min:
-        raise ValidationError(
-            f"the success probability {success:.3g} of {len(targets)} targets is below "
-            "the smallest normal float: the branch states cannot be normalized")
-    branches = ()
-    if success > 0.0:
-        # the control's amplitude F[0, c] x_c on sigma(c), with the branch's
-        # Hadamard sign, feed-forward sign and normalization folded in
-        head = (run.factors[0] * (x[0] / math.sqrt(success))).tolist()
-        # the terms lie on disjoint labels, one per control index c
-        amps = expand_products([(c, coef, run.t[_SIGMA[c]]) for c, coef in enumerate(head)],
-                               1, "the four branch states")
-        if amps:
-            states = [HyperState(len(x), amps, has_spins=False) for _ in _RECORDS[1:]]
-            # the expanded dict is the first branch's own; the others copy it
-            states.insert(0, HyperState(len(x), has_spins=False))
-            states[0].amplitudes = amps
-            branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
-                             for (record, corrections), state in zip(_RECORDS, states))
-    if not branches:
+    if success == 0.0:
         raise AmplitudeLostError("all amplitude lost: nothing left to measure")
+    # a subnormal success has lost its precision: dividing by its root would
+    # not normalize the branch state, whose amplitudes are then refused
+    refusal = None
+    if success < sys.float_info.min:
+        refusal = (f"the success probability {success:.3g} of {len(targets)} targets is "
+                   "below the smallest normal float: the branch states cannot be normalized")
+    # the term of the control's index c: its amplitude F[0, c] x_c on
+    # sigma(c), with the branch's Hadamard sign, feed-forward sign and
+    # normalization folded in, times the targets' t[sigma(c), i]
+    state = FactoredState(run.factors[0] * (x[0] / math.sqrt(success)), run.t[_SIGMA, :, :],
+                          "the four branch states", refusal)
+    branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
+                     for record, corrections in _RECORDS)
     chosen = branches[0]
     if cfg.mode == "sampled":
         masses = [b.probability for b in branches]
@@ -413,16 +405,10 @@ def ideal_hyper_cnot_n(control: PhotonSpec,
     truth rule rather than the optical train: the input product state with,
     on the control's L component, every target's polarization bit flipped
     and, on the control's mode-2 component, every target's spatial bit
-    flipped. Photon-only, normalized."""
-    n = 1 + len(targets)
-    pol_flip = sum(pol_mask(i) for i in range(1, n))
-    spat_flip = sum(spatial_mask(i) for i in range(1, n))
-    # indexed by the control's (pol, spatial) bits, the label's two lowest
-    flips = (0, pol_flip, spat_flip, pol_flip | spat_flip)
-    amps = expand_products([(0, 1 + 0j, photon_vectors([control, *targets]))], 0,
-                           "the truth-rule states of the four branches")
-    return HyperState(n, {label ^ flips[label & 3]: amp for label, amp in amps.items()},
-                      has_spins=False)
+    flipped. Photon-only, normalized, and factored like the gate's branch
+    state."""
+    return FactoredState(*_truth_factors(photon_vectors([control, *targets])),
+                         "the truth-rule states of the four branches")
 
 
 def ideal_hyper_cnot(control: PhotonSpec, target: PhotonSpec) -> HyperState:
@@ -448,15 +434,15 @@ def truth_table(cfg: GateConfig) -> list[TruthRow]:
                 for ts in (Spatial.M1, Spatial.M2):
                     control = PhotonSpec.basis(cp, cs)
                     target = PhotonSpec.basis(tp, ts)
-                    out = hyper_cnot(control, target, cfg)
-                    label, _ = max(out.conditional_state.amplitudes.items(),
-                                   key=lambda kv: abs(kv[1]))
+                    state = hyper_cnot(control, target, cfg).conditional_state
+                    # from the factors, before the search below expands them
+                    fid = fidelity(state, ideal_hyper_cnot(control, target))
+                    label, _ = max(state.amplitudes.items(), key=lambda kv: abs(kv[1]))
                     rows.append(TruthRow(
                         control=f"{cp.name},{int(cs) + 1}",
                         target=f"{tp.name},{int(ts) + 1}",
                         output=str(BasisLabel(label, 2, has_spins=False)),
-                        fidelity=fidelity(out.conditional_state,
-                                          ideal_hyper_cnot(control, target)),
+                        fidelity=fid,
                     ))
     return rows
 

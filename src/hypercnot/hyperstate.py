@@ -24,15 +24,23 @@ reductions use math.fsum, so results do not depend on dict insertion order.
 Every state the library builds from photons is built here, by one expander,
 ``expand_products``, from per-photon 4-vectors (``photon_vectors``): the
 input of ``init_state``, the truth-rule state of ``gates.ideal_hyper_cnot_n``
-and the gate's four corrected branch states. The expander holds the one
-count against MAX_AMPLITUDES, made before anything is built; a Hadamard on a
+and the gate's corrected branch state. The expander holds the one count
+against MAX_AMPLITUDES, made before anything is built; a Hadamard on a
 caller-built state checks its own output.
+
+The last two are ``FactoredState``s: a sum over the control photon's basis
+index c of product states, c's coefficient times one 4-vector per further
+photon (a state of bond dimension 4, Vidal, PRL 91, 147902 (2003)). It
+expands its amplitudes on their first read, so a refusal of the expansion
+surfaces there; until then ``fidelity`` takes the overlap of two of them
+from their factors (``product_overlap``), in time linear in the photons.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
@@ -53,12 +61,14 @@ ABSORBED = "absorbed"
 NORM_TOL = 1e-9
 
 # Most amplitudes the library builds for one result, checked before it is
-# built: four per photon label, for the four corrected branch states of a
-# gate together, a state with the spins from ``init_state``, or an ideal
-# output state (against the four branches); a Hadamard checks its output. The
-# limit admits CNOT^8 with every photon in superposition (4 branches of 4^9
-# photon labels); each further photon in superposition multiplies the count
-# by 4, so such a result is refused instead of exhausting memory.
+# built: four per photon label, for a state with the spins from
+# ``init_state``, a gate's corrected branch state or an ideal output state;
+# a Hadamard checks its output. The four branches of a gate share one state,
+# but the count keeps its four per label, so that every input refused when
+# each branch held its own copy is still refused. The limit admits CNOT^8
+# with every photon in superposition (4 x 4^9 photon labels); each further
+# photon in superposition multiplies the count by 4, so such a result is
+# refused instead of exhausting memory.
 MAX_AMPLITUDES = 4**10
 
 
@@ -188,6 +198,9 @@ class HyperState:
     information is ever lost.
     """
 
+    # the (coef, vectors) of an unexpanded FactoredState; None for any other
+    factors = None
+
     def __init__(self, n_photons: int, amplitudes: dict[int, complex] | None = None,
                  has_spins: bool = True):
         if n_photons < 1:
@@ -273,6 +286,78 @@ class HyperState:
         return self
 
 
+class FactoredState(HyperState):
+    """Photon-only state sum_c coef[c] |c> (x) vectors[c, 0] (x) ... (x)
+    vectors[c, P-2]: photon 0 in basis state c (its two label bits) and
+    each further photon i + 1 in the 4-vector vectors[c, i]. ``amplitudes``
+    expands it with ``expand_products`` on the first read, naming ``what``
+    in a refusal; ``refusal``, when given, is raised there instead, for a
+    state the factors hold but whose amplitudes cannot be written. Until
+    that read (or an assignment of ``amplitudes``, which drops the factors)
+    ``factors`` holds (coef, vectors), else None."""
+
+    def __init__(self, coef: np.ndarray, vectors: np.ndarray, what: str,
+                 refusal: str | None = None):
+        super().__init__(1 + vectors.shape[-2], has_spins=False)
+        self.factors = (coef, vectors)
+        self.what = what
+        self.refusal = refusal
+
+    @property
+    def amplitudes(self) -> dict[int, complex]:
+        if self.factors is not None:
+            if self.refusal is not None:
+                raise ValidationError(self.refusal)
+            coef, vectors = self.factors
+            # the terms lie on disjoint labels, one per control index c
+            self._amplitudes = expand_products(
+                [(c, a, vectors[c]) for c, a in enumerate(coef.tolist())], 1, self.what)
+            self.factors = None
+        return self._amplitudes
+
+    @amplitudes.setter
+    def amplitudes(self, amplitudes: dict[int, complex]) -> None:
+        self.factors = None
+        self._amplitudes = amplitudes
+
+    def __repr__(self) -> str:
+        if self.factors is None:
+            return super().__repr__()
+        return f"FactoredState(n_photons={self.n_photons}, unexpanded)"
+
+
+def product_overlap(a, b):
+    """<a|b>, <a|a> and <b|b> of two states given as factors (coef[..., c],
+    vectors[..., c, i, k]) of ``FactoredState``, elementwise over leading
+    axes that broadcast:
+
+      <a|b> = sum_c conj(a_c) b_c prod_i <va[c, i] | vb[c, i]>
+
+    and the norms alike. Each operand's photon i is divided by the largest
+    norm of its vectors over c, so the products cannot underflow; that
+    scales the three results but not |<a|b>|^2 / (<a|a> <b|b>). The
+    squares of the coefficients must not overflow (see ``fidelity``)."""
+    (ca, va), (cb, vb) = a, b
+    wa, sa = _photon_norms(va)
+    wb, sb = _photon_norms(vb)
+    overlaps = (va.conj() * vb).sum(axis=-1) / (np.sqrt(sa) * np.sqrt(sb))
+    inner = (ca.conj() * cb * overlaps.prod(axis=-1)).sum(axis=-1)
+    norm_a = (np.abs(ca) ** 2 * (wa / sa).prod(axis=-1)).sum(axis=-1)
+    norm_b = (np.abs(cb) ** 2 * (wb / sb).prod(axis=-1)).sum(axis=-1)
+    return inner, norm_a, norm_b
+
+
+# Stands in for a scale of 0 in ``product_overlap`` and ``fidelity``, where
+# every term it scales is 0: any positive scale leaves them 0.
+_TINY = sys.float_info.min
+
+
+def _photon_norms(vectors: np.ndarray):
+    """|vectors[..., c, i]|^2, and over c its largest value per photon i."""
+    w = (np.abs(vectors) ** 2).sum(axis=-1)
+    return w, w.max(axis=-2, keepdims=True, initial=_TINY)
+
+
 def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:
     """Product state of the given photons and the two spins.
 
@@ -340,19 +425,30 @@ def expand_products(terms, first: int, what: str) -> dict[int, complex]:
 
 def fidelity(state: HyperState, ideal: HyperState) -> float:
     """Squared inner-product magnitude of two photon-only states. Insensitive
-    to global phase; norms are divided out."""
+    to global phase; norms are divided out. Taken from the factors when both
+    states are unexpanded ``FactoredState``s, from the amplitudes
+    otherwise."""
     if state.n_photons != ideal.n_photons or state.has_spins != ideal.has_spins:
         raise ValidationError(
             f"dimension mismatch: {state.n_photons} photons (spins={state.has_spins}) "
             f"vs {ideal.n_photons} (spins={ideal.has_spins})")
-    na = state.norm_sq()
-    nb = ideal.norm_sq()
+    if state.factors is not None and ideal.factors is not None:
+        # each state's coefficients divided by their largest magnitude: a
+        # gate's, divided by the root of a subnormal success, overflow when
+        # squared
+        inner, na, nb = product_overlap(
+            *((coef / max(np.abs(coef).max(), _TINY), vectors)
+              for coef, vectors in (state.factors, ideal.factors)))
+        inner, na, nb = complex(inner), float(na), float(nb)
+    else:
+        na = state.norm_sq()
+        nb = ideal.norm_sq()
+        prods = []
+        for label, amp in state.amplitudes.items():
+            other = ideal.amplitudes.get(label)
+            if other is not None:
+                prods.append(amp.conjugate() * other)
+        inner = complex(math.fsum(p.real for p in prods), math.fsum(p.imag for p in prods))
     if na <= 0.0 or nb <= 0.0:
         raise ValidationError("cannot compute fidelity of a zero-norm state")
-    prods = []
-    for label, amp in state.amplitudes.items():
-        other = ideal.amplitudes.get(label)
-        if other is not None:
-            prods.append(amp.conjugate() * other)
-    inner = complex(math.fsum(p.real for p in prods), math.fsum(p.imag for p in prods))
     return abs(inner) ** 2 / (na * nb)

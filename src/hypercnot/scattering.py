@@ -42,6 +42,7 @@ and scan). ``block_coeffs`` and ``efficiency`` are elementwise too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,6 +56,11 @@ from .errors import DegeneratePhysicsError, ValidationError, check_count, refuse
 # unchanged. Of the parameters CavityParams accepts, only
 # g = gamma = omega_x - omega = 0 makes a denominator exactly 0.
 DENOMINATOR_REL_EPS = 1e-15
+
+# The largest float, which stands in for a coupling's square that overflows
+# (g past about 1.3e154): it dwarfs d*c as an infinite g^2 would, so T takes
+# its strong-coupling limit kappa/c, and every finite g^2 is kept as it is.
+_G2_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -156,17 +162,19 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
     above ``DENOMINATOR_REL_EPS`` times |d|*|c| + g^2 (c never vanishes:
     its real part is at least kappa > 0). On arrays that test is
     elementwise and the coefficients where it fails are meaningless; on one
-    point a failure raises DegeneratePhysicsError."""
+    point a failure raises DegeneratePhysicsError. A g^2 that overflows is
+    taken as ``_G2_MAX``, which gives T its strong-coupling limit."""
     dipole = 1j * (omega_x - omega) + gamma / 2.0
     cavity = 1j * (omega_c - omega) + kappa + kappa_s / 2.0
-    g2 = g * g
-    den = dipole * cavity + g2
-    scale = abs(dipole) * abs(cavity) + g2
-    ok = abs(den) > DENOMINATOR_REL_EPS * scale
-    if not (isinstance(ok, np.ndarray) or ok):
-        raise DegeneratePhysicsError(
-            f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g2 = g * g
+        g2 = np.minimum(g2, _G2_MAX) if isinstance(g2, np.ndarray) else min(g2, _G2_MAX)
+        den = dipole * cavity + g2
+        scale = abs(dipole) * abs(cavity) + g2
+        ok = abs(den) > DENOMINATOR_REL_EPS * scale
+        if not (isinstance(ok, np.ndarray) or ok):
+            raise DegeneratePhysicsError(
+                f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
         leak = kappa / cavity   # -t0
         # T = kappa g^2 / (c (d c + g^2)), exactly 0 at g = 0
         T = leak * (g2 / den)

@@ -57,6 +57,8 @@ def test_factored_fidelity_matches_the_expanded_states():
         bc = block_coeffs(scatter_coeffs(cfg.params))
         factored = float(factored_run(bc, cfg.mirror_T_override,
                                       photon_vectors(photons)).truth_fidelity())
+        # expanded, both take the dict fidelity
+        outcome.conditional_state.amplitudes, ideal.amplitudes
         for branch in outcome.branches:
             assert abs(factored - fidelity(branch.state, ideal)) <= 1e-12
 
@@ -151,9 +153,9 @@ def test_sweep_rows_match_the_single_point_path(gamma, detuning_c, detuning_x, n
 def test_underflowing_success_reports_zero_and_a_subnormal_one_is_refused():
     # at N = 6, |T| just above MIN_BLOCK_T: the success underflows to 0 (no
     # state, a row of zeros) or, a little higher, lands subnormal. The sweep
-    # reports a subnormal point, since its fidelity normalizes each target on
-    # its own; the single-point gate, which normalizes the branch states by
-    # the success's root, refuses it
+    # and the single-point gate report a subnormal point, since the factored
+    # fidelity normalizes each target on its own; the branch state's
+    # amplitudes, normalized by the success's root, are refused
     grid = SweepGrid(g_ratios=(2.5e-7, 3e-7, 8e-7, 1e-6), ks_ratios=(0.0,), n_targets=6)
     rows = sweep_efficiency(grid)
     for row, ref in zip(rows, _single_point_rows(grid)):
@@ -167,8 +169,14 @@ def test_underflowing_success_reports_zero_and_a_subnormal_one_is_refused():
     assert 0.0 < tiny.success_prob < sys.float_info.min
     assert tiny.success_prob == pytest.approx(tiny.efficiency, rel=1e-9)
     assert abs(tiny.fidelity - 1.0) <= 1e-12
+    for row, ref in zip((normal, tiny), _single_point_rows(subnormal)):
+        got = (row.g_ratio, row.ks_ratio, row.abs_T, row.efficiency,
+               row.success_prob, row.fidelity)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14, (got, ref)
+    state = hyper_cnot_n(PhotonSpec.uniform(), [PhotonSpec.uniform()] * 6, GateConfig(
+        params=CavityParams.from_ratios(6e-7, 0.0), n_targets=6)).conditional_state
     with pytest.raises(ValidationError, match="smallest normal float"):
-        _single_point_rows(subnormal)
+        state.amplitudes
 
 
 # Summaries of the scan as the gate ran one case at a time, expanding each

@@ -534,3 +534,32 @@ def test_help_exits_zero(capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("control, n", [("+,+", 9), ("L,2", 3000)],
+                         ids=["cnot9_uniform", "cnot3000_basis"])
+def test_sample_runs_past_the_amplitude_limit(control, n, capsys):
+    # sampling reads only masses, so no branch state is expanded
+    assert main(["sample", "--control", control, *["--target", control] * n,
+                 "--shots", "1000", "--seed", "1", "--format", "json", *BENCH]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["successes"] + sum(payload["detector_clicks"].values())
+            + payload["absorbed"]) == 1000
+    assert sum(payload["spin_counts"].values()) == payload["successes"]
+
+
+@pytest.mark.parametrize("g", ["1e155", "1e200"])
+def test_an_overflowing_coupling_is_the_strong_coupling_limit(g, capsys):
+    # g^2 overflows; on resonance the block then transmits kappa / c =
+    # 1 / (1 + ks_ratio / 2), as it does at g = 1e150
+    assert main(["run", "--control", "R,1", "--target", "R,1", "--g", g,
+                 "--gamma", "0.1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["abs_T"] == pytest.approx(1.0, abs=1e-15)
+    assert payload["success_prob"] == pytest.approx(1.0, abs=1e-14)
+    assert main(["sweep", "--g-ratio", g, "--ks-ratio", "0,0.5"]) == 0
+    rows = load_report(io.StringIO(capsys.readouterr().out), "csv")
+    for row, abs_t in zip(rows, (1.0, 0.8), strict=True):
+        assert row.abs_T == pytest.approx(abs_t, abs=1e-15)
+        assert row.success_prob == pytest.approx(abs_t ** 8, abs=1e-14)
+        assert row.fidelity == pytest.approx(1.0, abs=1e-12)

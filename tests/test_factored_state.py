@@ -1,0 +1,157 @@
+"""The gate's lazily expanded output state: one shared object, expanded on
+the first read of its amplitudes, and a fidelity taken from its factors."""
+import json
+import random
+
+import numpy as np
+import pytest
+
+from hypercnot import hyperstate
+from hypercnot import (
+    CavityParams,
+    GateConfig,
+    HyperState,
+    PhotonSpec,
+    Pol,
+    Spatial,
+    ValidationError,
+    block_coeffs,
+    fidelity,
+    hyper_cnot_n,
+    ideal_hyper_cnot_n,
+    random_photon_spec,
+    sample_shots,
+    scatter_coeffs,
+    truth_table,
+)
+from hypercnot.cli import main
+from hypercnot.hyperstate import FactoredState
+
+BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
+U = PhotonSpec.uniform()
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The ``what`` of every ``expand_products`` call, in call order."""
+    calls = []
+    expand = hyperstate.expand_products
+
+    def counted(terms, first, what):
+        calls.append(what)
+        return expand(terms, first, what)
+
+    monkeypatch.setattr(hyperstate, "expand_products", counted)
+    return calls
+
+
+def test_the_four_branches_share_one_state(bench_config):
+    out = hyper_cnot_n(U, [U], bench_config)
+    assert isinstance(out.conditional_state, FactoredState)
+    assert all(branch.state is out.conditional_state for branch in out.branches)
+
+
+def test_cnot8_expands_nothing(bench_params, expansions):
+    out = hyper_cnot_n(U, [U] * 8, GateConfig(params=bench_params, n_targets=8))
+    ideal = ideal_hyper_cnot_n(U, [U] * 8)
+    assert fidelity(out.conditional_state, ideal) == pytest.approx(1.0, abs=1e-12)
+    assert expansions == []
+
+
+def test_sampling_expands_nothing_past_the_amplitude_limit(bench_params, expansions):
+    # nine +,+ targets: the four branch states would need 4 * 4^10 amplitudes
+    stats = sample_shots(U, [U] * 9,
+                         GateConfig(params=bench_params, n_targets=9, rng_seed=3), 10**5)
+    assert expansions == []
+    assert (stats.successes + sum(stats.detector_clicks.values()) + stats.absorbed
+            == 10**5)
+    assert sum(stats.spin_counts.values()) == stats.successes
+
+
+def test_truth_table_expands_only_the_searched_states(bench_config, expansions):
+    rows = truth_table(bench_config)
+    assert expansions == ["the four branch states"] * 16
+    assert all(row.fidelity == pytest.approx(1.0, abs=1e-12) for row in rows)
+
+
+def test_run_expands_only_the_printed_state(expansions, capsys):
+    assert main(["run", "--control", "+,+", "--target", "+,+", "--format", "json",
+                 *BENCH]) == 0
+    assert expansions == ["the four branch states"]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert len(payload["amplitudes"]) == 16
+
+
+def test_repeated_reads_expand_once(bench_config, expansions):
+    out = hyper_cnot_n(U, [U], bench_config)
+    amps = out.branches[0].state.amplitudes
+    assert out.conditional_state.factors is None
+    assert out.branches[3].state.amplitudes is amps
+    assert out.conditional_state == out.branches[2].state
+    assert expansions == ["the four branch states"]
+
+
+def _case(rng, nrng, case):
+    params = CavityParams.from_ratios(
+        rng.uniform(0.2, 5.0), rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.2),
+        rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    n = 1 + case % 4
+    override = None
+    if case % 2:   # half the cases on a complex unbalanced mirror
+        T = block_coeffs(scatter_coeffs(params)).T
+        override = complex(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3)) * T
+    photons = [random_photon_spec(nrng) for _ in range(n + 1)]
+    if case % 5 == 0:
+        photons[1:] = [PhotonSpec.basis(rng.randrange(2), rng.randrange(2)) for _ in range(n)]
+    return GateConfig(params=params, n_targets=n, mirror_T_override=override), photons
+
+
+def test_factored_fidelity_matches_the_dict_fidelity():
+    rng = random.Random(5)
+    nrng = np.random.default_rng(6)
+    for case in range(160):
+        cfg, photons = _case(rng, nrng, case)
+        state = hyper_cnot_n(photons[0], photons[1:], cfg).conditional_state
+        ideal = ideal_hyper_cnot_n(photons[0], photons[1:])
+        factored = fidelity(state, ideal)
+        assert state.factors is not None and ideal.factors is not None
+        if case % 4 == 1:      # a factored state against a dict ideal
+            as_dict = HyperState(len(photons), ideal.amplitudes, has_spins=False)
+            expanded = fidelity(state, as_dict)
+        elif case % 4 == 3:    # a dict state against a factored ideal
+            as_dict = HyperState(len(photons), state.amplitudes, has_spins=False)
+            expanded = fidelity(as_dict, ideal_hyper_cnot_n(photons[0], photons[1:]))
+        else:
+            state.amplitudes, ideal.amplitudes
+            expanded = fidelity(state, ideal)
+        assert state.factors is None
+        assert abs(factored - expanded) <= 1e-12, case
+
+
+def test_a_flip_after_a_read_takes_the_dict_path(bench_config):
+    basis = PhotonSpec.basis(Pol.L, Spatial.M2)
+    state = hyper_cnot_n(basis, [basis], bench_config).conditional_state
+    ideal = ideal_hyper_cnot_n(basis, [basis])
+    assert len(state.amplitudes) == 1
+    state.pol_flip(1)
+    assert state.factors is None
+    assert fidelity(state, ideal) == 0.0   # the target's polarization is flipped
+    # a flip expands an unread state too, and drops its factors
+    state = hyper_cnot_n(basis, [basis], bench_config).conditional_state
+    state.pol_flip(1)
+    assert state.factors is None and fidelity(state, ideal) == 0.0
+
+
+def test_factored_refusals_are_unchanged():
+    vectors = np.full((4, 1, 4), 0.5 + 0j)
+    coef = np.full(4, 0.5 + 0j)
+    good = FactoredState(coef, vectors, "a test state")
+    with pytest.raises(ValidationError, match="cannot compute fidelity of a zero-norm state"):
+        fidelity(good, FactoredState(np.zeros(4, complex), vectors, "a zero state"))
+    with pytest.raises(ValidationError, match="cannot compute fidelity of a zero-norm state"):
+        fidelity(good, FactoredState(coef, np.zeros((4, 1, 4), complex), "a zero state"))
+    longer = FactoredState(coef, np.full((4, 2, 4), 0.5 + 0j), "a test state")
+    with pytest.raises(ValidationError, match="dimension mismatch: 2 photons"):
+        fidelity(good, longer)
+    assert fidelity(good, good) == pytest.approx(1.0, abs=1e-15)

@@ -229,28 +229,34 @@ class TestValidationAndDegeneracy:
     def test_spread_past_the_amplitude_limit_is_refused(self, bench_params, monkeypatch):
         # basis inputs keep one label per branch through the balanced gate
         # (4 amplitudes in all); an unbalanced mirror spreads each target
-        # over 4, so the four branch states would need 4 * 16
+        # over 4, so the four branch states would need 4 * 16. The gate runs
+        # either way; the first read of the amplitudes is refused
         monkeypatch.setattr(hyperstate, "MAX_AMPLITUDES", 8)
         basis = PhotonSpec.basis(Pol.L, Spatial.M2)
-        hyper_cnot_n(basis, [basis] * 2, GateConfig(params=bench_params, n_targets=2))
+        out = hyper_cnot_n(basis, [basis] * 2, GateConfig(params=bench_params, n_targets=2))
+        assert len(out.conditional_state.amplitudes) == 1
         T = block_coeffs(scatter_coeffs(bench_params)).T
         cfg = GateConfig(params=bench_params, n_targets=2, mirror_T_override=0.9 * T)
+        state = hyper_cnot_n(basis, [basis] * 2, cfg).conditional_state
         with pytest.raises(ValidationError,
                            match="need 64 amplitudes, more than MAX_AMPLITUDES = 8"):
-            hyper_cnot_n(basis, [basis] * 2, cfg)
+            state.amplitudes
 
     def test_subnormal_success_is_refused(self, bench_params):
         # |T|^4 = 0.81 here, so the success |T|^(4(N+1)) is 4.3e-308 at
         # N = 3300 and subnormal from about N = 3370, where dividing by its
-        # root no longer normalizes the branch states
+        # root no longer normalizes the branch states: the gate runs, and the
+        # first read of the amplitudes is refused
         basis = PhotonSpec.basis(Pol.L, Spatial.M2)
         out = hyper_cnot_n(basis, [basis] * 3300,
                            GateConfig(params=bench_params, n_targets=3300))
         assert out.success_prob >= sys.float_info.min
         assert abs(out.conditional_state.norm_sq() - 1.0) <= 2e-12
+        out = hyper_cnot_n(basis, [basis] * 3400,
+                           GateConfig(params=bench_params, n_targets=3400))
+        assert 0.0 < out.success_prob < sys.float_info.min
         with pytest.raises(ValidationError, match="below the smallest normal float"):
-            hyper_cnot_n(basis, [basis] * 3400,
-                         GateConfig(params=bench_params, n_targets=3400))
+            out.conditional_state.amplitudes
 
     # K must keep a basis target's norm exactly: a miss of 4.4e-16 per
     # target would add up to a conservation miss of 1.1e-12 at N = 2500

@@ -144,7 +144,8 @@ class TestInitState:
         basis = PhotonSpec.basis(Pol.L, Spatial.M2)
         half = PhotonSpec(pol=(1, 0), spatial=(SQ2, SQ2))
         # one rule for the input and the truth-rule state: four amplitudes per
-        # photon label (the spin values, or the gate's four branches)
+        # photon label (the spin values, or the gate's four branches),
+        # checked when the amplitudes are first read
         for build, per_label in (
                 (init_state, 4),
                 (lambda photons: ideal_hyper_cnot_n(photons[0], photons[1:]), 1)):
@@ -152,7 +153,7 @@ class TestInitState:
             assert len(build([u] * 3 + [basis] * 5).amplitudes) == per_label * 4 ** 3
             with pytest.raises(ValidationError,
                                match="need 512 amplitudes, more than MAX_AMPLITUDES = 256"):
-                build([u] * 3 + [half])
+                build([u] * 3 + [half]).amplitudes
 
 
 class TestSingleDofOps:

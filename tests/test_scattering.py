@@ -21,6 +21,7 @@ from hypercnot import (
     scatter_coeffs,
 )
 from hypercnot.circuit import stage_factors
+from hypercnot.scattering import ratio_coeffs
 
 # Frozen reference-point values (50-digit oracle, rounded to nearest double).
 T_HOT = -0.004569339730408956
@@ -195,6 +196,16 @@ class TestValidationAndDegeneracy:
         # g = 0 and gamma = 0 on resonance zero the hot-coefficient denominator
         with pytest.raises(DegeneratePhysicsError):
             scatter_coeffs(CavityParams(g=0.0, kappa=1.0, gamma=0.0))
+
+    @pytest.mark.parametrize("g", [1e155, 1e200, 1.7e308])
+    def test_an_overflowing_coupling_is_the_strong_coupling_limit(self, g):
+        # g^2 overflows: T takes its limit kappa / c, on one point and on a batch
+        rates = dict(kappa=1.0, kappa_s=0.1, gamma=0.1, omega_c=0.2, omega_x=-0.3)
+        limit = 1.0 / complex(1.05, 0.2)
+        T = block_coeffs(scatter_coeffs(CavityParams(g=g, **rates))).T
+        assert abs(T - limit) <= 1e-15
+        coeffs, ok = ratio_coeffs(np.array([g / 1.1]), 0.1, 0.1, 0.2, -0.3)
+        assert ok.all() and abs(block_coeffs(coeffs).T[0] - limit) <= 1e-15
 
     @pytest.mark.parametrize("unit", [1e-16, 1e16])
     def test_degeneracy_test_is_scale_free(self, unit):
