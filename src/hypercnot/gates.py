@@ -176,7 +176,7 @@ class GateOutcome:
     success_prob + heralded_failure_prob + absorbed_prob = 1 (to rounding).
     branches lists every nonzero spin outcome; conditional_state is the
     corrected state of the reported branch (they are all the same state,
-    which is the point of the feed-forward).
+    which is the point of the feed-forward, and one shared object).
 
     stages holds one (click, absorbed) pair per routing stage, in run order:
     photon k's polarization stage (detector_B1) is entry 2k and its spatial
