@@ -26,10 +26,12 @@ Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
 and the block branch by T with a Z on the block's spin. ``stage_factors``
 holds those factors and ``stage_masses`` turns a stage's mirror and block
-mass into its (click, absorbed) pair; the gate engine in ``gates`` and the
-stages here both use them. ``stage_polarization`` and ``stage_spatial``
-apply a stage in one pass over a sparse state and return the masses it
-removed.
+mass into its (click, absorbed) pair; both refuse what ``check_stage``
+refuses. The stages here use them; the gate engine in ``gates``, which
+needs the mirror's transmission and the masses at once, checks once with
+``check_stage`` and takes the masses from ``stage_losses``.
+``stage_polarization`` and ``stage_spatial`` apply a stage in one pass over
+a sparse state and return the masses it removed.
 """
 from __future__ import annotations
 
@@ -84,9 +86,11 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     return math.fsum(clicked), math.fsum(lost)
 
 
-def _checked(bc: BlockCoeffs, mirror_T):
-    """The mirror's transmission (the block's T when None), |D|^2 and |T|^2,
-    refusing a mirror with gain or a block that is not passive."""
+def check_stage(bc: BlockCoeffs, mirror_T: complex | None = None):
+    """The mirror's transmission (the block's T when None), |D|^2 and |T|^2
+    of a routing stage, refusing a mirror with gain or a block that is not
+    passive. Elementwise when bc's fields and mirror_T are arrays of one
+    shape."""
     t_mirror = bc.T if mirror_T is None else mirror_T
     mag = abs(t_mirror)
     refuse_where(mag > 1.0 + 1e-12, mag, ValidationError,
@@ -100,10 +104,10 @@ def stage_factors(bc: BlockCoeffs, mirror_T: complex | None = None):
     by, indexed [branch bit][spin bit]. The mirror branch (bit clear) crosses
     the mirror: x mirror_T (the block's T when None), whatever the spin. The
     block branch (bit set) crosses the block: x T, negated when the block's
-    spin is down. Refuses a mirror with gain or a block that is not passive.
-    Elementwise when bc's fields and mirror_T are arrays of one shape.
+    spin is down. Refuses what ``check_stage`` refuses. Elementwise when bc's
+    fields and mirror_T are arrays of one shape.
     """
-    t_mirror, _, _ = _checked(bc, mirror_T)
+    t_mirror, _, _ = check_stage(bc, mirror_T)
     return (t_mirror, t_mirror), (bc.T, -bc.T)
 
 
@@ -111,10 +115,15 @@ def stage_masses(mirror_mass, block_mass, bc: BlockCoeffs,
                  mirror_T: complex | None = None):
     """(click, absorbed) of a stage whose mirror branch carried mirror_mass
     and whose block branch carried block_mass; elementwise on arrays, bc's
-    fields and mirror_T broadcasting against the masses' trailing axes. The
-    block branch's mass times |D|^2 clicks; the rest of both branches' loss
-    is absorbed. Checked as ``stage_factors`` checks."""
-    t_mirror, d2, t2 = _checked(bc, mirror_T)
+    fields and mirror_T broadcasting against the masses' trailing axes.
+    Refuses what ``check_stage`` refuses."""
+    return stage_losses(mirror_mass, block_mass, *check_stage(bc, mirror_T))
+
+
+def stage_losses(mirror_mass, block_mass, t_mirror, d2, t2):
+    """``stage_masses`` from the figures of ``check_stage``: the block
+    branch's mass times |D|^2 clicks; the rest of both branches' loss is
+    absorbed."""
     return d2 * block_mass, (clip_unit(1.0 - abs(t_mirror) ** 2) * mirror_mass
                              + clip_unit(1.0 - d2 - t2) * block_mass)
 

@@ -14,41 +14,50 @@ The run is computed in factored form, never as one joint state. A photon is
 a 4-vector indexed k = p + 2m (p its polarization bit, m its spatial bit); a
 spin value is sigma = 2*s1 + s2. Its two stages multiply entry k by
 F[sigma, k] = f(p, s1) * f(m, s2), with f from ``circuit.stage_factors``:
-mirror_T on the mirror branch, +/-T on the block branch. Every stage is
-diagonal in the spins, so:
+mirror_T (m below) on the mirror branch, +/-T on the block branch. Every
+stage is diagonal in the spins, so:
 
   * the control's basis index c leaves its stages and the middle spin
     Hadamards on the one spin value sigma(c) = (s1 = p, s2 = m), with
     amplitude F[0, c] * x_c;
-  * target i then sees that spin value and leaves as t_i = K (F_sigma o K x_i);
+  * a target bit, wrapped in its Hadamards, sees a block on spin s as
+    A_s = H diag(m, (-1)^s T) H = a I + b X, with a = (m + T)/2 and
+    b = (m - T)/2, and A_1 = X A_0. So target i leaves spin value sigma as
+    t_sigma = X^sigma' u_i, one vector u_i = (A_0 (x) A_0) x_i with its
+    polarization bit flipped when s1 is down and its spatial bit when s2
+    is; on sigma(c) that flip is X^c, (X^c u)[k] = u[k ^ c];
   * before the final spin Hadamards the state is a sum of four product
-    states, sum_c |sigma(c)> (x) F[0, c] x_c |c> (x) t_1 (x) ... (x) t_N;
+    states, sum_c |sigma(c)> (x) F[0, c] x_c |c> (x) X^c u_1 (x) ... (x) X^c u_N;
   * the final spin Hadamards give the term of c the sign
     (-1)^(record . sigma(c)) / 2, the very sign the feed-forward undoes
     (negating photon a's L when spin 1 is down and its mode 2 when spin 2 is
     down). So each of the four spin records has probability success / 4 and
     the same corrected state.
 
+u_i = aa x_i + ab (X_p x_i + X_m x_i) + bb X_p X_m x_i takes a few
+elementwise operations on x_i. On a balanced mirror (m = T) b is exactly 0
+and u_i = T^2 x_i to the bit, so exact zeros of the input stay exact.
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums, computed with the photons
-stacked on one numpy axis. The Hadamards are elementwise butterflies, so
-exact cancellations give exact zeros.
+stacked on one numpy axis from one Hadamard of each target, an elementwise
+butterfly that keeps exact cancellations exact.
 
 ``factored_run`` is that computation, written over leading numpy axes: for
 one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
 points (``analysis.sweep_efficiency`` and ``fidelity_scan``) they have one,
 so one call runs the gate at every point of a chunk. The truth-rule state is
-the same kind of sum over the control's index c, each target's 4-vector
-permuted by the truth rule's XOR by c, so the overlap and both norms are
-sums over c of per-target products (``hyperstate.product_overlap``), for
-one point (``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
+the same kind of sum, sum_c x0_c |c> (x) X^c x_1 (x) ... (x) X^c x_N. The
+flips X^c are common to both states and no inner product sees them, so the
+fidelity is the control's overlap ratio times one ratio per target,
+|<u_i|x_i>|^2 / (|u_i|^2 |x_i|^2) (``hyperstate.product_overlap``), for one
+point (``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
 
 Only the corrected state's amplitudes grow with the output, and
 ``hyper_cnot_n`` does not write them: its four branches share one
-``hyperstate.FactoredState`` holding the four terms. Reading its amplitudes
-expands it once, over each term's nonzero entries (basis inputs stay at a
-few labels), and refuses a result above ``hyperstate.MAX_AMPLITUDES``
-before it is built. So the masses, the shot counts and the fidelity cost the
+``hyperstate.FactoredState`` holding the coefficients F[0, c] x_c,
+normalized, and the vectors u_i. Reading its amplitudes expands it once,
+over each term's nonzero entries (basis inputs stay at a few labels), and
+refuses a result above ``hyperstate.MAX_AMPLITUDES`` before it is built. So the masses, the shot counts and the fidelity cost the
 same at any output size.
 
 A success probability below the smallest normal float (thousands of targets)
@@ -82,7 +91,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import stage_factors, stage_masses
+from .circuit import check_stage, stage_losses
 from .errors import (
     AmplitudeLostError,
     DegeneratePhysicsError,
@@ -205,30 +214,21 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
             f"got {len(targets)} target specs but n_targets={cfg.n_targets}")
 
 
-# A photon's 4-vector is indexed k = p + 2m (polarization bit low, spatial
-# bit high, as in the labels); a spin value is sigma = 2*s1 + s2, the bit
-# layout of k with its bits swapped, so s1 = _M[sigma] and s2 = _P[sigma].
-_P = np.array([0, 1, 0, 1])
-_M = np.array([0, 0, 1, 1])
-_P_COL = _P[:, None]
-_M_COL = _M[:, None]
-# sigma(c): the one spin value the control's basis index c leaves after the
-# middle spin Hadamards (s1 = p, s2 = m).
-_SIGMA = (0, 2, 1, 3)
 # The butterfly over bit b pairs entry k & ~b with k | b; the entry with the
 # bit set takes the difference.
 _LO = {b: np.array([k & ~b for k in range(4)]) for b in (1, 2)}
 _HI = {b: np.array([k | b for k in range(4)]) for b in (1, 2)}
 _SIGN = {b: np.array([-1.0 if k & b else 1.0 for k in range(4)]) for b in (1, 2)}
+# A photon's 4-vector is indexed k = p + 2m (polarization bit low, spatial
+# bit high, as in the labels). _FLIPS[k, j] counts the bits in which k and j
+# differ: A_0 (x) A_0, with A_0 = a I + b X on each bit, takes entry j to
+# entry k with weight (a a, a b, b b)[_FLIPS[k, j]].
+_FLIPS = np.array([[bin(k ^ j).count("1") for j in range(4)] for k in range(4)])
 # Spin record and feed-forward flags of the four branches, in branch order.
 _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
 
 
-# The truth rule permutes target i's 4-vector by k -> k ^ c on the control's
-# basis index c: it flips the pol bit on the control's L, the spatial bit on
-# its mode 2. _XOR[c, k] = k ^ c.
-_XOR = np.array([[k ^ c for k in range(4)] for c in range(4)])
 # The mass table of ``_mass_table``, row k = p + 2m, is _TABLE_1 plus the sum
 # over j of G[j] * _TABLE_G[j], for G = (g0, g1, g0 g0, g0 g1, g1 g1) and
 # g = (|mirror_T|^2, |T|^2) indexed by branch bit. Each entry takes one term,
@@ -277,15 +277,17 @@ class FactoredRun(NamedTuple):
 
       x         photon 4-vectors x[..., photon, k], the control first; when
                 every point has the same photons it may lack the batch axis
-      factors   stage factors F[..., sigma, k]
-      t         target i's output t[..., sigma, i, k] on spin value sigma
+      control   what the control's two stages multiply its entry k by on
+                spin value 0, F[..., 0, k] = f(p, 0) f(m, 0)
+      u         target i's output u[..., i, k] = ((A_0 (x) A_0) x_i)[k];
+                on the control's basis index c it leaves as X^c u_i
       success   heralded-success probability (a float for one point)
       clicks    detector clicks [..., photon, stage], the polarization
                 stage first; absorbed is indexed alike
     """
     x: np.ndarray
-    factors: np.ndarray
-    t: np.ndarray
+    control: np.ndarray
+    u: np.ndarray
     success: np.ndarray
     clicks: np.ndarray
     absorbed: np.ndarray
@@ -293,12 +295,11 @@ class FactoredRun(NamedTuple):
     def truth_fidelity(self) -> np.ndarray:
         """Fidelity of the corrected branch state (the same for every spin
         record) with the truth-rule state of ``ideal_hyper_cnot_n``, from the
-        factors of both (``hyperstate.product_overlap``). The control's index
-        c picks the branch state's term F[0, c] x0_c |c> (x) t[sigma(c), 1]
-        (x) ..., unnormalized."""
-        branch = (self.factors[..., 0, :] * self.x[..., 0, :], self.t[..., _SIGMA, :, :])
-        inner, norm_psi, norm_ideal = product_overlap(branch, _truth_factors(self.x))
-        return np.abs(inner) ** 2 / (norm_psi * norm_ideal)
+        factors of both (``hyperstate.product_overlap``): the branch state's
+        coefficient F[0, c] x0_c and vectors u_i, unnormalized, against x0_c
+        and x_i."""
+        x0 = self.x[..., 0, :]
+        return product_overlap((self.control * x0, self.u), (x0, self.x[..., 1:, :]))
 
 
 def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
@@ -306,23 +307,27 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     factored form. bc's fields and mirror_T (None: the block's T) are numbers
     for one cavity point, or arrays of shape (B,) for a batch of B points,
     with x of shape (P, 4) or (B, P, 4). The caller has checked that every
-    block transmits (``check_transmits``). Refuses what ``stage_factors``
-    refuses, at any point."""
-    fs = stage_factors(bc, mirror_T)
-    f = np.array(fs)                                # f[branch bit, spin bit, ...]
-    # F[..., sigma, k] = f(p, s1) f(m, s2), built as [k, sigma, ...] and
-    # transposed, which moves a batch axis to the front
-    factors = (f[_P_COL, _M] * f[_M_COL, _P]).T
+    block transmits (``check_transmits``). Refuses what
+    ``circuit.check_stage`` refuses, at any point."""
+    t_mirror, d2, t2 = check_stage(bc, mirror_T)
+    f0 = np.array((t_mirror, bc.T))             # f(branch bit, spin up)
+    # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
+    # which moves a batch axis to the front
+    control = (f0[:, None] * f0).reshape((4,) + f0.shape[1:]).T
+    # u_i = (A_0 (x) A_0) x_i = aa x_i + ab (X_p x_i + X_m x_i) + bb X_p X_m x_i,
+    # summed entry by entry; on a balanced mirror b is exactly 0, so every
+    # term but aa x_i is exactly 0 and u_i = T^2 x_i to the bit
+    a = (t_mirror + bc.T) / 2.0
+    b = (t_mirror - bc.T) / 2.0
+    weights = np.array((a * a, a * b, b * b)).T[..., None, _FLIPS]
+    u = (weights * x[..., 1:, None, :]).sum(axis=-1)
     v = _hadamards(x)
     v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
-    t = _hadamards(factors[..., :, None, :] * v[..., None, 1:, :])
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
     # kept and the input norms of the photons after it.
     n = x.shape[-2]
-    # |mirror_T| from stage_factors' own number, not from f: numpy's complex
-    # abs rounds differently from Python's, which one point keeps
-    table = _mass_table(abs(fs[0][0]) ** 2, abs(bc.T) ** 2)
+    table = _mass_table(abs(t_mirror) ** 2, t2)
     routed = ((np.abs(v) ** 2)[..., :, :, None] * table).sum(axis=-2)
     chain = np.ones(routed.shape[:-2] + (2, n + 1))
     chain[..., 0, 1:] = routed[..., 4]
@@ -330,19 +335,9 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     np.cumprod(chain, axis=-1, out=chain)  # kept up to photon j; norms from the last back
     routed = routed[..., :4] * (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
     # transposed, the batch axis is last, where bc's fields broadcast
-    clicks, absorbed = stage_masses(routed.T[0::2], routed.T[1::2], bc, mirror_T)
+    clicks, absorbed = stage_losses(routed.T[0::2], routed.T[1::2], t_mirror, d2, t2)
     success = chain[..., 0, -1][()]   # [()]: a float for one point
-    return FactoredRun(x, factors, t, success, clicks.T, absorbed.T)
-
-
-def _truth_factors(x: np.ndarray):
-    """The truth-rule state of photon vectors x[..., photon, k] as
-    ``FactoredState`` factors: x0_c |c> (x) P_c x_1 (x) ..., with
-    (P_c x_i)[k] = x_i[k ^ c]. The vectors are copied out of the swapped
-    view: with the strided view, numpy's arithmetic in ``product_overlap``
-    rounded a point differently in a batch of one than in a longer batch,
-    so a scan's fidelities moved with its chunks."""
-    return x[..., 0, :], np.swapaxes(x[..., 1:, _XOR], -3, -2).copy()
+    return FactoredRun(x, control, u, success, clicks.T, absorbed.T)
 
 
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
@@ -366,10 +361,10 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     if success < sys.float_info.min:
         refusal = (f"the success probability {success:.3g} of {len(targets)} targets is "
                    "below the smallest normal float: the branch states cannot be normalized")
-    # the term of the control's index c: its amplitude F[0, c] x_c on
-    # sigma(c), with the branch's Hadamard sign, feed-forward sign and
-    # normalization folded in, times the targets' t[sigma(c), i]
-    state = FactoredState(run.factors[0] * (x[0] / math.sqrt(success)), run.t[_SIGMA, :, :],
+    # the term of the control's index c: its amplitude F[0, c] x_c, with the
+    # branch's Hadamard sign, feed-forward sign and normalization folded in,
+    # times the targets' X^c u_i
+    state = FactoredState(run.control * (x[0] / math.sqrt(success)), run.u,
                           "the four branch states", refusal)
     branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
                      for record, corrections in _RECORDS)
@@ -407,8 +402,8 @@ def ideal_hyper_cnot_n(control: PhotonSpec,
     and, on the control's mode-2 component, every target's spatial bit
     flipped. Photon-only, normalized, and factored like the gate's branch
     state."""
-    return FactoredState(*_truth_factors(photon_vectors([control, *targets])),
-                         "the truth-rule states of the four branches")
+    x = photon_vectors([control, *targets])
+    return FactoredState(x[0], x[1:], "the truth-rule states of the four branches")
 
 
 def ideal_hyper_cnot(control: PhotonSpec, target: PhotonSpec) -> HyperState:

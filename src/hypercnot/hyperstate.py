@@ -30,10 +30,12 @@ caller-built state checks its own output.
 
 The last two are ``FactoredState``s: a sum over the control photon's basis
 index c of product states, c's coefficient times one 4-vector per further
-photon (a state of bond dimension 4, Vidal, PRL 91, 147902 (2003)). It
-expands its amplitudes on their first read, so a refusal of the expansion
-surfaces there; until then ``fidelity`` takes the overlap of two of them
-from their factors (``product_overlap``), in time linear in the photons.
+photon with its bits flipped by c (a state of bond dimension 4, Vidal,
+PRL 91, 147902 (2003), whose four terms share their vectors up to those
+flips). It expands its amplitudes on their first read, so a refusal of the
+expansion surfaces there; until then ``fidelity`` takes the overlap of two
+of them from their factors (``product_overlap``), as the control's overlap
+ratio times one ratio per further photon, in time linear in the photons.
 """
 from __future__ import annotations
 
@@ -286,14 +288,20 @@ class HyperState:
         return self
 
 
+# _XOR[c, k] = k ^ c: the entries of X^c v, the bit flips of the control's
+# basis index c applied to a 4-vector v.
+_XOR = np.array([[k ^ c for k in range(4)] for c in range(4)])
+
+
 class FactoredState(HyperState):
-    """Photon-only state sum_c coef[c] |c> (x) vectors[c, 0] (x) ... (x)
-    vectors[c, P-2]: photon 0 in basis state c (its two label bits) and
-    each further photon i + 1 in the 4-vector vectors[c, i]. ``amplitudes``
-    expands it with ``expand_products`` on the first read, naming ``what``
-    in a refusal; ``refusal``, when given, is raised there instead, for a
-    state the factors hold but whose amplitudes cannot be written. Until
-    that read (or an assignment of ``amplitudes``, which drops the factors)
+    """Photon-only state sum_c coef[c] |c> (x) X^c vectors[0] (x) ... (x)
+    X^c vectors[P-2]: photon 0 in basis state c (its two label bits) and
+    each further photon i + 1 in the 4-vector vectors[i] with its bits
+    flipped by c, (X^c v)[k] = v[k ^ c]. ``amplitudes`` expands it with
+    ``expand_products`` on the first read, naming ``what`` in a refusal;
+    ``refusal``, when given, is raised there instead, for a state the
+    factors hold but whose amplitudes cannot be written. Until that read
+    (or an assignment of ``amplitudes``, which drops the factors)
     ``factors`` holds (coef, vectors), else None."""
 
     def __init__(self, coef: np.ndarray, vectors: np.ndarray, what: str,
@@ -311,7 +319,8 @@ class FactoredState(HyperState):
             coef, vectors = self.factors
             # the terms lie on disjoint labels, one per control index c
             self._amplitudes = expand_products(
-                [(c, a, vectors[c]) for c, a in enumerate(coef.tolist())], 1, self.what)
+                [(c, a, vectors[:, _XOR[c]]) for c, a in enumerate(coef.tolist())], 1,
+                self.what)
             self.factors = None
         return self._amplitudes
 
@@ -327,35 +336,31 @@ class FactoredState(HyperState):
 
 
 def product_overlap(a, b):
-    """<a|b>, <a|a> and <b|b> of two states given as factors (coef[..., c],
-    vectors[..., c, i, k]) of ``FactoredState``, elementwise over leading
-    axes that broadcast:
+    """|<a|b>|^2 / (<a|a> <b|b>) of two states given as factors (coef[..., c],
+    vectors[..., i, k]) of ``FactoredState``, elementwise over leading axes
+    that broadcast. Both states flip every target by the same X^c on the
+    control's index c, which no inner product sees, so
 
-      <a|b> = sum_c conj(a_c) b_c prod_i <va[c, i] | vb[c, i]>
+      <a|b> = sum_c conj(a_c) b_c  prod_i <va[i] | vb[i]>
 
-    and the norms alike. Each operand's photon i is divided by the largest
-    norm of its vectors over c, so the products cannot underflow; that
-    scales the three results but not |<a|b>|^2 / (<a|a> <b|b>). The
-    squares of the coefficients must not overflow (see ``fidelity``)."""
+    and the norms alike: the ratio is the control's ratio times one ratio
+    per target, each in [0, 1], so the product cannot overflow, and it
+    underflows only where the fidelity itself is that small. An operand of
+    norm 0 gives NaN (0/0). The squares of
+    the coefficients must not overflow (see ``fidelity``)."""
     (ca, va), (cb, vb) = a, b
-    wa, sa = _photon_norms(va)
-    wb, sb = _photon_norms(vb)
-    overlaps = (va.conj() * vb).sum(axis=-1) / (np.sqrt(sa) * np.sqrt(sb))
-    inner = (ca.conj() * cb * overlaps.prod(axis=-1)).sum(axis=-1)
-    norm_a = (np.abs(ca) ** 2 * (wa / sa).prod(axis=-1)).sum(axis=-1)
-    norm_b = (np.abs(cb) ** 2 * (wb / sb).prod(axis=-1)).sum(axis=-1)
-    return inner, norm_a, norm_b
+    return _ratio(ca, cb) * _ratio(va, vb).prod(axis=-1)
 
 
-# Stands in for a scale of 0 in ``product_overlap`` and ``fidelity``, where
-# every term it scales is 0: any positive scale leaves them 0.
+def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 / (<a|a> <b|b>) over the last axis."""
+    return (np.abs((a.conj() * b).sum(axis=-1)) ** 2
+            / ((np.abs(a) ** 2).sum(axis=-1) * (np.abs(b) ** 2).sum(axis=-1)))
+
+
+# Stands in for a scale of 0 in ``fidelity``, where every coefficient it
+# scales is 0: any positive scale leaves them 0.
 _TINY = sys.float_info.min
-
-
-def _photon_norms(vectors: np.ndarray):
-    """|vectors[..., c, i]|^2, and over c its largest value per photon i."""
-    w = (np.abs(vectors) ** 2).sum(axis=-1)
-    return w, w.max(axis=-2, keepdims=True, initial=_TINY)
 
 
 def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:
@@ -383,7 +388,9 @@ def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
-    return pair_vectors(np.array([(spec.pol, spec.spatial) for spec in photons]))
+    # one flat list: numpy builds it faster than nested tuples
+    pairs = np.array([c for spec in photons for c in (*spec.pol, *spec.spatial)], dtype=complex)
+    return pair_vectors(pairs.reshape(len(photons), 2, 2))
 
 
 def pair_vectors(pairs: np.ndarray) -> np.ndarray:
@@ -436,10 +443,12 @@ def fidelity(state: HyperState, ideal: HyperState) -> float:
         # each state's coefficients divided by their largest magnitude: a
         # gate's, divided by the root of a subnormal success, overflow when
         # squared
-        inner, na, nb = product_overlap(
-            *((coef / max(np.abs(coef).max(), _TINY), vectors)
-              for coef, vectors in (state.factors, ideal.factors)))
-        inner, na, nb = complex(inner), float(na), float(nb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fid = float(product_overlap(
+                *((coef / max(np.abs(coef).max(), _TINY), vectors)
+                  for coef, vectors in (state.factors, ideal.factors))))
+        if math.isfinite(fid):   # else 0/0, from an operand of norm 0
+            return fid
     else:
         na = state.norm_sq()
         nb = ideal.norm_sq()
@@ -449,6 +458,6 @@ def fidelity(state: HyperState, ideal: HyperState) -> float:
             if other is not None:
                 prods.append(amp.conjugate() * other)
         inner = complex(math.fsum(p.real for p in prods), math.fsum(p.imag for p in prods))
-    if na <= 0.0 or nb <= 0.0:
-        raise ValidationError("cannot compute fidelity of a zero-norm state")
-    return abs(inner) ** 2 / (na * nb)
+        if na > 0.0 and nb > 0.0:
+            return abs(inner) ** 2 / (na * nb)
+    raise ValidationError("cannot compute fidelity of a zero-norm state")

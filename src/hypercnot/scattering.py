@@ -15,7 +15,9 @@ they are
     cold:  t0 = -kappa / c                  r0 = 1 + t0
 
 All rates and detunings share one arbitrary unit (the CLI normalizes
-kappa = 1); the formulas are homogeneous in that unit.
+kappa = 1); the formulas are homogeneous in that unit, and
+``scatter_coeffs`` evaluates them in units of kappa, so that no square
+underflows or overflows in a tiny or huge unit.
 
 The composite gate element ("basic block") built around one cavity
 sandwiches it between two Hadamard wave plates, H = [[1, 1], [1, -1]]/sqrt2
@@ -186,8 +188,20 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
 def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
     """Full coefficient set for the given parameters: the hot pair (r, t) at
     coupling p.g, plus the cold pair (r0, t0) of the same cavity. At g = 0
-    the hot pair is the cold one exactly."""
-    return _coeffs(p.g, p.kappa, p.kappa_s, p.gamma, p.omega, p.omega_c, p.omega_x)[0]
+    the hot pair is the cold one exactly. The rates and detunings are
+    taken in units of p.kappa, so the result does not depend on the unit:
+    in a tiny unit g^2 would underflow, in a huge one d*c would overflow.
+    At kappa = 1 the division is exact. A coupling past the float range in
+    that unit is the strong-coupling limit (see ``_coeffs``); any other
+    rate or detuning there is refused."""
+    k = p.kappa
+    rates = (p.kappa_s / k, p.gamma / k, (p.omega_c - p.omega) / k, (p.omega_x - p.omega) / k)
+    if not all(map(math.isfinite, rates)):
+        raise ValidationError(
+            "kappa_s, gamma and the detunings must stay finite in units of kappa, got "
+            + ", ".join(map(repr, rates)))
+    kappa_s, gamma, detuning_c, detuning_x = rates
+    return _coeffs(p.g / k, 1.0, kappa_s, gamma, 0.0, detuning_c, detuning_x)[0]
 
 
 def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):

@@ -22,7 +22,7 @@ from hypercnot import (
     scatter_coeffs,
     sweep_efficiency,
 )
-from hypercnot import analysis
+from hypercnot import analysis, circuit
 from hypercnot.gates import factored_run
 from hypercnot.hyperstate import photon_vectors
 from hypercnot.scattering import BlockCoeffs, ratio_coeffs
@@ -234,3 +234,25 @@ def test_ten_thousand_point_sweep():
             assert abs(row.success_prob - row.efficiency) <= 1e-12
             assert row.fidelity >= 1.0 - 1e-10
     assert math.fsum(r.success_prob for r in rows) > 0.0
+
+
+def test_the_stage_checks_run_once_per_pass(monkeypatch):
+    # the mirror and passivity refusals of a pass run once, with their
+    # messages unchanged
+    calls = []
+    block_probs = circuit._block_probs
+
+    def counted(bc):
+        calls.append(bc)
+        return block_probs(bc)
+
+    monkeypatch.setattr(circuit, "_block_probs", counted)
+    x = photon_vectors([PhotonSpec.uniform()] * 3)
+    bc = BlockCoeffs(D=np.array([0.1, 0.2]), T=np.array([0.9, 0.8 + 0.1j]))
+    factored_run(bc, None, x)
+    assert len(calls) == 1
+    with pytest.raises(ValidationError, match=r"mirror transmission \|T\|=1.5 exceeds 1"):
+        factored_run(bc, np.array([0.5, 1.5]), x)
+    with pytest.raises(ValidationError,
+                       match=r"block coefficients violate \|D\|\^2\+\|T\|\^2<=1 \(1.62"):
+        factored_run(BlockCoeffs(D=np.array([0.1, 0.9]), T=np.array([0.9, 0.9])), None, x)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from hypercnot import hyperstate
+from hypercnot import analysis, hyperstate
 from hypercnot import (
     CavityParams,
     GateConfig,
@@ -17,6 +17,7 @@ from hypercnot import (
     ValidationError,
     block_coeffs,
     fidelity,
+    fidelity_scan,
     hyper_cnot_n,
     ideal_hyper_cnot_n,
     random_photon_spec,
@@ -144,14 +145,102 @@ def test_a_flip_after_a_read_takes_the_dict_path(bench_config):
 
 
 def test_factored_refusals_are_unchanged():
-    vectors = np.full((4, 1, 4), 0.5 + 0j)
+    vectors = np.full((1, 4), 0.5 + 0j)
     coef = np.full(4, 0.5 + 0j)
     good = FactoredState(coef, vectors, "a test state")
     with pytest.raises(ValidationError, match="cannot compute fidelity of a zero-norm state"):
         fidelity(good, FactoredState(np.zeros(4, complex), vectors, "a zero state"))
     with pytest.raises(ValidationError, match="cannot compute fidelity of a zero-norm state"):
-        fidelity(good, FactoredState(coef, np.zeros((4, 1, 4), complex), "a zero state"))
-    longer = FactoredState(coef, np.full((4, 2, 4), 0.5 + 0j), "a test state")
+        fidelity(good, FactoredState(coef, np.zeros((1, 4), complex), "a zero state"))
+    longer = FactoredState(coef, np.full((2, 4), 0.5 + 0j), "a test state")
     with pytest.raises(ValidationError, match="dimension mismatch: 2 photons"):
         fidelity(good, longer)
     assert fidelity(good, good) == pytest.approx(1.0, abs=1e-15)
+
+
+# Off resonance, as in tests/test_dense_reference.py, so T is genuinely complex.
+OFF_RESONANCE = CavityParams.from_ratios(2.0, 0.2, 0.15, detuning_c=0.3, detuning_x=-0.2)
+
+
+def _vector(spec):
+    """A photon's 4-vector, entry k = p + 2m."""
+    return np.kron(spec.spatial, spec.pol)
+
+
+def test_a_balanced_gate_scales_every_target_by_t_squared_exactly():
+    T = block_coeffs(scatter_coeffs(OFF_RESONANCE)).T
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 20):
+        photons = [random_photon_spec(rng) for _ in range(n + 1)]
+        photons[1::2] = [PhotonSpec.basis(Pol(int(p)), Spatial(int(m)))
+                         for p, m in rng.integers(0, 2, size=(len(photons[1::2]), 2))]
+        state = hyper_cnot_n(photons[0], photons[1:],
+                             GateConfig(params=OFF_RESONANCE, n_targets=n)).conditional_state
+        _, vectors = state.factors
+        assert (vectors == (T * T) * np.array([_vector(p) for p in photons[1:]])).all()
+
+
+def test_each_basis_input_of_the_truth_table_expands_to_one_label():
+    cfg = GateConfig(params=OFF_RESONANCE)
+    for cp, cs, tp, ts in np.ndindex(2, 2, 2, 2):
+        control = PhotonSpec.basis(Pol(cp), Spatial(cs))
+        target = PhotonSpec.basis(Pol(tp), Spatial(ts))
+        state = hyper_cnot_n(control, [target], cfg).conditional_state
+        # the truth rule: the control's L flips the target's polarization,
+        # its mode 2 the target's spatial mode
+        want = cp | cs << 1 | (tp ^ cp) << 2 | (ts ^ cs) << 3
+        assert list(state.amplitudes) == [want]
+
+
+def _closed_form(T, m, photons):
+    """Fidelity of the unbalanced gate's output with the truth rule. In the
+    Hadamard frame a block on spin s acts on a target bit as A_s = a I + b X
+    with a = (m + T)/2 and b = (m - T)/2, and A_1 = X A_0, so on the
+    control's basis index c target i leaves as X^c A x_i, A = A_0 (x) A_0;
+    the control's entry c is scaled by f(p) f(m), f = (m, T) by branch bit.
+    The flips X^c are common to the output and the truth rule."""
+    a, b = (m + T) / 2.0, (m - T) / 2.0
+    A = np.kron([[a, b], [b, a]], [[a, b], [b, a]])
+    x0 = _vector(photons[0])
+    f = np.array([m, T])
+    y0 = np.kron(f, f) * x0
+    fid = abs(np.vdot(y0, x0)) ** 2 / (np.vdot(y0, y0).real * np.vdot(x0, x0).real)
+    for spec in photons[1:]:
+        x = _vector(spec)
+        y = A @ x
+        fid *= abs(np.vdot(y, x)) ** 2 / (np.vdot(y, y).real * np.vdot(x, x).real)
+    return fid
+
+
+def test_an_unbalanced_gate_follows_the_closed_form():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 17, 50):
+        for _ in range(4):
+            params = CavityParams.from_ratios(
+                rng.uniform(0.2, 5.0), rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.2),
+                rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            T = block_coeffs(scatter_coeffs(params)).T
+            m = complex(rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5)) * T
+            photons = [random_photon_spec(rng) for _ in range(n + 1)]
+            out = hyper_cnot_n(photons[0], photons[1:],
+                               GateConfig(params=params, n_targets=n, mirror_T_override=m))
+            got = fidelity(out.conditional_state, ideal_hyper_cnot_n(photons[0], photons[1:]))
+            assert abs(got - _closed_form(T, m, photons)) <= 1e-12, (n, got)
+
+
+@pytest.mark.parametrize("n, scale", [(1, 0.6), (3, -0.9), (8, 0.3)])
+def test_an_unbalanced_scan_follows_the_closed_form(n, scale):
+    # the scan's own stream of draws, case by case (see ``fidelity_scan``)
+    rng = np.random.default_rng(13)
+    fids = []
+    for _ in range(40):
+        ratios = [lo + (hi - lo) * u
+                  for (lo, hi), u in zip(analysis._SCAN_DRAWS, rng.random(5).tolist())]
+        pairs = analysis._random_pairs(rng, 2 * (n + 1))
+        photons = [PhotonSpec(pol=pol, spatial=spatial)
+                   for pol, spatial in zip(pairs[0::2], pairs[1::2])]
+        T = block_coeffs(scatter_coeffs(CavityParams.from_ratios(*ratios))).T
+        fids.append(_closed_form(T, scale * T, photons))
+    summary = fidelity_scan(40, 13, n, mirror_scale=scale)
+    assert abs(summary.min_fidelity - min(fids)) <= 1e-12
+    assert abs(summary.mean_fidelity - sum(fids) / len(fids)) <= 1e-12

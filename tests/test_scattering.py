@@ -218,6 +218,25 @@ class TestValidationAndDegeneracy:
         assert efficiency(block_coeffs(scatter_coeffs(scaled)).T) == pytest.approx(
             ref, abs=1e-12)
 
+    @pytest.mark.parametrize("unit", [1e-200, 1e-160, 1e160, 1e200])
+    def test_coefficients_do_not_depend_on_the_rate_unit(self, unit):
+        # in the rates' own unit g^2 underflows (tiny unit) or d*c overflows
+        # (huge unit); in units of kappa neither does
+        rates = dict(g=3.3, kappa=1.0, kappa_s=0.1, gamma=0.1, omega_c=0.3, omega_x=-0.2)
+        ref = scatter_coeffs(CavityParams(**rates))
+        got = scatter_coeffs(CavityParams(**{k: v * unit for k, v in rates.items()}))
+        for name in ("r", "t", "r0", "t0"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-15, name
+
+    @pytest.mark.parametrize("name", ["kappa_s", "gamma", "omega_c", "omega_x"])
+    def test_a_rate_past_the_float_range_in_units_of_kappa_is_refused(self, name):
+        with pytest.raises(ValidationError, match="must stay finite in units of kappa"):
+            scatter_coeffs(CavityParams(g=1.0, kappa=1e-300, **{name: 1e10}))
+
+    def test_a_coupling_past_the_float_range_in_units_of_kappa_is_the_limit(self):
+        # g / kappa = 1e310: T is kappa / c = 1 on resonance without side leakage
+        assert block_coeffs(scatter_coeffs(CavityParams(g=1e10, kappa=1e-300))).T == 1.0
+
     def test_efficiency_validation(self):
         with pytest.raises(ValidationError):
             efficiency(0.9, 0)
