@@ -24,14 +24,13 @@ those pairs as its one record of where the probability went.
 
 Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
-and the block branch by T with a Z on the block's spin. ``stage_factors``
-holds those factors and ``stage_masses`` turns a stage's mirror and block
-mass into its (click, absorbed) pair; both refuse what ``check_stage``
-refuses. The stages here use them; the gate engine in ``gates``, which
-needs the mirror's transmission and the masses at once, checks once with
-``check_stage`` and takes the masses from ``stage_losses``.
-``stage_polarization`` and ``stage_spatial`` apply a stage in one pass over
-a sparse state and return the masses it removed.
+and the block branch by T, negated when the block's spin is down.
+``check_stage`` refuses a mirror with gain or a block that is not passive,
+and ``stage_losses`` turns a stage's mirror and block mass into its (click,
+absorbed) pair. ``stage_polarization`` and ``stage_spatial`` check once,
+apply a stage in one pass over a sparse state and return the masses it
+removed; the gate engine in ``gates`` uses the same two functions on
+factored photons.
 """
 from __future__ import annotations
 
@@ -99,31 +98,12 @@ def check_stage(bc: BlockCoeffs, mirror_T: complex | None = None):
     return t_mirror, d2, t2
 
 
-def stage_factors(bc: BlockCoeffs, mirror_T: complex | None = None):
-    """The one definition of what a routing stage multiplies an amplitude
-    by, indexed [branch bit][spin bit]. The mirror branch (bit clear) crosses
-    the mirror: x mirror_T (the block's T when None), whatever the spin. The
-    block branch (bit set) crosses the block: x T, negated when the block's
-    spin is down. Refuses what ``check_stage`` refuses. Elementwise when bc's
-    fields and mirror_T are arrays of one shape.
-    """
-    t_mirror, _, _ = check_stage(bc, mirror_T)
-    return (t_mirror, t_mirror), (bc.T, -bc.T)
-
-
-def stage_masses(mirror_mass, block_mass, bc: BlockCoeffs,
-                 mirror_T: complex | None = None):
-    """(click, absorbed) of a stage whose mirror branch carried mirror_mass
-    and whose block branch carried block_mass; elementwise on arrays, bc's
-    fields and mirror_T broadcasting against the masses' trailing axes.
-    Refuses what ``check_stage`` refuses."""
-    return stage_losses(mirror_mass, block_mass, *check_stage(bc, mirror_T))
-
-
 def stage_losses(mirror_mass, block_mass, t_mirror, d2, t2):
-    """``stage_masses`` from the figures of ``check_stage``: the block
-    branch's mass times |D|^2 clicks; the rest of both branches' loss is
-    absorbed."""
+    """(click, absorbed) of a stage whose mirror branch carried mirror_mass
+    and whose block branch carried block_mass, from the figures of
+    ``check_stage``: the block branch's mass times |D|^2 clicks; the rest of
+    both branches' loss is absorbed. Elementwise on arrays, the figures
+    broadcasting against the masses' trailing axes."""
     return d2 * block_mass, (clip_unit(1.0 - abs(t_mirror) ** 2) * mirror_mass
                              + clip_unit(1.0 - d2 - t2) * block_mass)
 
@@ -131,12 +111,14 @@ def stage_losses(mirror_mass, block_mass, t_mirror, d2, t2):
 def _route(state: HyperState, branch_mask: int, which_spin: int,
            bc: BlockCoeffs, mirror_T: complex | None) -> tuple[float, float]:
     """Net map of one routing stage, applied in place in one pass over the
-    amplitudes: an amplitude with the branch_mask bit set takes the block
-    branch of ``stage_factors``, one with it clear the mirror branch. No label
-    moves; amplitudes that become exactly zero are dropped. Returns the
-    stage's (click, absorbed) masses.
+    amplitudes: an amplitude with the branch_mask bit set crosses the block
+    (x T, negated when the block's spin is down), one with it clear the
+    mirror (x mirror_T, the block's T when None). No label moves; amplitudes
+    that become exactly zero are dropped. Returns the stage's (click,
+    absorbed) masses.
     """
-    (t_mirror, _), (t_up, t_down) = stage_factors(bc, mirror_T)
+    t_mirror, d2, t2 = check_stage(bc, mirror_T)
+    t_up, t_down = bc.T, -bc.T
     zm = state._spin_bit_mask(which_spin)
     amps = state.amplitudes
     mirror_mass: list[float] = []
@@ -154,7 +136,7 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
             zeros.append(label)
     for label in zeros:
         del amps[label]
-    return stage_masses(math.fsum(mirror_mass), math.fsum(block_mass), bc, mirror_T)
+    return stage_losses(math.fsum(mirror_mass), math.fsum(block_mass), t_mirror, d2, t2)
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,

@@ -15,9 +15,9 @@ explicit ``pol=(re,im),(re,im);spat=(re,im),(re,im)``.
 Cavity parameters come from flags (--g --kappa --kappa-s --gamma
 --detuning-c --detuning-x) or a JSON --params-file holding either those raw
 values or ratio form (g_ratio, ks_ratio, gamma_ratio, detuning_c,
-detuning_x); flags override the file. Detunings are cavity/emitter offsets
-from the photon carrier frequency in units of kappa=1 unless raw values are
-given.
+detuning_x), not both; flags override the file. Detunings are
+cavity/emitter offsets from the photon carrier frequency in units of kappa=1
+unless raw values are given.
 
 Exit codes: 0 success, 1 verify found a violation, 2 invalid input,
 3 degenerate physics (the gate can never herald), 4 I/O failure.
@@ -150,13 +150,12 @@ def parse_axis(text: str, name: str) -> tuple[float, ...]:
 #
 # --params-file points at a JSON document mirroring the run spec: any of
 #   gate ("cnot"/"cnotn"), control, targets (photon spec strings), params
-#   (object, raw or ratio form), mode, seed, format, out
+#   (object, raw or ratio form), seed, format, out
 # may appear. main() turns the keys the subcommand has flags for into
 # --flag=value tokens placed ahead of the command line, so file values are
 # checked by the same argparse types and choices as flags, and flags win.
 
-_RUNSPEC_KEYS = ("gate", "control", "targets", "params", "mode", "seed",
-                 "format", "out")
+_RUNSPEC_KEYS = ("gate", "control", "targets", "params", "seed", "format", "out")
 _RAW_KEYS = ("g", "kappa", "kappa_s", "gamma", "detuning_c", "detuning_x")
 _RATIO_KEYS = ("g_ratio", "ks_ratio", "gamma_ratio", "detuning_c", "detuning_x")
 
@@ -195,9 +194,18 @@ def _file_number(file_params: dict, key: str, default: float = 0.0) -> float:
 
 
 def _raw_file_params(file_params: dict) -> dict[str, float]:
-    """The file's params object as raw values keyed like the flags' dests."""
-    if "g_ratio" not in file_params:
+    """The file's params object as raw values keyed like the flags' dests.
+    Refuses an object that mixes the two forms' own keys, or gives ratio
+    keys without g_ratio: either would drop values silently."""
+    raw = sorted(set(file_params) - set(_RATIO_KEYS))
+    ratio = sorted(set(file_params) - set(_RAW_KEYS))
+    if raw and ratio:
+        raise ValidationError(
+            f"params file: raw keys {raw} and ratio keys {ratio} cannot be mixed")
+    if not ratio:
         return {k: _file_number(file_params, k) for k in _RAW_KEYS if k in file_params}
+    if "g_ratio" not in file_params:
+        raise ValidationError(f"params file: ratio keys {ratio} need g_ratio")
     p = CavityParams.from_ratios(**{k: _file_number(file_params, k) for k in _RATIO_KEYS})
     return dict(zip(_RAW_KEYS, (p.g, p.kappa, p.kappa_s, p.gamma, p.omega_c, p.omega_x)))
 
@@ -284,7 +292,6 @@ def _gate_config(args: argparse.Namespace, n_targets: int) -> GateConfig:
         override = scale * bc.T
     return GateConfig(params=params, n_targets=n_targets,
                       mirror_T_override=override,
-                      mode=getattr(args, "mode", "amplitude"),
                       rng_seed=getattr(args, "seed", None))
 
 
@@ -471,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(run)
     run.add_argument("--mirror-override", type=float,
                      help="scale the balancing mirrors' transmission by this factor")
-    run.add_argument("--mode", choices=("amplitude", "sampled"), default="amplitude")
-    run.add_argument("--seed", type=int, help="RNG seed (required for sampled mode)")
     _add_out_flags(run, ("text", "json"))
     run.set_defaults(func=cmd_run)
 
@@ -512,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     sam.add_argument("--shots", type=int, default=10000)
     sam.add_argument("--seed", type=int, help="RNG seed (required)")
     _add_param_flags(sam)
-    sam.add_argument("--mirror-override", type=float)
+    sam.add_argument("--mirror-override", type=float,
+                     help="scale the balancing mirrors' transmission by this factor")
     _add_out_flags(sam, ("text", "json"))
     sam.set_defaults(func=cmd_sample)
 

@@ -13,9 +13,9 @@ bits, both applied to each target.
 The run is computed in factored form, never as one joint state. A photon is
 a 4-vector indexed k = p + 2m (p its polarization bit, m its spatial bit); a
 spin value is sigma = 2*s1 + s2. Its two stages multiply entry k by
-F[sigma, k] = f(p, s1) * f(m, s2), with f from ``circuit.stage_factors``:
-mirror_T (m below) on the mirror branch, +/-T on the block branch. Every
-stage is diagonal in the spins, so:
+F[sigma, k] = f(p, s1) * f(m, s2), the factors of ``circuit``'s stages:
+f = mirror_T (m below) on the mirror branch and +/-T on the block branch.
+Every stage is diagonal in the spins, so:
 
   * the control's basis index c leaves its stages and the middle spin
     Hadamards on the one spin value sigma(c) = (s1 = p, s2 = m), with
@@ -57,8 +57,9 @@ Only the corrected state's amplitudes grow with the output, and
 ``hyperstate.FactoredState`` holding the coefficients F[0, c] x_c,
 normalized, and the vectors u_i. Reading its amplitudes expands it once,
 over each term's nonzero entries (basis inputs stay at a few labels), and
-refuses a result above ``hyperstate.MAX_AMPLITUDES`` before it is built. So the masses, the shot counts and the fidelity cost the
-same at any output size.
+refuses a result above ``hyperstate.MAX_AMPLITUDES`` before it is built. So
+the masses, the shot counts and the fidelity cost the same at any output
+size.
 
 A success probability below the smallest normal float (thousands of targets)
 cannot normalize the branch states: the gate and its fidelity run, and the
@@ -70,15 +71,14 @@ The run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
 where the rest went: the (click, absorbed) masses of each photon's
 polarization stage and spatial stage, in run order, from
-``circuit.stage_masses``; the gate's detector and absorbed totals are their
+``circuit.stage_losses``; the gate's detector and absorbed totals are their
 sums.
 
-Two modes: "amplitude" reports the full outcome distribution (the
-conditional state is outcome-independent, so the reported spin record is
-just the canonical first branch); "sampled" additionally draws the spin
-record from a seeded RNG. With the branch probabilities, the stage masses
-are every way a shot can end; shots of the heralding itself (click / absorb
-/ succeed) come from ``sample_shots``: one multinomial draw over those
+Every spin record carries the same corrected state, so ``hyper_cnot_n``
+reports the canonical first branch (both spins up, no feed-forward) and
+draws nothing. With the branch probabilities, the stage masses are every way
+a shot can end; shots (click / absorb / succeed in one spin record) come
+from ``sample_shots``, the one sampler: one multinomial draw over those
 masses, whose cost does not grow with the shot count.
 """
 from __future__ import annotations
@@ -118,8 +118,6 @@ from .scattering import CavityParams, block_coeffs, scatter_coeffs
 # Below this transmission magnitude the gate cannot post-select a success.
 MIN_BLOCK_T = 1e-12
 
-MODES = ("amplitude", "sampled")
-
 
 def check_seed(seed, name: str) -> None:
     """A seed numpy's generators accept: None, or an int >= 0 that is not a
@@ -136,24 +134,20 @@ class GateConfig:
     mirror_T_override replaces the balancing mirrors' transmission (which
     defaults to the block's own T so that all branches attenuate equally).
     Setting it to anything else unbalances the interferometer and degrades
-    fidelity; it exists for exactly that kind of what-if run.
+    fidelity; it exists for exactly that kind of what-if run. rng_seed is
+    read only by ``sample_shots``.
     """
 
     params: CavityParams
     n_targets: int = 1
     mirror_T_override: complex | None = None
-    mode: str = "amplitude"
     rng_seed: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.params, CavityParams):
             raise ValidationError("params must be a CavityParams")
         check_count(self.n_targets, "n_targets")
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_seed(self.rng_seed, "rng_seed")
-        if self.mode == "sampled" and self.rng_seed is None:
-            raise ValidationError("sampled mode requires rng_seed")
         if self.mirror_T_override is not None:
             if (isinstance(self.mirror_T_override, bool)
                     or not isinstance(self.mirror_T_override, (int, float, complex))):
@@ -368,14 +362,10 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
                           "the four branch states", refusal)
     branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
                      for record, corrections in _RECORDS)
-    chosen = branches[0]
-    if cfg.mode == "sampled":
-        masses = [b.probability for b in branches]
-        chosen = branches[int(_draw(masses, 1, cfg.rng_seed).argmax())]
     return GateOutcome(
-        conditional_state=chosen.state,
-        spin_record=chosen.spin_record,
-        corrections=chosen.corrections,
+        conditional_state=state,
+        spin_record=branches[0].spin_record,
+        corrections=branches[0].corrections,
         success_prob=success,
         detector_probs={DETECTOR_B1: math.fsum(clicks[0::2]),
                         DETECTOR_B2: math.fsum(clicks[1::2])},

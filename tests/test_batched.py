@@ -18,6 +18,7 @@ from hypercnot import (
     fidelity_scan,
     hyper_cnot_n,
     ideal_hyper_cnot_n,
+    init_state,
     random_photon_spec,
     scatter_coeffs,
     sweep_efficiency,
@@ -236,9 +237,10 @@ def test_ten_thousand_point_sweep():
     assert math.fsum(r.success_prob for r in rows) > 0.0
 
 
-def test_the_stage_checks_run_once_per_pass(monkeypatch):
-    # the mirror and passivity refusals of a pass run once, with their
-    # messages unchanged
+@pytest.fixture
+def block_probs_calls(monkeypatch):
+    """The arguments of every call to ``circuit._block_probs``, the passivity
+    check of a stage."""
     calls = []
     block_probs = circuit._block_probs
 
@@ -247,12 +249,26 @@ def test_the_stage_checks_run_once_per_pass(monkeypatch):
         return block_probs(bc)
 
     monkeypatch.setattr(circuit, "_block_probs", counted)
+    return calls
+
+
+def test_the_stage_checks_run_once_per_pass(block_probs_calls):
+    # the mirror and passivity refusals of a pass run once, with their
+    # messages unchanged
     x = photon_vectors([PhotonSpec.uniform()] * 3)
     bc = BlockCoeffs(D=np.array([0.1, 0.2]), T=np.array([0.9, 0.8 + 0.1j]))
     factored_run(bc, None, x)
-    assert len(calls) == 1
+    assert len(block_probs_calls) == 1
     with pytest.raises(ValidationError, match=r"mirror transmission \|T\|=1.5 exceeds 1"):
         factored_run(bc, np.array([0.5, 1.5]), x)
     with pytest.raises(ValidationError,
                        match=r"block coefficients violate \|D\|\^2\+\|T\|\^2<=1 \(1.62"):
         factored_run(BlockCoeffs(D=np.array([0.1, 0.9]), T=np.array([0.9, 0.9])), None, x)
+
+
+@pytest.mark.parametrize("stage", [circuit.stage_polarization, circuit.stage_spatial],
+                         ids=["polarization", "spatial"])
+def test_a_dict_stage_checks_once(stage, block_probs_calls):
+    state = init_state([PhotonSpec.uniform()] * 2)
+    stage(state, 1, block_coeffs(scatter_coeffs(CavityParams.from_ratios(3.0, 0.1))))
+    assert len(block_probs_calls) == 1

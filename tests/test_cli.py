@@ -139,8 +139,6 @@ class TestRun:
         (["run", "--control", "R,1", "--target", "R,1"], 2),           # no g
         (["run", "--control", "R,1", "--target", "R,1", "--n-targets",
           "2", *BENCH], 2),
-        (["run", "--control", "R,1", "--target", "R,1", "--mode",
-          "sampled", *BENCH], 2),                                      # no seed
         (["run", "--control", "R,1", "--target", "R,1", "--g", "0",
           "--gamma", "0.1"], 3),                                       # degenerate
         (["run", "--control", "+,+", "--target", "+,+", "--g", "0",
@@ -155,6 +153,15 @@ class TestRun:
                      "--out", "/nonexistent-dir/run.txt", *BENCH])
         assert code == 4
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--mode", "sampled", "--seed", "1"],
+                                       ["--seed", "1"]], ids=["mode_sampled", "seed"])
+    def test_has_no_sampler_flags(self, flags, capsys):
+        # every spin record carries the same state, so run draws nothing;
+        # shots come from sample
+        assert main(["run", "--control", "+,+", "--target", "+,+", *flags, *BENCH]) == 2
+        assert ("error: unrecognized arguments: " + " ".join(flags)
+                in capsys.readouterr().err)
 
 
 class TestTruthTable:
@@ -307,9 +314,7 @@ class TestSample:
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--control", "+,+", "--target", "+,+", "--seed", "-1", *BENCH],
-    ["run", "--control", "+,+", "--target", "+,+", "--mode", "sampled",
-     "--seed", "-5", *BENCH],
-], ids=["sample", "run_sampled"])
+], ids=["sample"])
 def test_negative_seed_exits_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -415,6 +420,38 @@ class TestParamsFile:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_mode_key_is_refused(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {"mode": "sampled", "params": {"g": 3.3}})
+        assert main(["run", "--params-file", path,
+                     "--control", "+,+", "--target", "+,+"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: unknown keys ['mode']\n"
+
+    @pytest.mark.parametrize("params, raw, ratio", [
+        ({"g": 3.3, "ks_ratio": 5.0, "gamma_ratio": 0.9}, ["g"],
+         ["gamma_ratio", "ks_ratio"]),
+        ({"g_ratio": 3.0, "ks_ratio": 0.1, "gamma": 5.0, "kappa": 7.0},
+         ["gamma", "kappa"], ["g_ratio", "ks_ratio"]),
+    ], ids=["raw_g_with_ratios", "g_ratio_with_raws"])
+    def test_mixed_raw_and_ratio_params_are_refused(self, params, raw, ratio,
+                                                    tmp_path, capsys):
+        # whichever form were picked, the other form's values would be dropped
+        path = _write_spec(tmp_path, {"params": params})
+        assert main(["run", "--params-file", path,
+                     "--control", "+,+", "--target", "+,+"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: params file: raw keys {raw} and ratio "
+                                f"keys {ratio} cannot be mixed\n")
+
+    def test_ratio_keys_need_g_ratio(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {"params": {"ks_ratio": 0.5, "detuning_c": 0.1}})
+        assert main(["run", "--params-file", path, *BENCH,
+                     "--control", "+,+", "--target", "+,+"]) == 2
+        assert capsys.readouterr().err == (
+            "error: params file: ratio keys ['ks_ratio'] need g_ratio\n")
+
     def test_missing_file_is_io_error(self, capsys):
         code = main(["run", "--params-file", "/no/such/file.json",
                      "--control", "+,+", "--target", "+,+"])
@@ -449,14 +486,18 @@ def test_non_finite_or_huge_input_exits_2(argv, capsys):
 class TestParamsFileAsFlags:
     """A params file is parsed as the subcommand's own flags."""
 
-    @pytest.mark.parametrize("spec", [
-        {"seed": "abc"}, {"seed": 1.5}, {"targets": [1]}, {"control": 5},
-        {"format": "xml"}, {"params": {"g": True}},
+    @pytest.mark.parametrize("spec, named", [
+        ({"seed": "abc"}, "argument --seed: invalid int value: 'abc'"),
+        ({"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+        ({"targets": [1]}, "target 1: expected POL,MODE"),
+        ({"control": 5}, "control: expected POL,MODE"),
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"params": {"g": True}}, "params file: g must be a number, got True"),
     ], ids=["seed_string", "seed_float", "target_int", "control_int",
             "format_xml", "g_bool"])
-    def test_bad_value_is_one_error(self, spec, tmp_path, capsys):
-        argv = ["run", "--params-file", _write_spec(tmp_path, spec),
-                "--mode", "sampled", "--seed", "1", *BENCH]
+    def test_bad_value_is_one_error(self, spec, named, tmp_path, capsys):
+        argv = ["sample", "--params-file", _write_spec(tmp_path, spec),
+                "--seed", "1", *BENCH]
         if "control" not in spec:
             argv += ["--control", "+,+"]
         if "targets" not in spec:
@@ -469,11 +510,13 @@ class TestParamsFileAsFlags:
         assert captured.out == ""
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
+        error_line, = (line for line in captured.err.splitlines() if "error:" in line)
+        assert named in error_line
 
     def test_keys_without_a_flag_are_ignored(self, tmp_path, capsys):
         path = _write_spec(tmp_path, {
             "gate": "cnot", "control": "L,a2", "targets": ["R,b1"],
-            "mode": "sampled", "seed": 7, "format": "csv",
+            "seed": 7, "format": "csv",
             "params": {"g": 3.3, "kappa_s": 0.1, "gamma": 0.1}})
         assert main(["truth-table", "--params-file", path]) == 0
         lines = capsys.readouterr().out.splitlines()

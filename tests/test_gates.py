@@ -40,15 +40,13 @@ ETA_2 = 0.5256108296381016
 class TestGateConfig:
     def test_defaults(self, bench_params):
         cfg = GateConfig(params=bench_params)
-        assert cfg.n_targets == 1 and cfg.mode == "amplitude"
+        assert cfg.n_targets == 1
 
     @pytest.mark.parametrize("kwargs", [
         {"params": "not params"},
         {"n_targets": 0},
         {"n_targets": 1.5},
         {"n_targets": True},
-        {"mode": "exact"},
-        {"mode": "sampled"},            # no seed
         {"mirror_T_override": 1.5},
         {"mirror_T_override": math.nan},
         {"mirror_T_override": complex(0.5, math.nan)},
@@ -287,30 +285,6 @@ class TestValidationAndDegeneracy:
             hyper_cnot_n(PhotonSpec.uniform(),
                          [PhotonSpec.uniform(), PhotonSpec.uniform()],
                          bench_config)
-
-
-class TestSampledMode:
-    def test_drawn_record_is_seeded(self, bench_params):
-        cfg = GateConfig(params=bench_params, mode="sampled", rng_seed=99)
-        outs = [hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform(), cfg)
-                for _ in range(2)]
-        assert outs[0].spin_record == outs[1].spin_record
-        assert outs[0].corrections == outs[1].corrections
-        # the conditional state is outcome-independent, so it matches the
-        # amplitude-mode state regardless of which record was drawn
-        amp_out = hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform(),
-                             GateConfig(params=bench_params))
-        assert fidelity(outs[0].conditional_state,
-                        amp_out.conditional_state) == pytest.approx(1.0, abs=1e-12)
-
-    def test_different_seeds_eventually_differ(self, bench_params):
-        records = {
-            hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform(),
-                       GateConfig(params=bench_params, mode="sampled",
-                                  rng_seed=seed)).spin_record
-            for seed in range(12)
-        }
-        assert len(records) > 1
 
 
 class TestShotSampling:

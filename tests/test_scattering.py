@@ -20,7 +20,6 @@ from hypercnot import (
     efficiency,
     scatter_coeffs,
 )
-from hypercnot.circuit import stage_factors
 from hypercnot.scattering import ratio_coeffs
 
 # Frozen reference-point values (50-digit oracle, rounded to nearest double).
@@ -141,7 +140,7 @@ class TestIdentities:
             bc = block_coeffs(sc)
             h, h0 = sc.t + sc.r, sc.t0 + sc.r0
             for cavity, factor in zip((np.diag([h, h0]), np.diag([h0, h])),
-                                      stage_factors(bc)[1]):
+                                      (bc.T, -bc.T)):
                 out_R, out_L = (H @ cavity @ H)[:, 0]
                 assert abs(out_R - bc.D) <= 1e-15
                 assert abs(out_L - factor) <= 1e-15
