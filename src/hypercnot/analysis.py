@@ -18,10 +18,7 @@ uses on a single point's factored states, so no point builds a CavityParams,
 a GateConfig or an amplitude dict. Each pass works through its points in
 chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory does not grow
 with the grid or the number of cases. A grid or scan is refused where the
-single-point path would refuse any of its points. Both report a success
-probability below the smallest normal float, since the factored fidelity
-normalizes each target on its own; only the branch state's amplitudes,
-normalized by the success's root, are refused there.
+single-point path would refuse any of its points.
 """
 from __future__ import annotations
 

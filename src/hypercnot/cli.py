@@ -183,8 +183,8 @@ def _load_run_file(path: str) -> dict:
     return data
 
 
-def _file_number(file_params: dict, key: str, default: float = 0.0) -> float:
-    value = file_params.get(key, default)
+def _file_number(file_params: dict, key: str) -> float:
+    value = file_params[key]
     if not isinstance(value, bool):  # JSON true/false are not numbers
         try:
             return float(value)
@@ -195,8 +195,10 @@ def _file_number(file_params: dict, key: str, default: float = 0.0) -> float:
 
 def _raw_file_params(file_params: dict) -> dict[str, float]:
     """The file's params object as raw values keyed like the flags' dests.
-    Refuses an object that mixes the two forms' own keys, or gives ratio
-    keys without g_ratio: either would drop values silently."""
+    Ratio keys the file leaves out take ``CavityParams.from_ratios``'s
+    defaults, and ks_ratio, which has none, 0. Refuses an object that mixes
+    the two forms' own keys, or gives ratio keys without g_ratio: either
+    would drop values silently."""
     raw = sorted(set(file_params) - set(_RATIO_KEYS))
     ratio = sorted(set(file_params) - set(_RAW_KEYS))
     if raw and ratio:
@@ -206,7 +208,8 @@ def _raw_file_params(file_params: dict) -> dict[str, float]:
         return {k: _file_number(file_params, k) for k in _RAW_KEYS if k in file_params}
     if "g_ratio" not in file_params:
         raise ValidationError(f"params file: ratio keys {ratio} need g_ratio")
-    p = CavityParams.from_ratios(**{k: _file_number(file_params, k) for k in _RATIO_KEYS})
+    ratios = {k: _file_number(file_params, k) for k in _RATIO_KEYS if k in file_params}
+    p = CavityParams.from_ratios(**{"ks_ratio": 0.0, **ratios})
     return dict(zip(_RAW_KEYS, (p.g, p.kappa, p.kappa_s, p.gamma, p.omega_c, p.omega_x)))
 
 

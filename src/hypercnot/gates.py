@@ -54,16 +54,12 @@ point (``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
 
 Only the corrected state's amplitudes grow with the output, and
 ``hyper_cnot_n`` does not write them: its four branches share one
-``hyperstate.FactoredState`` holding the coefficients F[0, c] x_c,
-normalized, and the vectors u_i. Reading its amplitudes expands it once,
-over each term's nonzero entries (basis inputs stay at a few labels), and
-refuses a result above ``hyperstate.MAX_AMPLITUDES`` before it is built. So
-the masses, the shot counts and the fidelity cost the same at any output
-size.
-
-A success probability below the smallest normal float (thousands of targets)
-cannot normalize the branch states: the gate and its fidelity run, and the
-first read of the amplitudes is refused with ValidationError. One of
+``hyperstate.FactoredState`` holding the coefficients F[0, c] x_c and the
+vectors u_i, unnormalized (its squared norm is the success probability).
+Reading its amplitudes normalizes and expands it once, over each term's
+nonzero entries (basis inputs stay at a few labels), and refuses a result
+above ``hyperstate.MAX_AMPLITUDES`` before it is built. So the masses, the
+shot counts and the fidelity cost the same at any output size. A success of
 exactly 0 (a dead mirror on a basis input) leaves no state, and
 ``hyper_cnot_n`` raises AmplitudeLostError.
 
@@ -85,7 +81,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -169,7 +164,7 @@ class OutcomeBranch(NamedTuple):
     spin_record: tuple[Spin, Spin]
     probability: float
     corrections: tuple[bool, bool]  # (pol phase applied, spatial phase applied)
-    state: HyperState               # photon-only, normalized, corrected
+    state: HyperState               # photon-only, corrected, normalized on read
 
 
 @dataclass
@@ -349,17 +344,10 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     success = float(run.success)
     if success == 0.0:
         raise AmplitudeLostError("all amplitude lost: nothing left to measure")
-    # a subnormal success has lost its precision: dividing by its root would
-    # not normalize the branch state, whose amplitudes are then refused
-    refusal = None
-    if success < sys.float_info.min:
-        refusal = (f"the success probability {success:.3g} of {len(targets)} targets is "
-                   "below the smallest normal float: the branch states cannot be normalized")
     # the term of the control's index c: its amplitude F[0, c] x_c, with the
-    # branch's Hadamard sign, feed-forward sign and normalization folded in,
-    # times the targets' X^c u_i
-    state = FactoredState(run.control * (x[0] / math.sqrt(success)), run.u,
-                          "the four branch states", refusal)
+    # branch's Hadamard sign and feed-forward sign folded in, times the
+    # targets' X^c u_i; the state normalizes itself when read
+    state = FactoredState(run.control * x[0], run.u, "the four branch states")
     branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
                      for record, corrections in _RECORDS)
     return GateOutcome(

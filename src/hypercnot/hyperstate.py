@@ -32,10 +32,11 @@ The last two are ``FactoredState``s: a sum over the control photon's basis
 index c of product states, c's coefficient times one 4-vector per further
 photon with its bits flipped by c (a state of bond dimension 4, Vidal,
 PRL 91, 147902 (2003), whose four terms share their vectors up to those
-flips). It expands its amplitudes on their first read, so a refusal of the
-expansion surfaces there; until then ``fidelity`` takes the overlap of two
-of them from their factors (``product_overlap``), as the control's overlap
-ratio times one ratio per further photon, in time linear in the photons.
+flips). It normalizes itself and expands its amplitudes on their first
+read, so what refuses either surfaces there; until then ``fidelity`` takes
+the overlap of two of them from their factors (``product_overlap``), as the
+control's overlap ratio times one ratio per further photon, in time linear
+in the photons.
 """
 from __future__ import annotations
 
@@ -297,26 +298,32 @@ class FactoredState(HyperState):
     """Photon-only state sum_c coef[c] |c> (x) X^c vectors[0] (x) ... (x)
     X^c vectors[P-2]: photon 0 in basis state c (its two label bits) and
     each further photon i + 1 in the 4-vector vectors[i] with its bits
-    flipped by c, (X^c v)[k] = v[k ^ c]. ``amplitudes`` expands it with
-    ``expand_products`` on the first read, naming ``what`` in a refusal;
-    ``refusal``, when given, is raised there instead, for a state the
-    factors hold but whose amplitudes cannot be written. Until that read
-    (or an assignment of ``amplitudes``, which drops the factors)
-    ``factors`` holds (coef, vectors), else None."""
+    flipped by c, (X^c v)[k] = v[k ^ c]. The factors need not be
+    normalized: ``amplitudes`` normalizes the state and expands it with
+    ``expand_products`` on the first read, and refuses there, naming
+    ``what``, a squared norm below the smallest normal float, whose root
+    cannot normalize it, or too many amplitudes. Until that read (or an
+    assignment of ``amplitudes``, which drops the factors) ``factors``
+    holds (coef, vectors), else None."""
 
-    def __init__(self, coef: np.ndarray, vectors: np.ndarray, what: str,
-                 refusal: str | None = None):
+    def __init__(self, coef: np.ndarray, vectors: np.ndarray, what: str):
         super().__init__(1 + vectors.shape[-2], has_spins=False)
         self.factors = (coef, vectors)
         self.what = what
-        self.refusal = refusal
 
     @property
     def amplitudes(self) -> dict[int, complex]:
         if self.factors is not None:
-            if self.refusal is not None:
-                raise ValidationError(self.refusal)
             coef, vectors = self.factors
+            # the flips X^c change no norm, so the squared norm is the
+            # coefficients' times one per further photon
+            norm_sq = float((np.abs(coef) ** 2).sum()
+                            * (np.abs(vectors) ** 2).sum(axis=-1).prod())
+            if norm_sq < sys.float_info.min:
+                raise ValidationError(
+                    f"{self.what} have squared norm {norm_sq:.3g}, below the smallest "
+                    "normal float: they cannot be normalized")
+            coef = coef / math.sqrt(norm_sq)
             # the terms lie on disjoint labels, one per control index c
             self._amplitudes = expand_products(
                 [(c, a, vectors[:, _XOR[c]]) for c, a in enumerate(coef.tolist())], 1,
@@ -346,8 +353,7 @@ def product_overlap(a, b):
     and the norms alike: the ratio is the control's ratio times one ratio
     per target, each in [0, 1], so the product cannot overflow, and it
     underflows only where the fidelity itself is that small. An operand of
-    norm 0 gives NaN (0/0). The squares of
-    the coefficients must not overflow (see ``fidelity``)."""
+    norm 0 gives NaN (0/0)."""
     (ca, va), (cb, vb) = a, b
     return _ratio(ca, cb) * _ratio(va, vb).prod(axis=-1)
 
@@ -356,11 +362,6 @@ def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|<a|b>|^2 / (<a|a> <b|b>) over the last axis."""
     return (np.abs((a.conj() * b).sum(axis=-1)) ** 2
             / ((np.abs(a) ** 2).sum(axis=-1) * (np.abs(b) ** 2).sum(axis=-1)))
-
-
-# Stands in for a scale of 0 in ``fidelity``, where every coefficient it
-# scales is 0: any positive scale leaves them 0.
-_TINY = sys.float_info.min
 
 
 def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:
@@ -440,13 +441,8 @@ def fidelity(state: HyperState, ideal: HyperState) -> float:
             f"dimension mismatch: {state.n_photons} photons (spins={state.has_spins}) "
             f"vs {ideal.n_photons} (spins={ideal.has_spins})")
     if state.factors is not None and ideal.factors is not None:
-        # each state's coefficients divided by their largest magnitude: a
-        # gate's, divided by the root of a subnormal success, overflow when
-        # squared
         with np.errstate(divide="ignore", invalid="ignore"):
-            fid = float(product_overlap(
-                *((coef / max(np.abs(coef).max(), _TINY), vectors)
-                  for coef, vectors in (state.factors, ideal.factors))))
+            fid = float(product_overlap(state.factors, ideal.factors))
         if math.isfinite(fid):   # else 0/0, from an operand of norm 0
             return fid
     else:

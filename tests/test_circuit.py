@@ -170,6 +170,30 @@ class TestStages:
                 want = bc.T * amp
             assert abs(state.amplitudes[label] - want) < 1e-14
 
+    def test_a_dark_mirror_drops_its_branch(self, bench_params):
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        state = _random_state(np.random.default_rng(11), n_photons=2)
+        before = dict(state.amplitudes)
+        assert len(before) == 64
+        click, absorbed = stage_polarization(state, 0, bc, mirror_T=0.0)
+        pm = pol_mask(0)
+        # the R branch's amplitudes become exactly zero and leave the state
+        assert sorted(state.amplitudes) == sorted(l for l in before if l & pm)
+        assert len(state.amplitudes) == 32
+        r_norm = math.fsum(abs(a) ** 2 for l, a in before.items() if not l & pm)
+        l_norm = 1.0 - r_norm
+        d2, t2 = abs(bc.D) ** 2, abs(bc.T) ** 2
+        assert click == pytest.approx(d2 * l_norm, abs=1e-12)
+        assert absorbed == pytest.approx(r_norm + (1.0 - d2 - t2) * l_norm, abs=1e-12)
+
+    @pytest.mark.parametrize("photon", [2, -1])
+    def test_invalid_photon_index_rejected(self, bench_params, photon):
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        state = _random_state(np.random.default_rng(12), n_photons=2)
+        with pytest.raises(ValidationError,
+                           match=f"invalid photon index {photon} for 2-photon state"):
+            stage_spatial(state, photon, bc)
+
     def test_conservation_off_resonance(self):
         rng = np.random.default_rng(10)
         for _ in range(25):

@@ -399,6 +399,19 @@ class TestParamsFile:
                      "--control", "+,+", "--target", "+,+"]) == 0
         assert "0.651292689179" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("params, success", [
+        ({"g_ratio": 3.0, "ks_ratio": 0.1}, "0.651292689179"),
+        ({"g_ratio": 3}, "0.956646400751"),
+    ], ids=["gamma_ratio_left_out", "ks_ratio_left_out"])
+    def test_left_out_ratio_keys_take_the_from_ratios_defaults(self, params, success,
+                                                               tmp_path, capsys):
+        # as CavityParams.from_ratios(3.0, 0.1) and from_ratios(3.0, 0.0): the
+        # emitter decays at gamma_ratio 0.1, and a left-out ks_ratio is 0
+        path = _write_spec(tmp_path, {"params": params})
+        assert main(["run", "--params-file", path,
+                     "--control", "+,+", "--target", "+,+"]) == 0
+        assert f"success probability   {success}\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("key", ["g_ratio", "g"])
     @pytest.mark.parametrize("value", ["abc", [1], None],
                              ids=["string", "list", "null"])

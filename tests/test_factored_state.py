@@ -26,7 +26,8 @@ from hypercnot import (
     truth_table,
 )
 from hypercnot.cli import main
-from hypercnot.hyperstate import FactoredState
+from hypercnot.gates import factored_run
+from hypercnot.hyperstate import FactoredState, photon_vectors
 
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
 U = PhotonSpec.uniform()
@@ -128,6 +129,26 @@ def test_factored_fidelity_matches_the_dict_fidelity():
             expanded = fidelity(state, ideal)
         assert state.factors is None
         assert abs(factored - expanded) <= 1e-12, case
+
+
+def test_a_point_fidelity_is_the_runs_truth_fidelity():
+    # the branch state holds the run's factors unnormalized, so fidelity
+    # does the same arithmetic on the same arrays as the batched sweep
+    rng = random.Random(7)
+    nrng = np.random.default_rng(8)
+    for case in range(200):
+        cfg, photons = _case(rng, nrng, case)
+        state = hyper_cnot_n(photons[0], photons[1:], cfg).conditional_state
+        got = fidelity(state, ideal_hyper_cnot_n(photons[0], photons[1:]))
+        bc = block_coeffs(scatter_coeffs(cfg.params))
+        run = factored_run(bc, cfg.mirror_T_override, photon_vectors(photons))
+        assert got == run.truth_fidelity(), case
+
+
+def test_the_truth_rule_state_is_normalized():
+    # a spec normalized only to within NORM_TOL: its squared norm is 1 + 8e-10
+    spec = PhotonSpec(pol=(1.0, 0.0), spatial=(0.6 * (1 + 4e-10), 0.8 * (1 + 4e-10)))
+    assert abs(ideal_hyper_cnot_n(spec, [spec]).norm_sq() - 1.0) <= 1e-15
 
 
 def test_a_flip_after_a_read_takes_the_dict_path(bench_config):
