@@ -46,6 +46,9 @@ from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 # Photons one chunk of a batched pass holds, over all its cavity points: a
 # point of N targets takes N + 1, and a chunk holds at least one point.
 _CHUNK_PHOTONS = 4096
+# Most targets a sweep point or scan case may take: memory grows with them,
+# to about 0.4 GB for one sweep point and 0.75 GB for one scan case at 10^6.
+MAX_TARGETS = 10**6
 
 
 def _chunks(n_points: int, n_targets: int):
@@ -90,7 +93,7 @@ class SweepGrid:
             raise ValidationError(f"gamma_ratio must be >= 0, got {self.gamma_ratio}")
         if not math.isfinite(max(self.g_ratios) * (1.0 + max(self.ks_ratios))):
             raise ValidationError("g_ratios times 1 + ks_ratios must be finite")
-        check_count(self.n_targets, "n_targets")
+        check_count(self.n_targets, "n_targets", MAX_TARGETS)
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
     case.
     """
     check_count(n_cases, "n_cases")
-    check_count(n_targets, "n_targets")
+    check_count(n_targets, "n_targets", MAX_TARGETS)
     check_seed(seed, "seed")
     if mirror_scale is not None and (isinstance(mirror_scale, bool)
                                      or not isinstance(mirror_scale, (int, float))

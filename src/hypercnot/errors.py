@@ -23,10 +23,13 @@ class RoutingContractError(RuntimeError):
     not a physics outcome)."""
 
 
-def check_count(value, name: str) -> None:
-    """A count of targets, cases or shots: an int >= 1 that is not a bool."""
+def check_count(value, name: str, limit: int | None = None) -> None:
+    """A count of targets, cases or shots: an int >= 1 that is not a bool,
+    and at most ``limit`` if one is given."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be an int >= 1, got {value!r}")
+    if limit is not None and value > limit:
+        raise ValidationError(f"{name} must be <= {limit}, got {value!r}")
 
 
 def refuse_where(bad, value, error: type, message: str) -> None:

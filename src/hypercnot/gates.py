@@ -21,11 +21,11 @@ Every stage is diagonal in the spins, so:
     Hadamards on the one spin value sigma(c) = (s1 = p, s2 = m), with
     amplitude F[0, c] * x_c;
   * a target bit, wrapped in its Hadamards, sees a block on spin s as
-    A_s = H diag(m, (-1)^s T) H = a I + b X, with a = (m + T)/2 and
-    b = (m - T)/2, and A_1 = X A_0. So target i leaves spin value sigma as
-    t_sigma = X^sigma' u_i, one vector u_i = (A_0 (x) A_0) x_i with its
-    polarization bit flipped when s1 is down and its spatial bit when s2
-    is; on sigma(c) that flip is X^c, (X^c u)[k] = u[k ^ c];
+    A_s = H diag(m, (-1)^s T) H, and A_1 = X A_0 since H Z H = X. So
+    target i leaves spin value sigma as t_sigma = X^sigma' u_i, one vector
+    u_i = (A_0 (x) A_0) x_i with its polarization bit flipped when s1 is
+    down and its spatial bit when s2 is; on sigma(c) that flip is X^c,
+    (X^c u)[k] = u[k ^ c];
   * before the final spin Hadamards the state is a sum of four product
     states, sum_c |sigma(c)> (x) F[0, c] x_c |c> (x) X^c u_1 (x) ... (x) X^c u_N;
   * the final spin Hadamards give the term of c the sign
@@ -34,9 +34,11 @@ Every stage is diagonal in the spins, so:
     down). So each of the four spin records has probability success / 4 and
     the same corrected state.
 
-u_i = aa x_i + ab (X_p x_i + X_m x_i) + bb X_p X_m x_i takes a few
-elementwise operations on x_i. On a balanced mirror (m = T) b is exactly 0
-and u_i = T^2 x_i to the bit, so exact zeros of the input stay exact.
+In that spectral form u_i = K (F[0] o K x_i), with K = H (x) H the
+target's Hadamards and o the entrywise product: no mirror and block terms
+cancel, so a mirror m far weaker than the block still gives a uniform target
+u_i = m^2 x_i. On a balanced mirror F[0] = T^2 and u_i = T^2 x_i is taken
+directly, to the bit (K K x_i is x_i only to rounding).
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums, computed with the photons
 stacked on one numpy axis from one Hadamard of each target, an elementwise
@@ -208,11 +210,6 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
 _LO = {b: np.array([k & ~b for k in range(4)]) for b in (1, 2)}
 _HI = {b: np.array([k | b for k in range(4)]) for b in (1, 2)}
 _SIGN = {b: np.array([-1.0 if k & b else 1.0 for k in range(4)]) for b in (1, 2)}
-# A photon's 4-vector is indexed k = p + 2m (polarization bit low, spatial
-# bit high, as in the labels). _FLIPS[k, j] counts the bits in which k and j
-# differ: A_0 (x) A_0, with A_0 = a I + b X on each bit, takes entry j to
-# entry k with weight (a a, a b, b b)[_FLIPS[k, j]].
-_FLIPS = np.array([[bin(k ^ j).count("1") for j in range(4)] for k in range(4)])
 # Spin record and feed-forward flags of the four branches, in branch order.
 _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
@@ -268,7 +265,7 @@ class FactoredRun(NamedTuple):
                 every point has the same photons it may lack the batch axis
       control   what the control's two stages multiply its entry k by on
                 spin value 0, F[..., 0, k] = f(p, 0) f(m, 0)
-      u         target i's output u[..., i, k] = ((A_0 (x) A_0) x_i)[k];
+      u         target i's output u[..., i, k] = (K (control o K x_i))[k];
                 on the control's basis index c it leaves as X^c u_i
       success   heralded-success probability (a float for one point)
       clicks    detector clicks [..., photon, stage], the polarization
@@ -303,14 +300,13 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
     # which moves a batch axis to the front
     control = (f0[:, None] * f0).reshape((4,) + f0.shape[1:]).T
-    # u_i = (A_0 (x) A_0) x_i = aa x_i + ab (X_p x_i + X_m x_i) + bb X_p X_m x_i,
-    # summed entry by entry; on a balanced mirror b is exactly 0, so every
-    # term but aa x_i is exactly 0 and u_i = T^2 x_i to the bit
-    a = (t_mirror + bc.T) / 2.0
-    b = (t_mirror - bc.T) / 2.0
-    weights = np.array((a * a, a * b, b * b)).T[..., None, _FLIPS]
-    u = (weights * x[..., 1:, None, :]).sum(axis=-1)
     v = _hadamards(x)
+    # u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i); a balanced mirror makes
+    # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit
+    if mirror_T is None:
+        u = np.asarray(bc.T * bc.T)[..., None, None] * x[..., 1:, :]
+    else:
+        u = _hadamards(control[..., None, :] * v[..., 1:, :])
     v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
@@ -463,9 +459,7 @@ def sample_shots(control: PhotonSpec, targets: Sequence[PhotonSpec],
     does not grow with ``shots``. Deterministic given the seed."""
     if cfg.rng_seed is None:
         raise ValidationError("sampling requires a GateConfig with rng_seed set")
-    check_count(shots, "shots")
-    if shots > MAX_SHOTS:
-        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+    check_count(shots, "shots", MAX_SHOTS)
     out = hyper_cnot_n(control, targets, cfg)
     masses = [m for stage in out.stages for m in stage]
     n = len(masses)

@@ -16,7 +16,7 @@ from hypercnot import (
     random_photon_spec,
     sweep_efficiency,
 )
-from hypercnot.analysis import REPORT_COLUMNS
+from hypercnot.analysis import MAX_TARGETS, REPORT_COLUMNS
 
 ETA_1 = 0.6512926891789744
 
@@ -56,6 +56,11 @@ class TestSweepGrid:
         # g = g_ratio * (kappa + kappa_s) is inf: CavityParams refuses it
         with pytest.raises(ValidationError, match="finite"):
             SweepGrid(g_ratios=(1e308,), ks_ratios=(1.0,))
+
+    def test_refuses_more_targets_than_fit_in_memory(self):
+        assert SweepGrid((1.0,), (0.0,), n_targets=MAX_TARGETS).n_targets == MAX_TARGETS
+        with pytest.raises(ValidationError, match=f"n_targets must be <= {MAX_TARGETS}"):
+            SweepGrid((1.0,), (0.0,), n_targets=10**9)
 
 
 class TestSweepEfficiency:
@@ -152,6 +157,10 @@ class TestFidelityScan:
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
             fidelity_scan(**kwargs)
+
+    def test_refuses_more_targets_than_fit_in_memory(self):
+        with pytest.raises(ValidationError, match=f"n_targets must be <= {MAX_TARGETS}"):
+            fidelity_scan(1, 1, n_targets=10**9)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5])
     def test_rejects_seeds_numpy_cannot_take(self, seed):

@@ -148,6 +148,14 @@ class TestRun:
         assert main(argv) == code
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_mirror_far_weaker_than_the_block(self, capsys):
+        # u_i = m^2 x_i for the uniform target; the control keeps only its
+        # block branches' overlap, 1/4
+        code = main(["run", "--control", "+,+", "--target", "+,+", *BENCH,
+                     "--mirror-override", "1e-9", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(0.25, abs=1e-6)
+
     def test_unwritable_output_is_io_error(self, capsys):
         code = main(["run", "--control", "R,1", "--target", "R,1",
                      "--out", "/nonexistent-dir/run.txt", *BENCH])
@@ -478,6 +486,15 @@ class TestParamsFile:
                      "--control", "+,+", "--target", "+,+", "--seed", "1"])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-cases", "1", "--n-targets", "1000000000"],
+    ["sweep", "--g-ratio", "1", "--ks-ratio", "0", "--n-targets", "1000000000"],
+], ids=["verify", "sweep"])
+def test_more_targets_than_fit_in_memory_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "n_targets must be <= 1000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -265,3 +265,24 @@ def test_an_unbalanced_scan_follows_the_closed_form(n, scale):
     summary = fidelity_scan(40, 13, n, mirror_scale=scale)
     assert abs(summary.min_fidelity - min(fids)) <= 1e-12
     assert abs(summary.mean_fidelity - sum(fids) / len(fids)) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random"])
+def test_a_mirror_far_weaker_than_the_block(ratio, n, uniform):
+    # the branch state's squared norm, from its factors, is the success
+    # probability, which the mass chain computes on its own path; on a
+    # uniform target the block branch adds nothing, so u_i = m^2 x_i
+    T = block_coeffs(scatter_coeffs(OFF_RESONANCE)).T
+    m = ratio * T
+    rng = np.random.default_rng(14)
+    photons = [U if uniform else random_photon_spec(rng) for _ in range(n + 1)]
+    out = hyper_cnot_n(photons[0], photons[1:], GateConfig(
+        params=OFF_RESONANCE, n_targets=n, mirror_T_override=m))
+    coef, vectors = out.conditional_state.factors
+    norm_sq = (np.abs(coef) ** 2).sum() * (np.abs(vectors) ** 2).sum(axis=-1).prod()
+    assert abs(norm_sq - out.success_prob) <= 1e-14 * out.success_prob
+    if uniform:
+        want = (m * m) * np.array([_vector(p) for p in photons[1:]])
+        assert np.abs(vectors - want).max() <= 1e-14 * np.abs(want).max()
