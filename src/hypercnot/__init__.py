@@ -4,9 +4,10 @@ A single emitter-in-cavity unit ("basic block") either transmits a photon
 with a spin-conditioned polarization flip or reflects it into a heralding
 detector. Two such blocks plus linear optics implement a CNOT -- and, with
 more target photons, a CNOT^N -- acting simultaneously on the polarization
-and spatial-mode qubits of each photon. The simulation tracks exact sparse
-amplitudes, heralded-failure detectors, and absorption, and reproduces the
-gate's closed-form success probability |T|^(4(N+1)).
+and spatial-mode qubits of each photon. The simulation runs the gate in
+factored form (a control coefficient vector and one 4-vector per target),
+records each stage's heralded-failure click and absorbed mass, and
+reproduces the gate's closed-form success probability |T|^(4(N+1)).
 """
 
 from .analysis import (

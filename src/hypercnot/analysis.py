@@ -39,7 +39,7 @@ from .errors import (
     check_count,
     refuse_where,
 )
-from .gates import MIN_BLOCK_T, check_seed, check_transmits, factored_run
+from .gates import MIN_BLOCK_T, check_mirror_scale, check_seed, check_transmits, factored_run
 from .hyperstate import PhotonSpec, pair_vectors, photon_vectors
 from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 
@@ -49,6 +49,9 @@ _CHUNK_PHOTONS = 4096
 # Most targets a sweep point or scan case may take: memory grows with them,
 # to about 0.4 GB for one sweep point and 0.75 GB for one scan case at 10^6.
 MAX_TARGETS = 10**6
+# Most points a sweep grid may hold: a sweep keeps one report row per point,
+# about 360 bytes each at its peak.
+MAX_GRID_POINTS = 10**6
 
 
 def _chunks(n_points: int, n_targets: int):
@@ -85,6 +88,10 @@ class SweepGrid:
                 raise ValidationError(f"{name} must be finite, got {value}")
         if not self.g_ratios or not self.ks_ratios:
             raise ValidationError("sweep axes must be non-empty")
+        points = len(self.g_ratios) * len(self.ks_ratios)
+        if points > MAX_GRID_POINTS:
+            raise ValidationError(f"the sweep grid has {points} points, more than "
+                                  f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         if any(g < 0 for g in self.g_ratios):
             raise ValidationError("g ratios must be >= 0")
         if any(k < 0 for k in self.ks_ratios):
@@ -206,24 +213,20 @@ _SCAN_DRAWS = tuple(_SCAN_RANGES[k] for k in ("g_ratio", "ks_ratio", "gamma_rati
 
 
 def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
-                  mirror_scale: float | None = None) -> ScanSummary:
+                  mirror_scale: complex | None = None) -> ScanSummary:
     """Random-case check that the heralded gate is exact.
 
     Each case draws cavity parameters from _SCAN_RANGES and fresh random
     input photons, runs the gate, and compares the corrected state (every
-    spin branch's) against the truth-rule state. mirror_scale (if given, a
-    finite int or float) multiplies the balancing mirrors' transmission,
-    deliberately unbalancing the gate; expect fidelities below 1 in that
-    case.
+    spin branch's) against the truth-rule state. mirror_scale is
+    ``GateConfig.mirror_scale``: if given, it multiplies the balancing
+    mirrors' transmission, deliberately unbalancing the gate; expect
+    fidelities below 1 in that case.
     """
     check_count(n_cases, "n_cases")
     check_count(n_targets, "n_targets", MAX_TARGETS)
     check_seed(seed, "seed")
-    if mirror_scale is not None and (isinstance(mirror_scale, bool)
-                                     or not isinstance(mirror_scale, (int, float))
-                                     or not math.isfinite(mirror_scale)):
-        raise ValidationError(
-            f"mirror_scale must be None or a finite int or float, got {mirror_scale!r}")
+    check_mirror_scale(mirror_scale)
     rng = np.random.default_rng(seed)
     fid_sums: list[float] = []
     min_fid = math.inf
@@ -241,9 +244,8 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
                      "scattering denominator vanishes at a scanned point")
         bc = block_coeffs(coeffs)
         check_transmits(bc.T)
-        override = None if mirror_scale is None else mirror_scale * bc.T
         x = pair_vectors(np.array(pairs).reshape(stop - start, n_targets + 1, 2, 2))
-        run = factored_run(bc, override, x)
+        run = factored_run(bc, mirror_scale, x)
         refuse_where(run.success == 0.0, run.success, AmplitudeLostError,
                      "all amplitude lost: nothing left to measure")
         fid = run.truth_fidelity()

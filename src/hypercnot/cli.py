@@ -287,14 +287,8 @@ def _fmt_complex(a: complex) -> str:
 
 
 def _gate_config(args: argparse.Namespace, n_targets: int) -> GateConfig:
-    params = resolve_params(args)
-    override = None
-    scale = getattr(args, "mirror_override", None)
-    if scale is not None:
-        bc = block_coeffs(scatter_coeffs(params))
-        override = scale * bc.T
-    return GateConfig(params=params, n_targets=n_targets,
-                      mirror_T_override=override,
+    return GateConfig(params=resolve_params(args), n_targets=n_targets,
+                      mirror_scale=args.mirror_override,
                       rng_seed=getattr(args, "seed", None))
 
 
@@ -404,11 +398,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    "<= 1e-12", scan.max_success_deviation <= 1e-12))
     checks.append(("scan max conservation error", scan.max_conservation_error,
                    "<= 1e-12", scan.max_conservation_error <= 1e-12))
-    tt_cfg_args = argparse.Namespace(
-        g=3.3, kappa=1.0, kappa_s=0.1, gamma=0.1,
-        detuning_c=0.0, detuning_x=0.0, mirror_override=args.mirror_override)
-    tt_rows = truth_table(_gate_config(tt_cfg_args, 1))
-    tt_min = min(r.fidelity for r in tt_rows)
+    tt_cfg = GateConfig(params=CavityParams(g=3.3, kappa=1.0, kappa_s=0.1, gamma=0.1),
+                        mirror_scale=args.mirror_override)
+    tt_min = min(r.fidelity for r in truth_table(tt_cfg))
     checks.append(("truth-table min fidelity", tt_min,
                    ">= 1-1e-12", tt_min >= 1.0 - 1e-12))
     lines = [f"fidelity scan: n_cases={scan.n_cases} seed={args.seed} "
@@ -479,15 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="target photon spec (repeat for CNOT^N)")
     run.add_argument("--n-targets", type=int, help="cross-check of target count")
     _add_param_flags(run)
-    run.add_argument("--mirror-override", type=float,
-                     help="scale the balancing mirrors' transmission by this factor")
     _add_out_flags(run, ("text", "json"))
     run.set_defaults(func=cmd_run)
 
     tt = sub.add_parser("truth-table", help="all 16 basis inputs at one point")
     _add_param_flags(tt)
-    tt.add_argument("--mirror-override", type=float,
-                    help="scale the balancing mirrors' transmission by this factor")
     _add_out_flags(tt, ("text", "csv", "json"))
     tt.set_defaults(func=cmd_truth_table)
 
@@ -508,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-cases", type=int, default=200)
     ver.add_argument("--seed", type=int, default=12345)
     ver.add_argument("--n-targets", type=int, default=1)
-    ver.add_argument("--mirror-override", type=float,
-                     help="scale mirrors to show the check catching imbalance")
     ver.add_argument("--out", help="output path (default: stdout)")
     ver.set_defaults(func=cmd_verify)
 
@@ -520,11 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     sam.add_argument("--shots", type=int, default=10000)
     sam.add_argument("--seed", type=int, help="RNG seed (required)")
     _add_param_flags(sam)
-    sam.add_argument("--mirror-override", type=float,
-                     help="scale the balancing mirrors' transmission by this factor")
     _add_out_flags(sam, ("text", "json"))
     sam.set_defaults(func=cmd_sample)
 
+    for p in (run, tt, ver, sam):
+        p.add_argument("--mirror-override", type=float, help="scale the balancing "
+                       "mirrors' transmission by this factor (default: balanced)")
     return parser
 
 

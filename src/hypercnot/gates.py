@@ -14,8 +14,9 @@ The run is computed in factored form, never as one joint state. A photon is
 a 4-vector indexed k = p + 2m (p its polarization bit, m its spatial bit); a
 spin value is sigma = 2*s1 + s2. Its two stages multiply entry k by
 F[sigma, k] = f(p, s1) * f(m, s2), the factors of ``circuit``'s stages:
-f = mirror_T (m below) on the mirror branch and +/-T on the block branch.
-Every stage is diagonal in the spins, so:
+f = m on the mirror branch and +/-T on the block branch, where the mirror's
+transmission m is ``GateConfig.mirror_scale`` times T (T itself when the
+scale is None: a balanced mirror). Every stage is diagonal in the spins, so:
 
   * the control's basis index c leaves its stages and the middle spin
     Hadamards on the one spin value sigma(c) = (s1 = p, s2 = m), with
@@ -83,6 +84,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -124,20 +126,30 @@ def check_seed(seed, name: str) -> None:
         raise ValidationError(f"{name} must be None or an int >= 0, got {seed!r}")
 
 
+def check_mirror_scale(scale) -> None:
+    """A mirror scale: None (balanced), or a finite int, float or complex that
+    is not a bool."""
+    if scale is not None and (isinstance(scale, bool)
+                              or not isinstance(scale, (int, float, complex))
+                              or not cmath.isfinite(scale)):
+        raise ValidationError(
+            f"mirror_scale must be None or a finite int, float or complex, got {scale!r}")
+
+
 @dataclass(frozen=True)
 class GateConfig:
     """Physics and execution settings for one gate run.
 
-    mirror_T_override replaces the balancing mirrors' transmission (which
-    defaults to the block's own T so that all branches attenuate equally).
-    Setting it to anything else unbalances the interferometer and degrades
-    fidelity; it exists for exactly that kind of what-if run. rng_seed is
-    read only by ``sample_shots``.
+    mirror_scale multiplies the balancing mirrors' transmission, which is the
+    block's own T (scale None) so that all branches attenuate equally. Any
+    other scale unbalances the interferometer and degrades fidelity, for
+    what-if runs; a mirror |mirror_scale * T| above 1 is refused when the
+    gate runs. rng_seed is read only by ``sample_shots``.
     """
 
     params: CavityParams
     n_targets: int = 1
-    mirror_T_override: complex | None = None
+    mirror_scale: complex | None = None
     rng_seed: int | None = None
 
     def __post_init__(self):
@@ -145,18 +157,7 @@ class GateConfig:
             raise ValidationError("params must be a CavityParams")
         check_count(self.n_targets, "n_targets")
         check_seed(self.rng_seed, "rng_seed")
-        if self.mirror_T_override is not None:
-            if (isinstance(self.mirror_T_override, bool)
-                    or not isinstance(self.mirror_T_override, (int, float, complex))):
-                raise ValidationError(
-                    f"mirror override must be an int, float or complex, "
-                    f"got {self.mirror_T_override!r}")
-            if not cmath.isfinite(self.mirror_T_override):
-                raise ValidationError(
-                    f"mirror override {self.mirror_T_override} is not finite")
-            if abs(self.mirror_T_override) > 1.0 + 1e-12:
-                raise ValidationError(
-                    f"mirror override magnitude {abs(self.mirror_T_override)} exceeds 1")
+        check_mirror_scale(self.mirror_scale)
 
 
 class OutcomeBranch(NamedTuple):
@@ -288,14 +289,15 @@ class FactoredRun(NamedTuple):
         return product_overlap((self.control * x0, self.u), (x0, self.x[..., 1:, :]))
 
 
-def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
+def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     """The gate on photon vectors x (``hyperstate.photon_vectors``) in
-    factored form. bc's fields and mirror_T (None: the block's T) are numbers
-    for one cavity point, or arrays of shape (B,) for a batch of B points,
-    with x of shape (P, 4) or (B, P, 4). The caller has checked that every
-    block transmits (``check_transmits``). Refuses what
-    ``circuit.check_stage`` refuses, at any point."""
-    t_mirror, d2, t2 = check_stage(bc, mirror_T)
+    factored form. bc's fields and mirror_scale (``GateConfig.mirror_scale``;
+    None: a balanced mirror) are numbers for one cavity point, or arrays of
+    shape (B,) for a batch of B points, with x of shape (P, 4) or (B, P, 4).
+    The caller has checked that every block transmits (``check_transmits``).
+    Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
+    transmission mirror_scale * T above 1 among them."""
+    t_mirror, d2, t2 = check_stage(bc, None if mirror_scale is None else mirror_scale * bc.T)
     f0 = np.array((t_mirror, bc.T))             # f(branch bit, spin up)
     # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
     # which moves a batch axis to the front
@@ -303,7 +305,7 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     v = _hadamards(x)
     # u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i); a balanced mirror makes
     # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit
-    if mirror_T is None:
+    if mirror_scale is None:
         u = np.asarray(bc.T * bc.T)[..., None, None] * x[..., 1:, :]
     else:
         u = _hadamards(control[..., None, :] * v[..., 1:, :])
@@ -315,13 +317,20 @@ def factored_run(bc, mirror_T, x: np.ndarray) -> FactoredRun:
     table = _mass_table(abs(t_mirror) ** 2, t2)
     routed = ((np.abs(v) ** 2)[..., :, :, None] * table).sum(axis=-2)
     chain = np.ones(routed.shape[:-2] + (2, n + 1))
-    chain[..., 0, 1:] = routed[..., 4]
+    kept = routed[..., 4]
+    chain[..., 0, 1:] = kept
     chain[..., 1, 1:] = routed[..., ::-1, 5]
     np.cumprod(chain, axis=-1, out=chain)  # kept up to photon j; norms from the last back
+    success = chain[..., 0, -1][()]   # [()]: a float for one point
+    tiny = success < sys.float_info.min
+    if tiny.any() if tiny.ndim else tiny:   # one point skips .any(), a microsecond
+        # a subnormal product sticks where a kept mass above 1/2 rounds it back
+        # to itself; the sum of logs gives 0 below the smallest subnormal
+        with np.errstate(divide="ignore"):
+            success = np.where(tiny, np.exp(np.log(kept).sum(axis=-1)), success)[()]
     routed = routed[..., :4] * (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
     # transposed, the batch axis is last, where bc's fields broadcast
     clicks, absorbed = stage_losses(routed.T[0::2], routed.T[1::2], t_mirror, d2, t2)
-    success = chain[..., 0, -1][()]   # [()]: a float for one point
     return FactoredRun(x, control, u, success, clicks.T, absorbed.T)
 
 
@@ -334,7 +343,7 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     bc = block_coeffs(scatter_coeffs(cfg.params))
     check_transmits(bc.T)
     x = photon_vectors([control, *targets])
-    run = factored_run(bc, cfg.mirror_T_override, x)
+    run = factored_run(bc, cfg.mirror_scale, x)
     clicks = run.clicks.ravel().tolist()
     stages = tuple(zip(clicks, run.absorbed.ravel().tolist()))
     success = float(run.success)

@@ -16,7 +16,7 @@ from hypercnot import (
     random_photon_spec,
     sweep_efficiency,
 )
-from hypercnot.analysis import MAX_TARGETS, REPORT_COLUMNS
+from hypercnot.analysis import MAX_GRID_POINTS, MAX_TARGETS, REPORT_COLUMNS
 
 ETA_1 = 0.6512926891789744
 
@@ -61,6 +61,13 @@ class TestSweepGrid:
         assert SweepGrid((1.0,), (0.0,), n_targets=MAX_TARGETS).n_targets == MAX_TARGETS
         with pytest.raises(ValidationError, match=f"n_targets must be <= {MAX_TARGETS}"):
             SweepGrid((1.0,), (0.0,), n_targets=10**9)
+
+    def test_refuses_more_points_than_fit_in_memory(self):
+        axis = tuple(range(1000))
+        SweepGrid(axis, axis)   # exactly MAX_GRID_POINTS: accepted
+        with pytest.raises(ValidationError,
+                           match=f"1001000 points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+            SweepGrid(axis + (1000,), axis)
 
 
 class TestSweepEfficiency:

@@ -37,15 +37,14 @@ def _random_case(rng, nrng, case):
     params = CavityParams.from_ratios(rng.uniform(0.2, 5.0), rng.uniform(0.0, 1.0),
                                       rng.uniform(0.05, 0.2), rng.uniform(-1.0, 1.0),
                                       rng.uniform(-1.0, 1.0))
-    T = block_coeffs(scatter_coeffs(params)).T
-    override = None
+    scale = None
     if case % 2:
-        override = complex(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3)) * T
+        scale = complex(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3))
     if case % 4 < 2:
         photons = [random_photon_spec(nrng) for _ in range(n + 1)]
     else:
         photons = [PhotonSpec.basis(rng.randrange(2), rng.randrange(2)) for _ in range(n + 1)]
-    return GateConfig(params=params, n_targets=n, mirror_T_override=override), photons
+    return GateConfig(params=params, n_targets=n, mirror_scale=scale), photons
 
 
 def test_factored_fidelity_matches_the_expanded_states():
@@ -56,7 +55,7 @@ def test_factored_fidelity_matches_the_expanded_states():
         outcome = hyper_cnot_n(photons[0], photons[1:], cfg)
         ideal = ideal_hyper_cnot_n(photons[0], photons[1:])
         bc = block_coeffs(scatter_coeffs(cfg.params))
-        factored = float(factored_run(bc, cfg.mirror_T_override,
+        factored = float(factored_run(bc, cfg.mirror_scale,
                                       photon_vectors(photons)).truth_fidelity())
         # expanded, both take the dict fidelity
         outcome.conditional_state.amplitudes, ideal.amplitudes
@@ -73,9 +72,9 @@ def test_a_batch_matches_one_point_at_a_time(n):
     cases = [_random_case(rng, nrng, 3 * k + n - 1) for k in range(8)]
     coeffs = [block_coeffs(scatter_coeffs(cfg.params)) for cfg, _ in cases]
     bc = BlockCoeffs(D=np.array([c.D for c in coeffs]), T=np.array([c.T for c in coeffs]))
-    mirror = np.array([c.T if cfg.mirror_T_override is None else cfg.mirror_T_override
-                       for (cfg, _), c in zip(cases, coeffs)])
-    run = factored_run(bc, mirror, np.array([photon_vectors(p) for _, p in cases]))
+    scale = np.array([1.0 if cfg.mirror_scale is None else cfg.mirror_scale
+                      for cfg, _ in cases])
+    run = factored_run(bc, scale, np.array([photon_vectors(p) for _, p in cases]))
     fids = run.truth_fidelity()
     for j, (cfg, photons) in enumerate(cases):
         outcome = hyper_cnot_n(photons[0], photons[1:], cfg)
@@ -149,6 +148,12 @@ def test_sweep_rows_match_the_single_point_path(gamma, detuning_c, detuning_x, n
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14, (got, ref)
         if ref[4] == 0.0:
             assert row.success_prob == 0.0 and row.fidelity == 0.0
+
+
+def test_a_success_below_the_smallest_subnormal_reads_zero():
+    # |T|^40004 is about 1e-854 here: no stuck subnormal beside a zero efficiency
+    row, = sweep_efficiency(SweepGrid(g_ratios=(1.0,), ks_ratios=(0.0,), n_targets=10000))
+    assert (row.efficiency, row.success_prob, row.fidelity) == (0.0, 0.0, 0.0)
 
 
 def test_underflowing_success_reports_zero_and_a_subnormal_one_is_refused():
@@ -259,8 +264,9 @@ def test_the_stage_checks_run_once_per_pass(block_probs_calls):
     bc = BlockCoeffs(D=np.array([0.1, 0.2]), T=np.array([0.9, 0.8 + 0.1j]))
     factored_run(bc, None, x)
     assert len(block_probs_calls) == 1
-    with pytest.raises(ValidationError, match=r"mirror transmission \|T\|=1.5 exceeds 1"):
-        factored_run(bc, np.array([0.5, 1.5]), x)
+    # the scale 2 makes the first point's mirror 2 * 0.9
+    with pytest.raises(ValidationError, match=r"mirror transmission \|T\|=1.8 exceeds 1"):
+        factored_run(bc, np.array([2.0, 0.5]), x)
     with pytest.raises(ValidationError,
                        match=r"block coefficients violate \|D\|\^2\+\|T\|\^2<=1 \(1.62"):
         factored_run(BlockCoeffs(D=np.array([0.1, 0.9]), T=np.array([0.9, 0.9])), None, x)

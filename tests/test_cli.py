@@ -139,6 +139,8 @@ class TestRun:
         (["run", "--control", "R,1", "--target", "R,1"], 2),           # no g
         (["run", "--control", "R,1", "--target", "R,1", "--n-targets",
           "2", *BENCH], 2),
+        (["run", "--control", "R,1", "--target", "R,1", "--mirror-override",
+          "1.5", *BENCH], 2),                                          # mirror with gain
         (["run", "--control", "R,1", "--target", "R,1", "--g", "0",
           "--gamma", "0.1"], 3),                                       # degenerate
         (["run", "--control", "+,+", "--target", "+,+", "--g", "0",
@@ -504,13 +506,23 @@ def test_more_targets_than_fit_in_memory_exit_2(argv, capsys):
     ["sweep", "--g-ratio", "nan", "--ks-ratio", "0.1"],
     ["sweep", "--g-ratio", "0:inf:1", "--ks-ratio", "0.1"],
     ["sweep", "--g-ratio", "0:1e9:1e-9", "--ks-ratio", "0.1"],
+    ["sweep", "--g-ratio", "0:5:0.0005001", "--ks-ratio", "0:1:0.0001001"],
 ], ids=["run_g_nan", "run_mirror_nan", "sweep_nan", "sweep_inf_stop",
-        "sweep_huge_axis"])
+        "sweep_huge_axis", "sweep_huge_grid"])
 def test_non_finite_or_huge_input_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["run"], ["sample", "--seed", "1"]],
+                         ids=["run", "sample"])
+def test_a_success_below_the_smallest_subnormal_exits_3(command, capsys):
+    # |T|^16004 is about 1e-373 here: all amplitude is lost, not a subnormal
+    # state that cannot be normalized
+    assert main([*command, "--control", "L,2", *["--target", "L,2"] * 4000, *BENCH]) == 3
+    assert "all amplitude lost" in capsys.readouterr().err
 
 
 class TestParamsFileAsFlags:

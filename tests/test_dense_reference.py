@@ -130,11 +130,11 @@ def _photons(inputs, n, rng):
 def test_gate_matches_the_dense_replay(n, mirror, inputs):
     rng = np.random.default_rng([n, len(mirror), len(inputs)])
     bc = block_coeffs(scatter_coeffs(PARAMS))
-    mirror_T = None if mirror == "balanced" else 0.8 * bc.T * complex(math.cos(0.4),
-                                                                       math.sin(0.4))
+    scale = None if mirror == "balanced" else 0.8 * complex(math.cos(0.4), math.sin(0.4))
+    mirror_T = None if scale is None else scale * bc.T
     for _ in range(3):
         photons = _photons(inputs, n, rng)
-        cfg = GateConfig(params=PARAMS, n_targets=n, mirror_T_override=mirror_T)
+        cfg = GateConfig(params=PARAMS, n_targets=n, mirror_scale=scale)
         out = hyper_cnot_n(photons[0], photons[1:], cfg)
         success, stages, ref_branches = _replay(photons, bc, mirror_T)
 
@@ -166,4 +166,4 @@ def test_nothing_survives_a_dead_mirror():
     assert success == 0.0 and all(prob == 0.0 for _, prob, _ in ref_branches)
     with pytest.raises(AmplitudeLostError, match="all amplitude lost"):
         hyper_cnot_n(photons[0], photons[1:],
-                     GateConfig(params=PARAMS, mirror_T_override=0.0))
+                     GateConfig(params=PARAMS, mirror_scale=0.0))

@@ -20,7 +20,9 @@ from hypercnot import (
     Spin,
     ValidationError,
     block_coeffs,
+    efficiency,
     fidelity,
+    fidelity_scan,
     hyper_cnot,
     hyper_cnot_n,
     ideal_hyper_cnot,
@@ -47,16 +49,29 @@ class TestGateConfig:
         {"n_targets": 0},
         {"n_targets": 1.5},
         {"n_targets": True},
-        {"mirror_T_override": 1.5},
-        {"mirror_T_override": math.nan},
-        {"mirror_T_override": complex(0.5, math.nan)},
-        {"mirror_T_override": "x"},
-        {"mirror_T_override": True},
     ])
     def test_rejects(self, bench_params, kwargs):
         kwargs.setdefault("params", bench_params)
         with pytest.raises(ValidationError):
             GateConfig(**kwargs)
+
+    @pytest.mark.parametrize("scale", [True, math.nan, complex(0.5, math.nan), "x", math.inf],
+                             ids=["bool", "nan", "complex_nan", "str", "inf"])
+    def test_the_gate_and_the_scan_refuse_the_same_mirror_scales(self, bench_params, scale):
+        with pytest.raises(ValidationError) as gate:
+            GateConfig(params=bench_params, mirror_scale=scale)
+        with pytest.raises(ValidationError) as scan:
+            fidelity_scan(2, 1, mirror_scale=scale)
+        assert str(gate.value) == str(scan.value)
+        assert str(gate.value).startswith("mirror_scale must be None or a finite")
+
+    def test_a_mirror_with_gain_is_refused_when_the_gate_runs(self, bench_params):
+        # |T| is about 0.95 here, so a scale of 1.5 makes |m| about 1.42
+        cfg = GateConfig(params=bench_params, mirror_scale=1.5)
+        with pytest.raises(ValidationError, match="mirror transmission .* exceeds 1"):
+            hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform(), cfg)
+        with pytest.raises(ValidationError, match="mirror transmission .* exceeds 1"):
+            fidelity_scan(2, 1, mirror_scale=1e3)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
     def test_rejects_seeds_numpy_cannot_take(self, bench_params, seed):
@@ -149,8 +164,7 @@ class TestFeedForward:
         assert fidelity(spoiled, ideal) < 1.0 - 1e-6
 
     def test_unbalanced_mirror_breaks_the_state(self, bench_params):
-        T = block_coeffs(scatter_coeffs(bench_params)).T
-        cfg = GateConfig(params=bench_params, mirror_T_override=0.8 * T)
+        cfg = GateConfig(params=bench_params, mirror_scale=0.8)
         out = hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform(), cfg)
         ideal = ideal_hyper_cnot(PhotonSpec.uniform(), PhotonSpec.uniform())
         assert fidelity(out.conditional_state, ideal) < 1.0 - 1e-6
@@ -219,7 +233,7 @@ class TestValidationAndDegeneracy:
     def test_dead_mirror_eats_a_basis_input(self, bench_params):
         # R,m1 control never touches a block; a zero-transmission mirror
         # removes all of it and there is nothing left to measure.
-        cfg = GateConfig(params=bench_params, mirror_T_override=0.0)
+        cfg = GateConfig(params=bench_params, mirror_scale=0.0)
         with pytest.raises(AmplitudeLostError):
             hyper_cnot(PhotonSpec.basis(Pol.R, Spatial.M1),
                        PhotonSpec.basis(Pol.R, Spatial.M1), cfg)
@@ -233,8 +247,7 @@ class TestValidationAndDegeneracy:
         basis = PhotonSpec.basis(Pol.L, Spatial.M2)
         out = hyper_cnot_n(basis, [basis] * 2, GateConfig(params=bench_params, n_targets=2))
         assert len(out.conditional_state.amplitudes) == 1
-        T = block_coeffs(scatter_coeffs(bench_params)).T
-        cfg = GateConfig(params=bench_params, n_targets=2, mirror_T_override=0.9 * T)
+        cfg = GateConfig(params=bench_params, n_targets=2, mirror_scale=0.9)
         state = hyper_cnot_n(basis, [basis] * 2, cfg).conditional_state
         with pytest.raises(ValidationError,
                            match="need 64 amplitudes, more than MAX_AMPLITUDES = 8"):
@@ -255,6 +268,23 @@ class TestValidationAndDegeneracy:
         assert 0.0 < out.success_prob < sys.float_info.min
         with pytest.raises(ValidationError, match="below the smallest normal float"):
             out.conditional_state.amplitudes
+
+    @pytest.mark.parametrize("n", [3420, 3460, 3500, 4000, 6000])
+    def test_a_subnormal_success_follows_the_closed_form_down_to_zero(self, bench_params, n):
+        # each target keeps |T|^4 = 0.81 > 1/2, which rounds a running product
+        # of a few subnormal units back to itself: the success must not stick
+        # there but reach 0, where the gate has nothing left to measure
+        basis = PhotonSpec.basis(Pol.L, Spatial.M2)
+        cfg = GateConfig(params=bench_params, n_targets=n)
+        expected = efficiency(block_coeffs(scatter_coeffs(bench_params)).T, n)
+        if n < 3500:
+            got = hyper_cnot_n(basis, [basis] * n, cfg).success_prob
+            assert 0.0 < expected < sys.float_info.min
+            assert abs(got - expected) <= 1e-12 * expected + 1e-323
+        else:
+            assert expected == 0.0
+            with pytest.raises(AmplitudeLostError, match="all amplitude lost"):
+                hyper_cnot_n(basis, [basis] * n, cfg)
 
     # K must keep a basis target's norm exactly: a miss of 4.4e-16 per
     # target would add up to a conservation miss of 1.1e-12 at N = 2500
@@ -348,16 +378,14 @@ class TestSamplerDistribution:
     def case(self):
         params = CavityParams.from_ratios(1.5, ks_ratio=0.3, gamma_ratio=0.15,
                                           detuning_c=0.2, detuning_x=-0.3)
-        T = block_coeffs(scatter_coeffs(params)).T
         rng = np.random.default_rng(2)
         control = random_photon_spec(rng)
         targets = [random_photon_spec(rng), random_photon_spec(rng)]
-        return control, targets, params, 0.9 * T
+        return control, targets, params
 
     def test_counts_match_the_exact_masses(self, case):
-        control, targets, params, mirror_T = case
-        cfg = GateConfig(params=params, n_targets=2, mirror_T_override=mirror_T,
-                         rng_seed=11)
+        control, targets, params = case
+        cfg = GateConfig(params=params, n_targets=2, mirror_scale=0.9, rng_seed=11)
         exact = hyper_cnot_n(control, targets, cfg)
         shots = 10**6
         stats = sample_shots(control, targets, cfg, shots)

@@ -73,10 +73,7 @@ def test_success_and_conservation(gate):
 @given(gates_st, st.one_of(st.none(), st.floats(0.5, 1.0)))
 def test_sampler_outcome_masses_are_a_distribution(gate, mirror_scale):
     params, control, targets = gate
-    override = None
-    if mirror_scale is not None:
-        override = mirror_scale * block_coeffs(scatter_coeffs(params)).T
-    cfg = GateConfig(params=params, n_targets=len(targets), mirror_T_override=override)
+    cfg = GateConfig(params=params, n_targets=len(targets), mirror_scale=mirror_scale)
     out = hyper_cnot_n(control, targets, cfg)
     masses = [m for stage in out.stages for m in stage]
     masses += [b.probability for b in out.branches]
