@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import RoutingContractError, ValidationError, refuse_where
 from .hyperstate import HyperState
 from .scattering import BlockCoeffs, clip_unit
@@ -85,15 +87,21 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     return math.fsum(clicked), math.fsum(lost)
 
 
-def check_stage(bc: BlockCoeffs, mirror_T: complex | None = None):
-    """The mirror's transmission (the block's T when None), |D|^2 and |T|^2
-    of a routing stage, refusing a mirror with gain or a block that is not
-    passive. Elementwise when bc's fields and mirror_T are arrays of one
+def check_stage(bc: BlockCoeffs, mirror_T: complex | None = None, mirror_scale=None):
+    """The mirror's transmission, |D|^2 and |T|^2 of a routing stage,
+    refusing a mirror with gain or a block that is not passive. The mirror
+    transmits mirror_T, or mirror_scale times the block's T (the gate's
+    relative mirror, named in its refusal), or the block's T when both are
+    None. Elementwise when bc's fields and the mirror are arrays of one
     shape."""
-    t_mirror = bc.T if mirror_T is None else mirror_T
-    mag = abs(t_mirror)
-    refuse_where(mag > 1.0 + 1e-12, mag, ValidationError,
-                 "mirror transmission |T|={} exceeds 1")
+    if mirror_scale is None:
+        t_mirror = bc.T if mirror_T is None else mirror_T
+        shown, message = abs(t_mirror), "mirror transmission |T|={} exceeds 1"
+    else:
+        t_mirror = mirror_scale * bc.T
+        shown = np.broadcast_to(mirror_scale, np.shape(t_mirror))
+        message = "mirror transmission |mirror_scale * T| exceeds 1 at mirror_scale {}"
+    refuse_where(abs(t_mirror) > 1.0 + 1e-12, shown, ValidationError, message)
     d2, t2 = _block_probs(bc)
     return t_mirror, d2, t2
 

@@ -31,7 +31,7 @@ import re
 import sys
 from pathlib import Path
 
-from .analysis import SweepGrid, emit_report, fidelity_scan, sweep_efficiency
+from .analysis import MAX_GRID_POINTS, SweepGrid, emit_report, fidelity_scan, sweep_efficiency
 from .errors import DegeneratePhysicsError, ValidationError
 from .gates import (
     GateConfig,
@@ -109,15 +109,10 @@ def parse_photon_spec(text: str, field: str = "photon") -> PhotonSpec:
     return PhotonSpec(pol=_POL_SHORTHAND[pol_tok], spatial=_SPAT_SHORTHAND[spat_tok])
 
 
-# Most points one sweep axis may hold. A sweep keeps one report row per grid
-# point, so two longer axes would not fit in memory; the count is checked
-# before the axis is built.
-MAX_AXIS_POINTS = 10_000
-
-
 def parse_axis(text: str, name: str) -> tuple[float, ...]:
     """Sweep axis: inclusive ``start:stop:step`` or a comma list, of finite
-    values and at most MAX_AXIS_POINTS points."""
+    values and at most ``analysis.MAX_GRID_POINTS`` points, the most a sweep
+    grid may hold. A range's count is checked before the axis is built."""
     range_form = ":" in text
     parts = text.split(":") if range_form else [t for t in text.split(",") if t.strip()]
     if range_form and len(parts) != 3:
@@ -135,14 +130,14 @@ def parse_axis(text: str, name: str) -> tuple[float, ...]:
         if stop < start:
             raise ValidationError(f"{name}: stop must be >= start")
         span = (stop - start) / step + 1e-9
-        if not span < MAX_AXIS_POINTS:  # also an overflow to inf
+        if not span < MAX_GRID_POINTS:  # also an overflow to inf
             raise ValidationError(
-                f"{name}: {text!r} has more than {MAX_AXIS_POINTS} points")
+                f"{name}: {text!r} has more than {MAX_GRID_POINTS} points")
         return tuple(min(start + k * step, stop) for k in range(int(span) + 1))
     if not values:
         raise ValidationError(f"{name}: empty axis {text!r}")
-    if len(values) > MAX_AXIS_POINTS:
-        raise ValidationError(f"{name}: {text!r} has more than {MAX_AXIS_POINTS} points")
+    if len(values) > MAX_GRID_POINTS:
+        raise ValidationError(f"{name}: {text!r} has more than {MAX_GRID_POINTS} points")
     return tuple(values)
 
 

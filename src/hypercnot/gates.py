@@ -41,9 +41,9 @@ cancel, so a mirror m far weaker than the block still gives a uniform target
 u_i = m^2 x_i. On a balanced mirror F[0] = T^2 and u_i = T^2 x_i is taken
 directly, to the bit (K K x_i is x_i only to rounding).
 |F[sigma, k]| does not depend on sigma, so the success probability and every
-stage's masses are products of per-photon sums, computed with the photons
-stacked on one numpy axis from one Hadamard of each target, an elementwise
-butterfly that keeps exact cancellations exact.
+stage's masses are products of per-photon sums over a photon's (m, p) axes,
+computed with the photons stacked on one numpy axis from one Hadamard of
+each target, an elementwise butterfly that keeps exact cancellations exact.
 
 ``factored_run`` is that computation, written over leading numpy axes: for
 one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
@@ -70,8 +70,10 @@ The run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
 where the rest went: the (click, absorbed) masses of each photon's
 polarization stage and spatial stage, in run order, from
-``circuit.stage_losses``; the gate's detector and absorbed totals are their
-sums.
+``circuit.stage_losses``. A ``GateOutcome`` stores only the success
+probability, the spin branches and these stages; its detector and absorbed
+totals are properties that sum the stages, so no total can disagree with
+the ledger.
 
 Every spin record carries the same corrected state, so ``hyper_cnot_n``
 reports the canonical first branch (both spins up, no feed-forward) and
@@ -172,12 +174,14 @@ class OutcomeBranch(NamedTuple):
 
 @dataclass
 class GateOutcome:
-    """Full result of one gate run.
+    """Full result of one gate run: the success probability, the spin
+    branches and the stages. Every other figure is a property over them.
 
     success_prob + heralded_failure_prob + absorbed_prob = 1 (to rounding).
-    branches lists every nonzero spin outcome; conditional_state is the
-    corrected state of the reported branch (they are all the same state,
-    which is the point of the feed-forward, and one shared object).
+    branches lists every nonzero spin outcome; conditional_state,
+    spin_record and corrections are those of the reported first branch (all
+    the branches carry the same corrected state, which is the point of the
+    feed-forward, as one shared object).
 
     stages holds one (click, absorbed) pair per routing stage, in run order:
     photon k's polarization stage (detector_B1) is entry 2k and its spatial
@@ -186,14 +190,30 @@ class GateOutcome:
     absorbed_prob are the math.fsum of its clicks and absorbed masses.
     """
 
-    conditional_state: HyperState
-    spin_record: tuple[Spin, Spin]
-    corrections: tuple[bool, bool]
     success_prob: float
-    detector_probs: dict[str, float]
-    absorbed_prob: float
     branches: tuple[OutcomeBranch, ...]
     stages: tuple[tuple[float, float], ...]
+
+    @property
+    def conditional_state(self) -> HyperState:
+        return self.branches[0].state
+
+    @property
+    def spin_record(self) -> tuple[Spin, Spin]:
+        return self.branches[0].spin_record
+
+    @property
+    def corrections(self) -> tuple[bool, bool]:
+        return self.branches[0].corrections
+
+    @property
+    def detector_probs(self) -> dict[str, float]:
+        return {DETECTOR_B1: math.fsum(c for c, _ in self.stages[0::2]),
+                DETECTOR_B2: math.fsum(c for c, _ in self.stages[1::2])}
+
+    @property
+    def absorbed_prob(self) -> float:
+        return math.fsum(a for _, a in self.stages)
 
     @property
     def heralded_failure_prob(self) -> float:
@@ -216,18 +236,6 @@ _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
 
 
-# The mass table of ``_mass_table``, row k = p + 2m, is _TABLE_1 plus the sum
-# over j of G[j] * _TABLE_G[j], for G = (g0, g1, g0 g0, g0 g1, g1 g1) and
-# g = (|mirror_T|^2, |T|^2) indexed by branch bit. Each entry takes one term,
-# so the sum is exact.
-_TABLE_1 = np.array([[p == 0, p == 1, 0, 0, 0, 1] for m in (0, 1) for p in (0, 1)],
-                    dtype=float)
-_TABLE_G = np.array([[[(j == p and col == 2 + m)       # g_p, into the spatial stage
-                        or (j == 2 + p + m and col == 4)  # g_p g_m, kept
-                        for col in range(6)] for m in (0, 1) for p in (0, 1)]
-                      for j in range(5)], dtype=float)
-
-
 def _hadamards(a: np.ndarray) -> np.ndarray:
     """Polarization then spatial Hadamard (K) on the last axis: two unscaled
     elementwise butterflies a_lo +/- a_hi, so that exact cancellations give
@@ -236,18 +244,6 @@ def _hadamards(a: np.ndarray) -> np.ndarray:
     for bit in (1, 2):
         a = a[..., _LO[bit]] + _SIGN[bit] * a[..., _HI[bit]]
     return 0.5 * a
-
-
-def _mass_table(g_mirror, g_block) -> np.ndarray:
-    """(..., 1, 4, 6) table taking a photon's |amplitude|^2 4-vector, as it
-    enters its polarization stage, to: the masses entering the polarization
-    stage's mirror and block branches, those entering the spatial stage's
-    mirror and block branches, the mass kept after both, and the mass that
-    entered. g_mirror and g_block are |mirror_T|^2 and |T|^2, numbers or
-    arrays over the leading axes."""
-    G = np.array((g_mirror, g_block, g_mirror * g_mirror, g_mirror * g_block,
-                  g_block * g_block)).T
-    return (G[..., None, :, None, None] * _TABLE_G).sum(axis=-3) + _TABLE_1
 
 
 def check_transmits(T) -> None:
@@ -296,8 +292,8 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     shape (B,) for a batch of B points, with x of shape (P, 4) or (B, P, 4).
     The caller has checked that every block transmits (``check_transmits``).
     Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
-    transmission mirror_scale * T above 1 among them."""
-    t_mirror, d2, t2 = check_stage(bc, None if mirror_scale is None else mirror_scale * bc.T)
+    transmission |mirror_scale * T| above 1 among them."""
+    t_mirror, d2, t2 = check_stage(bc, mirror_scale=mirror_scale)
     f0 = np.array((t_mirror, bc.T))             # f(branch bit, spin up)
     # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
     # which moves a batch axis to the front
@@ -312,14 +308,20 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
-    # kept and the input norms of the photons after it.
+    # kept and the input norms of the photons after it. Its own come from its
+    # weights w[..., photon, m, p] as it enters its polarization stage and
+    # g = (|mirror_T|^2, |T|^2) by branch bit: the polarization stage's mirror
+    # and block masses are the sum over m, the spatial stage's the g_p-weighted
+    # sum over p, the kept mass the g_m g_p-weighted sum over both axes and the
+    # entered mass the plain one. The batch axis comes from g: w lacks it when
+    # every point has the same photons.
     n = x.shape[-2]
-    table = _mass_table(abs(t_mirror) ** 2, t2)
-    routed = ((np.abs(v) ** 2)[..., :, :, None] * table).sum(axis=-2)
-    chain = np.ones(routed.shape[:-2] + (2, n + 1))
-    kept = routed[..., 4]
+    w = (np.abs(v) ** 2).reshape(v.shape[:-1] + (2, 2))
+    g = np.array((abs(t_mirror) ** 2, t2)).T[..., None, None, :]   # g_p
+    kept = (w * (g.swapaxes(-2, -1) * g)).sum(axis=(-2, -1))
+    chain = np.ones(kept.shape[:-1] + (2, n + 1))
     chain[..., 0, 1:] = kept
-    chain[..., 1, 1:] = routed[..., ::-1, 5]
+    chain[..., 1, 1:] = w.sum(axis=(-2, -1))[..., ::-1]
     np.cumprod(chain, axis=-1, out=chain)  # kept up to photon j; norms from the last back
     success = chain[..., 0, -1][()]   # [()]: a float for one point
     tiny = success < sys.float_info.min
@@ -328,9 +330,12 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
         # to itself; the sum of logs gives 0 below the smallest subnormal
         with np.errstate(divide="ignore"):
             success = np.where(tiny, np.exp(np.log(kept).sum(axis=-1)), success)[()]
-    routed = routed[..., :4] * (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
+    masses = np.empty(kept.shape + (2, 2))   # [..., photon, stage, branch]
+    masses[..., 0, :] = w.sum(axis=-2)
+    masses[..., 1, :] = (w * g).sum(axis=-1)
+    masses *= (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None, None]
     # transposed, the batch axis is last, where bc's fields broadcast
-    clicks, absorbed = stage_losses(routed.T[0::2], routed.T[1::2], t_mirror, d2, t2)
+    clicks, absorbed = stage_losses(masses.T[0], masses.T[1], t_mirror, d2, t2)
     return FactoredRun(x, control, u, success, clicks.T, absorbed.T)
 
 
@@ -344,8 +349,6 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     check_transmits(bc.T)
     x = photon_vectors([control, *targets])
     run = factored_run(bc, cfg.mirror_scale, x)
-    clicks = run.clicks.ravel().tolist()
-    stages = tuple(zip(clicks, run.absorbed.ravel().tolist()))
     success = float(run.success)
     if success == 0.0:
         raise AmplitudeLostError("all amplitude lost: nothing left to measure")
@@ -355,17 +358,8 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     state = FactoredState(run.control * x[0], run.u, "the four branch states")
     branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
                      for record, corrections in _RECORDS)
-    return GateOutcome(
-        conditional_state=state,
-        spin_record=branches[0].spin_record,
-        corrections=branches[0].corrections,
-        success_prob=success,
-        detector_probs={DETECTOR_B1: math.fsum(clicks[0::2]),
-                        DETECTOR_B2: math.fsum(clicks[1::2])},
-        absorbed_prob=math.fsum(a for _, a in stages),
-        branches=branches,
-        stages=stages,
-    )
+    stages = tuple(zip(run.clicks.ravel().tolist(), run.absorbed.ravel().tolist()))
+    return GateOutcome(success_prob=success, branches=branches, stages=stages)
 
 
 def hyper_cnot(control: PhotonSpec, target: PhotonSpec,

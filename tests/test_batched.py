@@ -265,7 +265,8 @@ def test_the_stage_checks_run_once_per_pass(block_probs_calls):
     factored_run(bc, None, x)
     assert len(block_probs_calls) == 1
     # the scale 2 makes the first point's mirror 2 * 0.9
-    with pytest.raises(ValidationError, match=r"mirror transmission \|T\|=1.8 exceeds 1"):
+    with pytest.raises(ValidationError, match=r"mirror transmission \|mirror_scale \* T\| "
+                                              r"exceeds 1 at mirror_scale 2.0$"):
         factored_run(bc, np.array([2.0, 0.5]), x)
     with pytest.raises(ValidationError,
                        match=r"block coefficients violate \|D\|\^2\+\|T\|\^2<=1 \(1.62"):

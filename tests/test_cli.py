@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from hypercnot import ValidationError, load_report
-from hypercnot.cli import MAX_AXIS_POINTS, main, parse_axis, parse_photon_spec
+from hypercnot.analysis import MAX_GRID_POINTS
+from hypercnot.cli import main, parse_axis, parse_photon_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
@@ -81,10 +82,11 @@ class TestParseAxis:
             parse_axis(text, "--axis")
 
     def test_point_count_is_capped(self):
-        assert len(parse_axis(f"1:{MAX_AXIS_POINTS}:1", "x")) == MAX_AXIS_POINTS
+        # one axis may hold a whole grid's worth of points
+        assert len(parse_axis(f"1:{MAX_GRID_POINTS}:1", "x")) == MAX_GRID_POINTS
         # rejected from the count alone, before any point is built
-        for text in (f"0:{MAX_AXIS_POINTS}:1", "0:1e9:1e-9", "-1e308:1e308:1e-300",
-                     ",".join(["1"] * (MAX_AXIS_POINTS + 1))):
+        for text in (f"0:{MAX_GRID_POINTS}:1", "0:1e9:1e-9", "-1e308:1e308:1e-300",
+                     ",".join(["1"] * (MAX_GRID_POINTS + 1))):
             with pytest.raises(ValidationError, match="more than"):
                 parse_axis(text, "x")
 

@@ -16,6 +16,7 @@ import pytest
 
 from hypercnot import (
     AmplitudeLostError,
+    BlockCoeffs,
     CavityParams,
     GateConfig,
     PhotonSpec,
@@ -27,6 +28,9 @@ from hypercnot import (
     random_photon_spec,
     scatter_coeffs,
 )
+from hypercnot.gates import factored_run
+from hypercnot.hyperstate import photon_vectors
+from hypercnot.scattering import ratio_coeffs
 
 TOL = 1e-12
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -155,6 +159,35 @@ def test_gate_matches_the_dense_replay(n, mirror, inputs):
             assert set(branch.state.amplitudes) <= set(range(amps.size))
             for label, want in enumerate(amps):
                 assert abs(branch.state.amplitudes.get(label, 0.0) - want) <= TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mirror", ["balanced", "complex_unbalanced"])
+@pytest.mark.parametrize("shared", [True, False], ids=["x_per_batch", "x_per_point"])
+def test_a_batch_of_points_matches_the_dense_replay(n, mirror, shared):
+    # one factored_run over B cavity points, with the photons shared by the
+    # batch (x of shape (P, 4), as a sweep passes them) or drawn per point
+    # ((B, P, 4), as a scan does), against the replay of each point alone
+    rng = np.random.default_rng([n, len(mirror), shared])
+    points = 3
+    coeffs, ok = ratio_coeffs(rng.uniform(0.5, 4.0, points), rng.uniform(0.0, 0.5, points),
+                              0.15, 0.3, -0.2)
+    assert ok.all()
+    bc = block_coeffs(coeffs)
+    scale = None if mirror == "balanced" else 0.8 * complex(math.cos(0.4), math.sin(0.4))
+    photons = [_photons("random", n, rng) for _ in range(1 if shared else points)]
+    x = np.stack([photon_vectors(p) for p in photons])
+    run = factored_run(bc, scale, x[0] if shared else x)
+    assert run.success.shape == (points,)
+    assert run.clicks.shape == run.absorbed.shape == (points, n + 1, 2)
+    for b in range(points):
+        point = BlockCoeffs(D=bc.D[b], T=bc.T[b])
+        success, stages, _ = _replay(photons[0 if shared else b], point,
+                                     None if scale is None else scale * point.T)
+        assert abs(run.success[b] - success) <= TOL
+        got = zip(run.clicks[b].ravel(), run.absorbed[b].ravel())
+        for (click, absorbed), want in zip(got, stages, strict=True):
+            assert abs(click - want[0]) <= TOL and abs(absorbed - want[1]) <= TOL
 
 
 def test_nothing_survives_a_dead_mirror():
