@@ -152,6 +152,12 @@ class TestRun:
         assert main(argv) == code
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_mirror_with_gain_is_refused_naming_the_scale(self, capsys):
+        assert main(["run", "--control", "+,+", "--target", "+,+", *BENCH,
+                     "--mirror-override", "1.5"]) == 2
+        assert capsys.readouterr().err == ("error: mirror transmission |mirror_scale * T| "
+                                           "exceeds 1 at mirror_scale 1.5\n")
+
     def test_a_mirror_far_weaker_than_the_block(self, capsys):
         # u_i = m^2 x_i for the uniform target; the control keeps only its
         # block branches' overlap, 1/4

@@ -165,7 +165,7 @@ def test_gate_matches_the_dense_replay(n, mirror, inputs):
 @pytest.mark.parametrize("mirror", ["balanced", "complex_unbalanced"])
 @pytest.mark.parametrize("shared", [True, False], ids=["x_per_batch", "x_per_point"])
 def test_a_batch_of_points_matches_the_dense_replay(n, mirror, shared):
-    # one factored_run over B cavity points, with the photons shared by the
+    # one factored_run over several cavity points, with the photons shared by the
     # batch (x of shape (P, 4), as a sweep passes them) or drawn per point
     # ((B, P, 4), as a scan does), against the replay of each point alone
     rng = np.random.default_rng([n, len(mirror), shared])
