@@ -8,18 +8,11 @@ and spatial-mode qubits of each photon. The simulation runs the gate in
 factored form (a control coefficient vector and one 4-vector per target),
 records each stage's heralded-failure click and absorbed mass, and
 reproduces the gate's closed-form success probability |T|^(4(N+1)).
+
+The names from ``analysis`` (sweeps, scans and reports) load on first use, so
+a process that only runs gates never imports that module or ``csv``.
 """
 
-from .analysis import (
-    ScanSummary,
-    SweepGrid,
-    SweepRow,
-    emit_report,
-    fidelity_scan,
-    load_report,
-    random_photon_spec,
-    sweep_efficiency,
-)
 from .circuit import (
     block_interact,
     stage_polarization,
@@ -119,3 +112,28 @@ __all__ = [
     "sweep_efficiency",
     "truth_table",
 ]
+
+_ANALYSIS_NAMES = frozenset({
+    "ScanSummary",
+    "SweepGrid",
+    "SweepRow",
+    "emit_report",
+    "fidelity_scan",
+    "load_report",
+    "random_photon_spec",
+    "sweep_efficiency",
+})
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not in the module's globals. Binding all
+    # the analysis names at once makes every later lookup a plain dict hit.
+    if name not in _ANALYSIS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import analysis
+    globals().update({n: getattr(analysis, n) for n in _ANALYSIS_NAMES})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ANALYSIS_NAMES)

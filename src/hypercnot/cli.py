@@ -20,18 +20,27 @@ cavity/emitter offsets from the photon carrier frequency in units of kappa=1
 unless raw values are given.
 
 Exit codes: 0 success, 1 verify found a violation, 2 invalid input,
-3 degenerate physics (the gate can never herald), 4 I/O failure.
+3 degenerate physics (the gate can never herald), 4 I/O failure, including a
+standard output that cannot be written.
+
+``main(argv)`` runs one command in-process and returns its exit code.
+``entry()``, the process entry of both the ``hypercnot`` script and
+``python -m hypercnot``, runs ``main``, flushes standard output and error
+itself and ends the process without interpreter teardown, so a command must
+close (``with``) every file it opens before ``main`` returns.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
-from .analysis import MAX_GRID_POINTS, SweepGrid, emit_report, fidelity_scan, sweep_efficiency
 from .errors import DegeneratePhysicsError, ValidationError
 from .gates import (
     GateConfig,
@@ -113,6 +122,8 @@ def parse_axis(text: str, name: str) -> tuple[float, ...]:
     """Sweep axis: inclusive ``start:stop:step`` or a comma list, of finite
     values and at most ``analysis.MAX_GRID_POINTS`` points, the most a sweep
     grid may hold. A range's count is checked before the axis is built."""
+    from .analysis import MAX_GRID_POINTS
+
     range_form = ":" in text
     parts = text.split(":") if range_form else [t for t in text.split(",") if t.strip()]
     if range_form and len(parts) != 3:
@@ -367,6 +378,8 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import SweepGrid, emit_report, sweep_efficiency
+
     grid = SweepGrid(
         g_ratios=parse_axis(args.g_ratio, "--g-ratio"),
         ks_ratios=parse_axis(args.ks_ratio, "--ks-ratio"),
@@ -384,6 +397,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .analysis import fidelity_scan
+
     checks: list[tuple[str, float, str, bool]] = []
     scan = fidelity_scan(args.n_cases, args.seed, args.n_targets,
                          mirror_scale=args.mirror_override)
@@ -531,3 +546,34 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+
+
+def entry() -> NoReturn:
+    """Process entry: run ``main``, flush the standard streams and exit.
+
+    A stream that cannot be flushed (a full disk, a closed pipe) is reported
+    and exits 4. The process then ends with ``os._exit``, which skips the
+    teardown of every loaded module (numpy's takes longer than the gate);
+    exit handlers still run. A program that runs this entry and expects
+    control back, as ``runpy.run_module`` does under a profiler or a test
+    harness, gets ``SystemExit`` instead: the process is ended only when
+    every frame below the caller is the interpreter's launcher (``runpy``
+    for ``-m``, none for a script)."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            code = 4
+            try:
+                print(f"error: cannot write to {stream.name}: {exc}",
+                      file=sys.stderr, flush=True)
+            except OSError:
+                pass  # standard error is the stream that failed
+    frame = sys._getframe(1).f_back
+    while frame is not None and frame.f_globals.get("__name__") == "runpy":
+        frame = frame.f_back
+    if frame is not None:
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    os._exit(code)

@@ -609,13 +609,17 @@ class TestParamsFileAsFlags:
         assert "success probability" in capsys.readouterr().out
 
 
-def test_module_entry_point_runs_verify():
-    env = dict(os.environ)
+def _python(*args, stdout=subprocess.PIPE, drop_env=()):
+    """A fresh interpreter on ``args`` with the sources on its path."""
+    env = {k: v for k, v in os.environ.items() if k not in drop_env}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypercnot", "verify", "--n-cases", "2", "--seed", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_verify():
+    proc = _python("-m", "hypercnot", "verify", "--n-cases", "2", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "overall: PASS"
 
@@ -627,6 +631,8 @@ def test_help_exits_zero(capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+    assert capsys.readouterr().err.endswith(
+        "hypercnot: error: the following arguments are required: command\n")
 
 
 @pytest.mark.parametrize("control, n", [("+,+", 9), ("L,2", 3000)],
@@ -656,3 +662,132 @@ def test_an_overflowing_coupling_is_the_strong_coupling_limit(g, capsys):
         assert row.abs_T == pytest.approx(abs_t, abs=1e-15)
         assert row.success_prob == pytest.approx(abs_t ** 8, abs=1e-14)
         assert row.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+class TestProcessEntry:
+    """``python -m hypercnot``: ``cli.entry`` flushes the standard streams
+    itself and ends the process without interpreter teardown."""
+
+    def test_piped_json_is_complete(self):
+        proc = _python("-m", "hypercnot", "sample", "--control", "+,+", "--target", "+,+",
+                       "--shots", "100000", "--seed", "3", "--format", "json", *BENCH)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["shots"] == 100000
+        assert (payload["successes"] + sum(payload["detector_clicks"].values())
+                + payload["absorbed"]) == 100000
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--control", "X,1", "--target", "R,1", *BENCH], 2),
+        (["run", "--control", "R,1", "--target", "R,1", "--g", "0", "--gamma", "0.1"], 3),
+        (["verify", "--n-cases", "5", "--seed", "11", "--mirror-override", "0.9"], 1),
+    ], ids=["bad_photon_spec", "degenerate", "verify_violation"])
+    def test_exit_codes(self, argv, code):
+        proc = _python("-m", "hypercnot", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code != 1:
+            assert proc.stderr.startswith("error:")
+        else:
+            assert proc.stdout.splitlines()[-1] == "overall: FAIL"
+
+    def test_out_file_gets_the_full_output(self, tmp_path):
+        argv = ["-m", "hypercnot", "run", "--control", "+,+", "--target", "+,+",
+                "--target", "+,+", "--format", "json", *BENCH]
+        out = tmp_path / "run.json"
+        written = _python(*argv, "--out", str(out))
+        assert written.returncode == 0, written.stderr
+        assert written.stdout == ""
+        piped = _python(*argv)
+        assert out.read_text() == piped.stdout
+        assert len(json.loads(piped.stdout)["amplitudes"]) == 64
+
+    def test_unwritable_stdout_exits_4(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        # buffered stdout, so the write fails at the final flush, not in main
+        with open("/dev/full", "w") as full:
+            proc = _python("-m", "hypercnot", "run", "--control", "+,+",
+                           "--target", "+,+", *BENCH,
+                           stdout=full, drop_env=("PYTHONUNBUFFERED",))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error:")
+        assert "No space left on device" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    def test_a_program_running_the_module_gets_control_back(self):
+        # as a profiler or a benchmark probe does: the entry raises
+        # SystemExit instead of ending the process, and the output is flushed
+        proc = _python("-c", """
+import runpy, sys
+sys.argv = ["hypercnot", "verify", "--n-cases", "2", "--seed", "1"]
+try:
+    runpy.run_module("hypercnot", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code)
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["overall: PASS", "exit 0"]
+
+
+class TestLazyAnalysis:
+    """``hypercnot`` loads ``analysis`` (and with it ``csv``) on the first
+    use of one of its names, so ``run``, ``truth-table`` and ``sample``
+    never import it."""
+
+    @staticmethod
+    def _check(script):
+        proc = _python("-c", "import sys\n"
+                             "def loaded():\n"
+                             "    return sorted({'hypercnot.analysis', 'csv'} & set(sys.modules))\n"
+                             + script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_gate_commands_do_not_load_it(self):
+        self._check(f"""
+import hypercnot
+assert loaded() == [], loaded()
+from hypercnot.cli import main
+for argv in (["run", "--control", "+,+", "--target", "+,+", *{BENCH!r}],
+             ["truth-table", *{BENCH!r}],
+             ["sample", "--control", "+,+", "--target", "+,+", "--seed", "1", *{BENCH!r}]):
+    assert main(argv) == 0
+    assert loaded() == [], (argv, loaded())
+""")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--g-ratio", "3", "--ks-ratio", "0.1"],
+        ["verify", "--n-cases", "2", "--seed", "1"],
+    ], ids=["sweep", "verify"])
+    def test_analysis_commands_load_it(self, argv):
+        self._check(f"""
+from hypercnot.cli import main
+assert main({argv!r}) == 0
+assert loaded() == ["csv", "hypercnot.analysis"], loaded()
+""")
+
+    def test_first_access_binds_the_names_in_the_package(self):
+        self._check("""
+import hypercnot
+assert "sweep_efficiency" not in vars(hypercnot)
+assert hypercnot.sweep_efficiency is hypercnot.analysis.sweep_efficiency
+assert {"sweep_efficiency", "fidelity_scan", "SweepGrid"} <= vars(hypercnot).keys()
+assert "sweep_efficiency" in dir(hypercnot)
+try:
+    hypercnot.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+""")
+
+    def test_star_import_binds_all(self):
+        self._check("""
+import hypercnot
+namespace = {}
+exec("from hypercnot import *", namespace)
+missing = set(hypercnot.__all__) - namespace.keys()
+assert not missing, missing
+assert namespace["SweepGrid"] is hypercnot.analysis.SweepGrid
+""")
