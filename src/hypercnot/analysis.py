@@ -32,6 +32,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .circuit import check_mirror_scale
 from .errors import (
     AmplitudeLostError,
     DegeneratePhysicsError,
@@ -39,7 +40,7 @@ from .errors import (
     check_count,
     refuse_where,
 )
-from .gates import MIN_BLOCK_T, check_mirror_scale, check_seed, check_transmits, factored_run
+from .gates import MIN_BLOCK_T, check_seed, check_transmits, factored_run
 from .hyperstate import PhotonSpec, pair_vectors, photon_vectors
 from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 

@@ -24,19 +24,20 @@ those pairs as its one record of where the probability went.
 
 Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
-and the block branch by T, negated when the block's spin is down.
-``check_stage`` refuses a mirror with gain or a block that is not passive,
-and ``stage_losses`` turns a stage's mirror and block mass into its (click,
-absorbed) pair. ``stage_polarization`` and ``stage_spatial`` check once,
-apply a stage in one pass over a sparse state and return the masses it
-removed; the gate engine in ``gates`` uses the same two functions on
-factored photons.
+and the block branch by T, negated when the block's spin is down. A mirror
+is given as ``mirror_scale`` times the block's T (None: T itself, a balanced
+mirror). ``check_mirror_scale`` refuses a scale that is not a finite number,
+``check_stage`` forms the mirror and refuses one with gain or a block that
+is not passive, and ``stage_losses`` turns a stage's mirror and block mass
+into its (click, absorbed) pair. ``stage_polarization`` and
+``stage_spatial`` check once, apply a stage in one pass over a sparse state
+and return the masses it removed; the gate engine in ``gates`` uses the
+same functions on factored photons.
 """
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 from .errors import RoutingContractError, ValidationError, refuse_where
 from .hyperstate import HyperState
@@ -87,21 +88,26 @@ def block_interact(state: HyperState, photon: int, which_spin: int,
     return math.fsum(clicked), math.fsum(lost)
 
 
-def check_stage(bc: BlockCoeffs, mirror_T: complex | None = None, mirror_scale=None):
+def check_mirror_scale(scale) -> None:
+    """A mirror scale: None (balanced), or a finite int, float or complex that
+    is not a bool."""
+    if scale is not None and (isinstance(scale, bool)
+                              or not isinstance(scale, (int, float, complex))
+                              or not cmath.isfinite(scale)):
+        raise ValidationError(
+            f"mirror_scale must be None or a finite int, float or complex, got {scale!r}")
+
+
+def check_stage(bc: BlockCoeffs, mirror_scale=None):
     """The mirror's transmission, |D|^2 and |T|^2 of a routing stage,
-    refusing a mirror with gain or a block that is not passive. The mirror
-    transmits mirror_T, or mirror_scale times the block's T (the gate's
-    relative mirror, named in its refusal), or the block's T when both are
-    None. Elementwise when bc's fields and the mirror are arrays of one
-    shape."""
-    if mirror_scale is None:
-        t_mirror = bc.T if mirror_T is None else mirror_T
-        shown, message = abs(t_mirror), "mirror transmission |T|={} exceeds 1"
-    else:
-        t_mirror = mirror_scale * bc.T
-        shown = np.broadcast_to(mirror_scale, np.shape(t_mirror))
-        message = "mirror transmission |mirror_scale * T| exceeds 1 at mirror_scale {}"
-    refuse_where(abs(t_mirror) > 1.0 + 1e-12, shown, ValidationError, message)
+    refusing a mirror with gain (named by its scale) or a block that is not
+    passive. The mirror transmits mirror_scale times the block's T, or the
+    block's T itself when the scale is None (a balanced mirror, scale 1).
+    Elementwise when bc's fields and the scale are arrays of one shape."""
+    t_mirror = bc.T if mirror_scale is None else mirror_scale * bc.T
+    refuse_where(abs(t_mirror) > 1.0 + 1e-12, 1 if mirror_scale is None else mirror_scale,
+                 ValidationError,
+                 "mirror transmission |mirror_scale * T| exceeds 1 at mirror_scale {}")
     d2, t2 = _block_probs(bc)
     return t_mirror, d2, t2
 
@@ -117,15 +123,16 @@ def stage_losses(mirror_mass, block_mass, t_mirror, d2, t2):
 
 
 def _route(state: HyperState, branch_mask: int, which_spin: int,
-           bc: BlockCoeffs, mirror_T: complex | None) -> tuple[float, float]:
+           bc: BlockCoeffs, mirror_scale: complex | None) -> tuple[float, float]:
     """Net map of one routing stage, applied in place in one pass over the
-    amplitudes: an amplitude with the branch_mask bit set crosses the block
-    (x T, negated when the block's spin is down), one with it clear the
-    mirror (x mirror_T, the block's T when None). No label moves; amplitudes
-    that become exactly zero are dropped. Returns the stage's (click,
-    absorbed) masses.
+    amplitudes once the scale is checked: an amplitude with the branch_mask
+    bit set crosses the block (x T, negated when the block's spin is down),
+    one with it clear the mirror (x mirror_scale * T; T when None). No label
+    moves; amplitudes that become exactly zero are dropped. Returns the
+    stage's (click, absorbed) masses.
     """
-    t_mirror, d2, t2 = check_stage(bc, mirror_T)
+    check_mirror_scale(mirror_scale)
+    t_mirror, d2, t2 = check_stage(bc, mirror_scale)
     t_up, t_down = bc.T, -bc.T
     zm = state._spin_bit_mask(which_spin)
     amps = state.amplitudes
@@ -148,19 +155,19 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,
-                       mirror_T: complex | None = None) -> tuple[float, float]:
+                       mirror_scale: complex | None = None) -> tuple[float, float]:
     """First routing stage: R crosses a mirror; L is flipped onto R, crosses
-    the block coupled to spin 1 and leaves as L. Net: R branch x mirror_T
-    (default: the block's T); L branch x T with a Z on spin 1. Returns the
+    the block coupled to spin 1 and leaves as L. Net: R branch x
+    mirror_scale * T (None: T); L branch x T with a Z on spin 1. Returns the
     mass the stage sent to detector B1 and the mass it absorbed."""
-    return _route(state, state._photon_mask(photon, spatial=False), 1, bc, mirror_T)
+    return _route(state, state._photon_mask(photon, spatial=False), 1, bc, mirror_scale)
 
 
 def stage_spatial(state: HyperState, photon: int, bc: BlockCoeffs,
-                  mirror_T: complex | None = None) -> tuple[float, float]:
+                  mirror_scale: complex | None = None) -> tuple[float, float]:
     """Second routing stage: mode 1 crosses a mirror; mode 2 crosses the
     block coupled to spin 2, with flip plates keeping its polarization. Net:
-    mode-1 branch x mirror_T (default: the block's T); mode-2 branch x T with
-    a Z on spin 2. Returns the mass the stage sent to detector B2 and the
-    mass it absorbed."""
-    return _route(state, state._photon_mask(photon, spatial=True), 2, bc, mirror_T)
+    mode-1 branch x mirror_scale * T (None: T); mode-2 branch x T with a Z
+    on spin 2. Returns the mass the stage sent to detector B2 and the mass
+    it absorbed."""
+    return _route(state, state._photon_mask(photon, spatial=True), 2, bc, mirror_scale)

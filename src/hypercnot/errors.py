@@ -33,13 +33,14 @@ def check_count(value, name: str, limit: int | None = None) -> None:
 
 
 def refuse_where(bad, value, error: type, message: str) -> None:
-    """Raise ``error(message.format(v))`` if ``bad`` holds. ``bad`` and
-    ``value`` are a bool and a number, or arrays of one shape checked
-    elementwise, where v is the value at the first entry that is bad."""
+    """Raise ``error(message.format(v))`` if ``bad`` holds. ``bad`` is a
+    bool, or an array checked elementwise; ``value`` is a number, or an array
+    of bad's shape where v is the value at the first entry that is bad."""
     if bad is False:   # one point that passes: the common case, kept cheap
         return
     if getattr(bad, "ndim", 0):
         if bad.any():
-            raise error(message.format(value[bad][0]))
+            raise error(message.format(value[bad][0] if getattr(value, "ndim", 0)
+                                       else value))
     elif bad:
         raise error(message.format(value))

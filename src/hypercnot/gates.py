@@ -84,7 +84,6 @@ masses, whose cost does not grow with the shot count.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -92,7 +91,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import check_stage, stage_losses
+from .circuit import check_mirror_scale, check_stage, stage_losses
 from .errors import (
     AmplitudeLostError,
     DegeneratePhysicsError,
@@ -126,16 +125,6 @@ def check_seed(seed, name: str) -> None:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
                              or seed < 0):
         raise ValidationError(f"{name} must be None or an int >= 0, got {seed!r}")
-
-
-def check_mirror_scale(scale) -> None:
-    """A mirror scale: None (balanced), or a finite int, float or complex that
-    is not a bool."""
-    if scale is not None and (isinstance(scale, bool)
-                              or not isinstance(scale, (int, float, complex))
-                              or not cmath.isfinite(scale)):
-        raise ValidationError(
-            f"mirror_scale must be None or a finite int, float or complex, got {scale!r}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +282,7 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     The caller has checked that every block transmits (``check_transmits``).
     Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
     transmission |mirror_scale * T| above 1 among them."""
-    t_mirror, d2, t2 = check_stage(bc, mirror_scale=mirror_scale)
+    t_mirror, d2, t2 = check_stage(bc, mirror_scale)
     f0 = np.array((t_mirror, bc.T))             # f(branch bit, spin up)
     # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
     # which moves a batch axis to the front
@@ -310,7 +299,7 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     # photon's stage masses are its own, times the mass the photons before it
     # kept and the input norms of the photons after it. Its own come from its
     # weights w[..., photon, m, p] as it enters its polarization stage and
-    # g = (|mirror_T|^2, |T|^2) by branch bit: the polarization stage's mirror
+    # g = (|t_mirror|^2, |T|^2) by branch bit: the polarization stage's mirror
     # and block masses are the sum over m, the spatial stage's the g_p-weighted
     # sum over p, the kept mass the g_m g_p-weighted sum over both axes and the
     # entered mass the plain one. The batch axis comes from g: w lacks it when

@@ -240,7 +240,8 @@ class HyperState:
         self.amplitudes = {l: a for l, a in self.amplitudes.items() if a}
 
     def _photon_mask(self, photon: int, spatial: bool) -> int:
-        if not 0 <= photon < self.n_photons:
+        if (isinstance(photon, bool) or not isinstance(photon, numbers.Integral)
+                or not 0 <= photon < self.n_photons):
             raise ValidationError(
                 f"invalid photon index {photon} for {self.n_photons}-photon state")
         return spatial_mask(photon) if spatial else pol_mask(photon)
@@ -248,7 +249,8 @@ class HyperState:
     def _spin_bit_mask(self, which_spin: int) -> int:
         if not self.has_spins:
             raise ValidationError("state has no spins (already measured out)")
-        if which_spin not in (1, 2):
+        if (isinstance(which_spin, bool) or not isinstance(which_spin, numbers.Integral)
+                or which_spin not in (1, 2)):
             raise ValidationError(f"invalid spin id {which_spin}, expected 1 or 2")
         return spin_mask(self.n_photons, which_spin)
 

@@ -19,7 +19,8 @@ from hypercnot import (
     stage_polarization,
     stage_spatial,
 )
-from hypercnot.hyperstate import pol_mask, spatial_mask, spin_mask
+from hypercnot.gates import factored_run
+from hypercnot.hyperstate import photon_vectors, pol_mask, spatial_mask, spin_mask
 
 
 def _random_pair(rng):
@@ -54,16 +55,31 @@ class TestMirror:
     def test_gain_rejected(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
         state = _random_state(np.random.default_rng(2))
-        with pytest.raises(ValidationError):
-            stage_polarization(state, 0, bc, mirror_T=1.0 + 1e-6)
+        before = dict(state.amplitudes)
+        with pytest.raises(ValidationError, match=r"exceeds 1 at mirror_scale 1\.5$"):
+            stage_polarization(state, 0, bc, mirror_scale=1.5)
+        assert state.amplitudes == before
+
+    def test_a_balanced_mirror_on_a_block_with_gain_is_refused(self):
+        # a hand-built block with |T| just above 1 is passive within its own
+        # tolerance, but its balanced mirror (scale 1) has gain
+        bc = BlockCoeffs(D=0.0, T=1 + 1e-10)
+        state = _random_state(np.random.default_rng(4))
+        before = dict(state.amplitudes)
+        with pytest.raises(ValidationError, match=r"exceeds 1 at mirror_scale 1$"):
+            stage_spatial(state, 0, bc)
+        assert state.amplitudes == before
+        with pytest.raises(ValidationError, match=r"exceeds 1 at mirror_scale 1$"):
+            factored_run(bc, None, photon_vectors([PhotonSpec.uniform()] * 2))
 
     def test_complex_transmission(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))
         rng = np.random.default_rng(3)
         state = init_state([PhotonSpec(pol=(1, 0), spatial=_random_pair(rng))])
         before = dict(state.amplitudes)
-        t = complex(0.6, 0.3)
-        _, absorbed = stage_polarization(state, 0, bc, mirror_T=t)  # every amplitude is R
+        scale = complex(0.6, 0.3)
+        t = scale * bc.T
+        _, absorbed = stage_polarization(state, 0, bc, mirror_scale=scale)  # every amplitude is R
         for label, amp in before.items():
             assert abs(state.amplitudes[label] - amp * t) < 1e-15
         assert absorbed == pytest.approx(1.0 - abs(t) ** 2, abs=1e-12)
@@ -146,14 +162,15 @@ class TestStages:
         bc = block_coeffs(scatter_coeffs(bench_params))
         state = _random_state(np.random.default_rng(8))
         before = dict(state.amplitudes)
-        stage_polarization(state, 0, bc, mirror_T=0.5)
+        scale = 0.5
+        stage_polarization(state, 0, bc, mirror_scale=scale)
         pm = pol_mask(0)
         s1 = spin_mask(1, 1)
         for label, amp in before.items():
             if label & pm:
                 want = bc.T * amp * (-1 if label & s1 else 1)
             else:
-                want = 0.5 * amp
+                want = scale * bc.T * amp
             assert abs(state.amplitudes[label] - want) < 1e-14
 
     def test_stage_on_second_photon_leaves_first_alone(self, bench_params):
@@ -175,7 +192,7 @@ class TestStages:
         state = _random_state(np.random.default_rng(11), n_photons=2)
         before = dict(state.amplitudes)
         assert len(before) == 64
-        click, absorbed = stage_polarization(state, 0, bc, mirror_T=0.0)
+        click, absorbed = stage_polarization(state, 0, bc, mirror_scale=0.0)
         pm = pol_mask(0)
         # the R branch's amplitudes become exactly zero and leave the state
         assert sorted(state.amplitudes) == sorted(l for l in before if l & pm)
@@ -186,7 +203,7 @@ class TestStages:
         assert click == pytest.approx(d2 * l_norm, abs=1e-12)
         assert absorbed == pytest.approx(r_norm + (1.0 - d2 - t2) * l_norm, abs=1e-12)
 
-    @pytest.mark.parametrize("photon", [2, -1])
+    @pytest.mark.parametrize("photon", [2, -1, 0.0, True])
     def test_invalid_photon_index_rejected(self, bench_params, photon):
         bc = block_coeffs(scatter_coeffs(bench_params))
         state = _random_state(np.random.default_rng(12), n_photons=2)
@@ -215,12 +232,12 @@ class TestStagesAgainstElements:
     PARAMS = CavityParams.from_ratios(3.0, 0.1, 0.1, detuning_c=0.3, detuning_x=-0.2)
     AMP = complex(0.6, -0.8)
 
-    def _reference(self, label, n_photons, photon, spatial, bc, mirror_T):
+    def _reference(self, label, n_photons, photon, spatial, bc, scale):
         """The reference state and its (click, absorbed) masses."""
         ref = HyperState(n_photons, {label: self.AMP})
         branch = spatial_mask(photon) if spatial else pol_mask(photon)
         if not label & branch:  # mirror
-            t = bc.T if mirror_T is None else mirror_T
+            t = bc.T if scale is None else scale * bc.T
             ref.amplitudes[label] = self.AMP * t
             return ref, (0.0, (1.0 - abs(t) ** 2) * abs(self.AMP) ** 2)
         spin = 2 if spatial else 1
@@ -233,17 +250,16 @@ class TestStagesAgainstElements:
         return ref, masses
 
     @pytest.mark.parametrize("n_photons, photon", [(1, 0), (2, 0), (2, 1)])
-    @pytest.mark.parametrize("mirror_T", [None, complex(0.5, -0.4)],
+    @pytest.mark.parametrize("scale", [None, complex(0.5, -0.4)],
                              ids=["balanced", "complex_mirror"])
     @pytest.mark.parametrize("spatial", [False, True], ids=["pol_stage", "spatial_stage"])
-    def test_every_basis_label(self, n_photons, photon, mirror_T, spatial):
+    def test_every_basis_label(self, n_photons, photon, scale, spatial):
         bc = block_coeffs(scatter_coeffs(self.PARAMS))
         stage = stage_spatial if spatial else stage_polarization
         for label in range(1 << (2 * n_photons + 2)):
             state = HyperState(n_photons, {label: self.AMP})
-            masses = stage(state, photon, bc, mirror_T)
-            ref, ref_masses = self._reference(label, n_photons, photon, spatial, bc,
-                                              mirror_T)
+            masses = stage(state, photon, bc, scale)
+            ref, ref_masses = self._reference(label, n_photons, photon, spatial, bc, scale)
             assert state.amplitudes.keys() == ref.amplitudes.keys()
             for key, amp in ref.amplitudes.items():
                 assert abs(state.amplitudes[key] - amp) <= 1e-15

@@ -51,9 +51,10 @@ def _bit(index, bit):
     return (index >> bit) & 1
 
 
-def _replay(photons, bc, mirror_T):
+def _replay(photons, bc, scale):
     """Success probability, stage masses and the four (probability,
-    corrected photon amplitudes) of the gate, from the full state vector."""
+    corrected photon amplitudes) of the gate whose mirrors transmit scale
+    times T (T itself when None), from the full state vector."""
     n_photons = len(photons)
     n_bits = 2 * n_photons + 2
     spin1, spin2 = 2 * n_photons, 2 * n_photons + 1
@@ -62,7 +63,7 @@ def _replay(photons, bc, mirror_T):
     for spec in reversed(photons):              # photon 0 least significant
         psi = np.kron(psi, np.kron(spec.spatial, spec.pol))
     labels = np.arange(psi.size)
-    t_mirror = bc.T if mirror_T is None else mirror_T
+    t_mirror = bc.T if scale is None else scale * bc.T
     d2, t2 = abs(bc.D) ** 2, abs(bc.T) ** 2
     stages = []
 
@@ -135,12 +136,11 @@ def test_gate_matches_the_dense_replay(n, mirror, inputs):
     rng = np.random.default_rng([n, len(mirror), len(inputs)])
     bc = block_coeffs(scatter_coeffs(PARAMS))
     scale = None if mirror == "balanced" else 0.8 * complex(math.cos(0.4), math.sin(0.4))
-    mirror_T = None if scale is None else scale * bc.T
     for _ in range(3):
         photons = _photons(inputs, n, rng)
         cfg = GateConfig(params=PARAMS, n_targets=n, mirror_scale=scale)
         out = hyper_cnot_n(photons[0], photons[1:], cfg)
-        success, stages, ref_branches = _replay(photons, bc, mirror_T)
+        success, stages, ref_branches = _replay(photons, bc, scale)
 
         assert abs(out.success_prob - success) <= TOL
         assert len(out.stages) == len(stages)
@@ -182,8 +182,7 @@ def test_a_batch_of_points_matches_the_dense_replay(n, mirror, shared):
     assert run.clicks.shape == run.absorbed.shape == (points, n + 1, 2)
     for b in range(points):
         point = BlockCoeffs(D=bc.D[b], T=bc.T[b])
-        success, stages, _ = _replay(photons[0 if shared else b], point,
-                                     None if scale is None else scale * point.T)
+        success, stages, _ = _replay(photons[0 if shared else b], point, scale)
         assert abs(run.success[b] - success) <= TOL
         got = zip(run.clicks[b].ravel(), run.absorbed[b].ravel())
         for (click, absorbed), want in zip(got, stages, strict=True):

@@ -27,9 +27,12 @@ from hypercnot import (
     hyper_cnot_n,
     ideal_hyper_cnot,
     ideal_hyper_cnot_n,
+    init_state,
     random_photon_spec,
     sample_shots,
     scatter_coeffs,
+    stage_polarization,
+    stage_spatial,
     truth_table,
 )
 
@@ -64,6 +67,15 @@ class TestGateConfig:
             fidelity_scan(2, 1, mirror_scale=scale)
         assert str(gate.value) == str(scan.value)
         assert str(gate.value).startswith("mirror_scale must be None or a finite")
+        # the element stages refuse them too, before the state is touched
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        state = init_state([PhotonSpec.uniform()])
+        before = dict(state.amplitudes)
+        for stage in (stage_polarization, stage_spatial):
+            with pytest.raises(ValidationError) as element:
+                stage(state, 0, bc, mirror_scale=scale)
+            assert str(element.value) == str(gate.value)
+            assert state.amplitudes == before
 
     def test_a_mirror_with_gain_is_refused_when_the_gate_runs(self, bench_params):
         # |T| is about 0.95 here, so a scale of 1.5 makes |m| about 1.42

@@ -193,6 +193,9 @@ class TestSingleDofOps:
             state.spin_hadamard(0)
         with pytest.raises(ValidationError):
             state.spin_hadamard(3)
+        for which_spin in (1.0, True):
+            with pytest.raises(ValidationError, match="invalid spin id"):
+                state.spin_hadamard(which_spin)
         with pytest.raises(ValidationError, match="no spins"):
             HyperState(1, {0: 1.0 + 0j}, has_spins=False).spin_hadamard(1)
 
