@@ -13,15 +13,10 @@ The names from ``analysis`` (sweeps, scans and reports) load on first use, so
 a process that only runs gates never imports that module or ``csv``.
 """
 
-from .circuit import (
-    block_interact,
-    stage_polarization,
-    stage_spatial,
-)
+from .circuit import stage_polarization, stage_spatial
 from .errors import (
     AmplitudeLostError,
     DegeneratePhysicsError,
-    RoutingContractError,
     ValidationError,
 )
 from .gates import (
@@ -81,7 +76,6 @@ __all__ = [
     "OutcomeBranch",
     "PhotonSpec",
     "Pol",
-    "RoutingContractError",
     "SampleStats",
     "ScanSummary",
     "ScatterCoeffs",
@@ -91,7 +85,6 @@ __all__ = [
     "SweepRow",
     "ValidationError",
     "block_coeffs",
-    "block_interact",
     "dephasing_penalty",
     "efficiency",
     "emit_report",

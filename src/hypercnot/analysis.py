@@ -101,7 +101,8 @@ class SweepGrid:
             raise ValidationError(f"gamma_ratio must be >= 0, got {self.gamma_ratio}")
         if not math.isfinite(max(self.g_ratios) * (1.0 + max(self.ks_ratios))):
             raise ValidationError("g_ratios times 1 + ks_ratios must be finite")
-        check_count(self.n_targets, "n_targets", MAX_TARGETS)
+        object.__setattr__(self, "n_targets",
+                           check_count(self.n_targets, "n_targets", MAX_TARGETS))
 
 
 @dataclass(frozen=True)
@@ -224,10 +225,10 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
     mirrors' transmission, deliberately unbalancing the gate; expect
     fidelities below 1 in that case.
     """
-    check_count(n_cases, "n_cases")
-    check_count(n_targets, "n_targets", MAX_TARGETS)
-    check_seed(seed, "seed")
-    check_mirror_scale(mirror_scale)
+    n_cases = check_count(n_cases, "n_cases")
+    n_targets = check_count(n_targets, "n_targets", MAX_TARGETS)
+    seed = check_seed(seed, "seed")
+    mirror_scale = check_mirror_scale(mirror_scale)
     rng = np.random.default_rng(seed)
     fid_sums: list[float] = []
     min_fid = math.inf

@@ -15,8 +15,9 @@ A basic block acts on an incoming R photon as an effective two-outcome map:
 with amplitude D the photon reflects unchanged into a heralding detector
 (failure), with amplitude T it transmits with polarization flipped and a Z
 applied to the block's spin. Whatever the two amplitudes leave behind is
-absorbed. ``block_interact`` implements that map on one routed branch and is
-the reference the stages are checked against.
+absorbed. The library applies that map only inside a stage, in the closed
+form below; the tests check each stage against the map composed with its
+flip plates on every basis label.
 
 An element keeps no record of the mass it removes from the amplitudes: it
 returns it. Each stage returns its (click, absorbed) pair, and the gate keeps
@@ -26,76 +27,37 @@ Because the flip plates undo the block's own polarization flip, a stage moves
 no basis label: it multiplies the mirror branch by the mirror transmission
 and the block branch by T, negated when the block's spin is down. A mirror
 is given as ``mirror_scale`` times the block's T (None: T itself, a balanced
-mirror). ``check_mirror_scale`` refuses a scale that is not a finite number,
-``check_stage`` forms the mirror and refuses one with gain or a block that
-is not passive, and ``stage_losses`` turns a stage's mirror and block mass
-into its (click, absorbed) pair. ``stage_polarization`` and
-``stage_spatial`` check once, apply a stage in one pass over a sparse state
-and return the masses it removed; the gate engine in ``gates`` uses the
-same functions on factored photons.
+mirror). ``check_mirror_scale`` refuses a scale that is not a finite number
+and returns it as a Python float or complex, ``check_stage`` forms the
+mirror and refuses one with gain or a block that is not passive, and
+``stage_losses`` turns a stage's mirror and block mass into its (click,
+absorbed) pair. ``stage_polarization`` and ``stage_spatial`` check once,
+apply a stage in one pass over a sparse state and return the masses it
+removed; the gate engine in ``gates`` uses the same functions on factored
+photons.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
-from .errors import RoutingContractError, ValidationError, refuse_where
+from .errors import ValidationError, refuse_where
 from .hyperstate import HyperState
 from .scattering import BlockCoeffs, clip_unit
 
 
-def _block_probs(bc: BlockCoeffs):
-    """|D|^2 and |T|^2 of a basic block, checked for passivity; elementwise
-    on arrays."""
-    d2 = abs(bc.D) ** 2
-    t2 = abs(bc.T) ** 2
-    total = d2 + t2
-    refuse_where(total > 1.0 + 1e-9, total, ValidationError,
-                 "block coefficients violate |D|^2+|T|^2<=1 ({})")
-    return d2, t2
-
-
-def block_interact(state: HyperState, photon: int, which_spin: int,
-                   bc: BlockCoeffs) -> tuple[float, float]:
-    """Effective basic-block map on a routed branch whose photon is R.
-
-    Transmission: factor T, polarization flipped to L, Z on which_spin.
-    Reflection: mass |D|^2 per amplitude clicks the heralding detector
-    (failure) and leaves the coherent state. The remainder (1-|D|^2-|T|^2 per
-    amplitude) is absorbed. Returns the (click, absorbed) masses.
-    """
-    d2, t2 = _block_probs(bc)
-    pm = state._photon_mask(photon, spatial=False)
-    zm = state._spin_bit_mask(which_spin)
-    absorb_frac = max(0.0, 1.0 - d2 - t2)
-    out: dict[int, complex] = {}
-    clicked: list[float] = []
-    lost: list[float] = []
-    for label, amp in state.amplitudes.items():
-        if label & pm:
-            raise RoutingContractError(
-                f"L-polarized amplitude routed into a basic block "
-                f"(photon {photon}, label {label:#x}): routing bug")
-        p = abs(amp) ** 2
-        clicked.append(d2 * p)
-        lost.append(absorb_frac * p)
-        new_amp = bc.T * amp
-        if label & zm:
-            new_amp = -new_amp
-        out[label | pm] = new_amp
-    state.amplitudes = out
-    state._prune()
-    return math.fsum(clicked), math.fsum(lost)
-
-
-def check_mirror_scale(scale) -> None:
-    """A mirror scale: None (balanced), or a finite int, float or complex that
-    is not a bool."""
-    if scale is not None and (isinstance(scale, bool)
-                              or not isinstance(scale, (int, float, complex))
-                              or not cmath.isfinite(scale)):
-        raise ValidationError(
-            f"mirror_scale must be None or a finite int, float or complex, got {scale!r}")
+def check_mirror_scale(scale) -> float | complex | None:
+    """A mirror scale: None (balanced), or a finite number that is not a
+    bool, returned as a Python float when real and complex otherwise, so that
+    a numpy scalar cannot set the precision of a stage."""
+    if scale is None:
+        return None
+    # numpy's bool_ is no numbers.Number; Python's bool is an Integral
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Number)
+            or not cmath.isfinite(scale)):
+        raise ValidationError(f"mirror_scale must be None or a finite number, got {scale!r}")
+    return float(scale) if isinstance(scale, numbers.Real) else complex(scale)
 
 
 def check_stage(bc: BlockCoeffs, mirror_scale=None):
@@ -108,7 +70,11 @@ def check_stage(bc: BlockCoeffs, mirror_scale=None):
     refuse_where(abs(t_mirror) > 1.0 + 1e-12, 1 if mirror_scale is None else mirror_scale,
                  ValidationError,
                  "mirror transmission |mirror_scale * T| exceeds 1 at mirror_scale {}")
-    d2, t2 = _block_probs(bc)
+    d2 = abs(bc.D) ** 2
+    t2 = abs(bc.T) ** 2
+    total = d2 + t2
+    refuse_where(total > 1.0 + 1e-9, total, ValidationError,
+                 "block coefficients violate |D|^2+|T|^2<=1 ({})")
     return t_mirror, d2, t2
 
 
@@ -131,8 +97,7 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
     moves; amplitudes that become exactly zero are dropped. Returns the
     stage's (click, absorbed) masses.
     """
-    check_mirror_scale(mirror_scale)
-    t_mirror, d2, t2 = check_stage(bc, mirror_scale)
+    t_mirror, d2, t2 = check_stage(bc, check_mirror_scale(mirror_scale))
     t_up, t_down = bc.T, -bc.T
     zm = state._spin_bit_mask(which_spin)
     amps = state.amplitudes

@@ -3,6 +3,7 @@
 Kept in one module so the CLI can map each class to a distinct exit code
 without importing the physics modules for their side effects.
 """
+import numbers
 
 
 class ValidationError(ValueError):
@@ -18,18 +19,14 @@ class AmplitudeLostError(DegeneratePhysicsError):
     """All coherent amplitude was lost before a measurement could be taken."""
 
 
-class RoutingContractError(RuntimeError):
-    """An optical element received a branch its contract forbids (a routing bug,
-    not a physics outcome)."""
-
-
-def check_count(value, name: str, limit: int | None = None) -> None:
-    """A count of targets, cases or shots: an int >= 1 that is not a bool,
-    and at most ``limit`` if one is given."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+def check_count(value, name: str, limit: int | None = None) -> int:
+    """A count of targets, cases or shots: an integer >= 1 that is not a
+    bool, and at most ``limit`` if one is given; returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValidationError(f"{name} must be an int >= 1, got {value!r}")
     if limit is not None and value > limit:
         raise ValidationError(f"{name} must be <= {limit}, got {value!r}")
+    return int(value)
 
 
 def refuse_where(bad, value, error: type, message: str) -> None:

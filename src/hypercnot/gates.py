@@ -85,6 +85,7 @@ masses, whose cost does not grow with the shot count.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -119,12 +120,14 @@ from .scattering import CavityParams, block_coeffs, scatter_coeffs
 MIN_BLOCK_T = 1e-12
 
 
-def check_seed(seed, name: str) -> None:
-    """A seed numpy's generators accept: None, or an int >= 0 that is not a
-    bool."""
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                             or seed < 0):
+def check_seed(seed, name: str) -> int | None:
+    """A seed numpy's generators accept: None, or an integer >= 0 that is
+    not a bool, returned as an int."""
+    if seed is None:
+        return None
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"{name} must be None or an int >= 0, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,10 @@ class GateConfig:
     def __post_init__(self):
         if not isinstance(self.params, CavityParams):
             raise ValidationError("params must be a CavityParams")
-        check_count(self.n_targets, "n_targets")
-        check_seed(self.rng_seed, "rng_seed")
-        check_mirror_scale(self.mirror_scale)
+        # a numpy number is passed on as the Python number it equals
+        object.__setattr__(self, "n_targets", check_count(self.n_targets, "n_targets"))
+        object.__setattr__(self, "rng_seed", check_seed(self.rng_seed, "rng_seed"))
+        object.__setattr__(self, "mirror_scale", check_mirror_scale(self.mirror_scale))
 
 
 class OutcomeBranch(NamedTuple):
@@ -451,7 +455,7 @@ def sample_shots(control: PhotonSpec, targets: Sequence[PhotonSpec],
     does not grow with ``shots``. Deterministic given the seed."""
     if cfg.rng_seed is None:
         raise ValidationError("sampling requires a GateConfig with rng_seed set")
-    check_count(shots, "shots", MAX_SHOTS)
+    shots = check_count(shots, "shots", MAX_SHOTS)
     out = hyper_cnot_n(control, targets, cfg)
     masses = [m for stage in out.stages for m in stage]
     n = len(masses)

@@ -171,15 +171,6 @@ class BasisLabel:
     n_photons: int
     has_spins: bool = True
 
-    def pol(self, photon: int) -> Pol:
-        return Pol((self.bits >> (2 * photon)) & 1)
-
-    def spatial(self, photon: int) -> Spatial:
-        return Spatial((self.bits >> (2 * photon + 1)) & 1)
-
-    def spin(self, which_spin: int) -> Spin:
-        return Spin((self.bits >> (2 * self.n_photons + which_spin - 1)) & 1)
-
     def photon_name(self, photon: int) -> str:
         if photon == 0:
             return "a"
@@ -214,9 +205,6 @@ class HyperState:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def copy(self) -> "HyperState":
-        return HyperState(self.n_photons, self.amplitudes, self.has_spins)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperState):
             return NotImplemented
@@ -235,9 +223,6 @@ class HyperState:
         """Amplitudes in canonical (ascending label) order."""
         return [(BasisLabel(bits, self.n_photons, self.has_spins), amp)
                 for bits, amp in sorted(self.amplitudes.items())]
-
-    def _prune(self) -> None:
-        self.amplitudes = {l: a for l, a in self.amplitudes.items() if a}
 
     def _photon_mask(self, photon: int, spatial: bool) -> int:
         if (isinstance(photon, bool) or not isinstance(photon, numbers.Integral)
@@ -271,18 +256,9 @@ class HyperState:
             raise ValidationError(
                 f"state spread to {len(out)} amplitudes, more than "
                 f"MAX_AMPLITUDES = {MAX_AMPLITUDES}")
-        self.amplitudes = out
-        self._prune()
-
-    def _flip(self, mask: int) -> None:
-        self.amplitudes = {label ^ mask: amp for label, amp in self.amplitudes.items()}
+        self.amplitudes = {label: amp for label, amp in out.items() if amp}
 
     # -- public single-dof operations --------------------------------------
-
-    def pol_flip(self, photon: int) -> "HyperState":
-        """Swap R and L amplitudes of one photon (bit-flip plate)."""
-        self._flip(self._photon_mask(photon, spatial=False))
-        return self
 
     def spin_hadamard(self, which_spin: int) -> "HyperState":
         """up -> (up+down)/sqrt2, down -> (up-down)/sqrt2; maps the conjugate

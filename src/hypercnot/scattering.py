@@ -237,7 +237,7 @@ def efficiency(T, n_targets: int = 1):
     """Probability that every photon of a gate with ``n_targets`` target
     photons survives to the output: |T|^(4*(n_targets+1)); elementwise on an
     array of T."""
-    check_count(n_targets, "n_targets")
+    n_targets = check_count(n_targets, "n_targets")
     mag = abs(T)
     refuse_where(mag > 1.0 + 1e-12, mag, ValidationError, "|T| must be <= 1, got {}")
     return clip_unit(mag) ** (4 * (n_targets + 1))

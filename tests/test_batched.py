@@ -23,7 +23,7 @@ from hypercnot import (
     scatter_coeffs,
     sweep_efficiency,
 )
-from hypercnot import analysis, circuit
+from hypercnot import analysis, circuit, gates
 from hypercnot.gates import factored_run
 from hypercnot.hyperstate import photon_vectors
 from hypercnot.scattering import BlockCoeffs, ratio_coeffs
@@ -243,27 +243,28 @@ def test_ten_thousand_point_sweep():
 
 
 @pytest.fixture
-def block_probs_calls(monkeypatch):
-    """The arguments of every call to ``circuit._block_probs``, the passivity
-    check of a stage."""
+def stage_checks(monkeypatch):
+    """The block of every call to ``circuit.check_stage``, the mirror and
+    passivity check of a stage, from the gate engine or an element stage."""
     calls = []
-    block_probs = circuit._block_probs
+    check_stage = circuit.check_stage
 
-    def counted(bc):
+    def counted(bc, mirror_scale=None):
         calls.append(bc)
-        return block_probs(bc)
+        return check_stage(bc, mirror_scale)
 
-    monkeypatch.setattr(circuit, "_block_probs", counted)
+    monkeypatch.setattr(circuit, "check_stage", counted)
+    monkeypatch.setattr(gates, "check_stage", counted)
     return calls
 
 
-def test_the_stage_checks_run_once_per_pass(block_probs_calls):
+def test_the_stage_checks_run_once_per_pass(stage_checks):
     # the mirror and passivity refusals of a pass run once, with their
     # messages unchanged
     x = photon_vectors([PhotonSpec.uniform()] * 3)
     bc = BlockCoeffs(D=np.array([0.1, 0.2]), T=np.array([0.9, 0.8 + 0.1j]))
     factored_run(bc, None, x)
-    assert len(block_probs_calls) == 1
+    assert len(stage_checks) == 1
     # the scale 2 makes the first point's mirror 2 * 0.9
     with pytest.raises(ValidationError, match=r"mirror transmission \|mirror_scale \* T\| "
                                               r"exceeds 1 at mirror_scale 2.0$"):
@@ -275,7 +276,7 @@ def test_the_stage_checks_run_once_per_pass(block_probs_calls):
 
 @pytest.mark.parametrize("stage", [circuit.stage_polarization, circuit.stage_spatial],
                          ids=["polarization", "spatial"])
-def test_a_dict_stage_checks_once(stage, block_probs_calls):
+def test_a_dict_stage_checks_once(stage, stage_checks):
     state = init_state([PhotonSpec.uniform()] * 2)
     stage(state, 1, block_coeffs(scatter_coeffs(CavityParams.from_ratios(3.0, 0.1))))
-    assert len(block_probs_calls) == 1
+    assert len(stage_checks) == 1

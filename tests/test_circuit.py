@@ -1,4 +1,4 @@
-"""Optical elements: mirrors, basic-block map, stages."""
+"""Optical elements: mirrors, stages, and the stages against the basic-block map."""
 import math
 
 import numpy as np
@@ -9,12 +9,9 @@ from hypercnot import (
     CavityParams,
     HyperState,
     PhotonSpec,
-    RoutingContractError,
     ValidationError,
     block_coeffs,
-    block_interact,
     init_state,
-    pack_label,
     scatter_coeffs,
     stage_polarization,
     stage_spatial,
@@ -83,43 +80,6 @@ class TestMirror:
         for label, amp in before.items():
             assert abs(state.amplitudes[label] - amp * t) < 1e-15
         assert absorbed == pytest.approx(1.0 - abs(t) ** 2, abs=1e-12)
-
-
-class TestBlockInteract:
-    def test_transmission_flips_pol_and_kicks_spin(self, bench_params):
-        bc = block_coeffs(scatter_coeffs(bench_params))
-        # photon R, spin 1 in (up+down)/sqrt2, spin 2 up
-        amps = {pack_label([0], [0], (0, 0)): complex(math.sqrt(0.5)),
-                pack_label([0], [0], (1, 0)): complex(math.sqrt(0.5))}
-        state = HyperState(1, amps)
-        click, absorbed = block_interact(state, 0, 1, bc)
-        up_label = pack_label([1], [0], (0, 0))
-        down_label = pack_label([1], [0], (1, 0))
-        assert abs(state.amplitudes[up_label] - bc.T * math.sqrt(0.5)) < 1e-15
-        assert abs(state.amplitudes[down_label] + bc.T * math.sqrt(0.5)) < 1e-15
-        assert click == pytest.approx(abs(bc.D) ** 2, abs=1e-12)
-        assert absorbed == pytest.approx(
-            1.0 - abs(bc.D) ** 2 - abs(bc.T) ** 2, abs=1e-12)
-        assert state.norm_sq() + click + absorbed == pytest.approx(1.0, abs=1e-12)
-
-    def test_l_input_is_a_routing_bug(self, bench_params):
-        bc = block_coeffs(scatter_coeffs(bench_params))
-        state = HyperState(1, {pack_label([1], [0], (0, 0)): 1.0 + 0j})
-        with pytest.raises(RoutingContractError):
-            block_interact(state, 0, 1, bc)
-
-    def test_unphysical_coefficients_rejected(self):
-        state = HyperState(1, {pack_label([0], [0], (0, 0)): 1.0 + 0j})
-        with pytest.raises(ValidationError):
-            block_interact(state, 0, 1, BlockCoeffs(D=0.8, T=0.8))
-
-    def test_second_spin_conditions_the_kick(self, bench_params):
-        bc = block_coeffs(scatter_coeffs(bench_params))
-        amps = {pack_label([0], [0], (1, 0)): 1.0 + 0j}  # spin1 down, spin2 up
-        state = HyperState(1, amps)
-        block_interact(state, 0, 2, bc)
-        out = state.amplitudes[pack_label([1], [0], (1, 0))]
-        assert abs(out - bc.T) < 1e-15  # spin 2 is up: no sign
 
 
 class TestStages:
@@ -223,9 +183,26 @@ class TestStages:
             assert math.fsum([state.norm_sq(), *removed]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _flip(amps, mask):
+    """A flip plate: the photon's polarization bit flipped on every label."""
+    return {label ^ mask: amp for label, amp in amps.items()}
+
+
+def _block(amps, pm, zm, bc):
+    """The basic block on a branch whose photon is R (pol bit pm clear): it
+    transmits with amplitude T as L, with a Z on the spin bit zm; |D|^2 of
+    the mass clicks and the rest of the loss is absorbed. Returns the state
+    and its (click, absorbed) masses."""
+    assert not any(label & pm for label in amps)
+    mass = math.fsum(abs(a) ** 2 for a in amps.values())
+    d2, t2 = abs(bc.D) ** 2, abs(bc.T) ** 2
+    out = {label | pm: (-bc.T if label & zm else bc.T) * amp for label, amp in amps.items()}
+    return out, (d2 * mass, (1.0 - d2 - t2) * mass)
+
+
 class TestStagesAgainstElements:
     """Each stage equals its optical elements composed on one basis label:
-    the mirror on one branch, flip plates around block_interact on the
+    the mirror on one branch, flip plates around the basic block on the
     other."""
 
     # Off resonance, so D, T and the products below are genuinely complex.
@@ -233,21 +210,17 @@ class TestStagesAgainstElements:
     AMP = complex(0.6, -0.8)
 
     def _reference(self, label, n_photons, photon, spatial, bc, scale):
-        """The reference state and its (click, absorbed) masses."""
-        ref = HyperState(n_photons, {label: self.AMP})
+        """The reference amplitudes and their (click, absorbed) masses."""
         branch = spatial_mask(photon) if spatial else pol_mask(photon)
         if not label & branch:  # mirror
             t = bc.T if scale is None else scale * bc.T
-            ref.amplitudes[label] = self.AMP * t
-            return ref, (0.0, (1.0 - abs(t) ** 2) * abs(self.AMP) ** 2)
-        spin = 2 if spatial else 1
-        if label & pol_mask(photon):  # L enters flipped onto R, leaves as L
-            ref.pol_flip(photon)
-            masses = block_interact(ref, photon, spin, bc)
-        else:                         # R leaves as L and is flipped back
-            masses = block_interact(ref, photon, spin, bc)
-            ref.pol_flip(photon)
-        return ref, masses
+            return {label: self.AMP * t}, (0.0, (1.0 - abs(t) ** 2) * abs(self.AMP) ** 2)
+        pm = pol_mask(photon)
+        zm = spin_mask(n_photons, 2 if spatial else 1)
+        if label & pm:  # L enters flipped onto R, leaves as L
+            return _block(_flip({label: self.AMP}, pm), pm, zm, bc)
+        ref, masses = _block({label: self.AMP}, pm, zm, bc)
+        return _flip(ref, pm), masses  # R leaves as L and is flipped back
 
     @pytest.mark.parametrize("n_photons, photon", [(1, 0), (2, 0), (2, 1)])
     @pytest.mark.parametrize("scale", [None, complex(0.5, -0.4)],
@@ -260,8 +233,8 @@ class TestStagesAgainstElements:
             state = HyperState(n_photons, {label: self.AMP})
             masses = stage(state, photon, bc, scale)
             ref, ref_masses = self._reference(label, n_photons, photon, spatial, bc, scale)
-            assert state.amplitudes.keys() == ref.amplitudes.keys()
-            for key, amp in ref.amplitudes.items():
+            assert state.amplitudes.keys() == ref.keys()
+            for key, amp in ref.items():
                 assert abs(state.amplitudes[key] - amp) <= 1e-15
             for mass, ref_mass in zip(masses, ref_masses):
                 assert abs(mass - ref_mass) <= 1e-15

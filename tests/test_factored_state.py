@@ -23,11 +23,13 @@ from hypercnot import (
     random_photon_spec,
     sample_shots,
     scatter_coeffs,
+    stage_polarization,
+    stage_spatial,
     truth_table,
 )
 from hypercnot.cli import main
 from hypercnot.gates import factored_run
-from hypercnot.hyperstate import FactoredState, photon_vectors
+from hypercnot.hyperstate import FactoredState, photon_vectors, pol_mask
 
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
 U = PhotonSpec.uniform()
@@ -154,14 +156,32 @@ def test_a_flip_after_a_read_takes_the_dict_path(bench_config):
     basis = PhotonSpec.basis(Pol.L, Spatial.M2)
     state = hyper_cnot_n(basis, [basis], bench_config).conditional_state
     ideal = ideal_hyper_cnot_n(basis, [basis])
-    assert len(state.amplitudes) == 1
-    state.pol_flip(1)
-    assert state.factors is None
-    assert fidelity(state, ideal) == 0.0   # the target's polarization is flipped
-    # a flip expands an unread state too, and drops its factors
+    amps = state.amplitudes
+    assert len(amps) == 1 and state.factors is None   # a read drops the factors
+    # a flip plate on the target's polarization, applied to the dict in place
+    (label, amp), = amps.items()
+    del amps[label]
+    amps[label ^ pol_mask(1)] = amp
+    assert fidelity(state, ideal) == 0.0
+    # assigning the amplitudes of an unread state drops its factors too
     state = hyper_cnot_n(basis, [basis], bench_config).conditional_state
-    state.pol_flip(1)
+    state.amplitudes = {label ^ pol_mask(1): amp}
     assert state.factors is None and fidelity(state, ideal) == 0.0
+
+
+def test_a_refused_operation_leaves_a_branch_state_unexpanded(bench_params, expansions):
+    # a photon-only state has no spins: every spin-coupled operation refuses
+    # it before reading its amplitudes, which here would be 4^9 labels
+    out = hyper_cnot_n(U, [U] * 8, GateConfig(params=bench_params, n_targets=8))
+    state = out.branches[3].state
+    bc = block_coeffs(scatter_coeffs(bench_params))
+    for refused in (lambda: state.spin_hadamard(1),
+                    lambda: stage_polarization(state, 0, bc),
+                    lambda: stage_spatial(state, 8, bc)):
+        with pytest.raises(ValidationError, match="state has no spins"):
+            refused()
+        assert state.factors is not None
+    assert expansions == []
 
 
 def test_factored_refusals_are_unchanged():

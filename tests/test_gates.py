@@ -58,8 +58,9 @@ class TestGateConfig:
         with pytest.raises(ValidationError):
             GateConfig(**kwargs)
 
-    @pytest.mark.parametrize("scale", [True, math.nan, complex(0.5, math.nan), "x", math.inf],
-                             ids=["bool", "nan", "complex_nan", "str", "inf"])
+    @pytest.mark.parametrize("scale", [True, np.bool_(True), math.nan, complex(0.5, math.nan),
+                                       "x", math.inf],
+                             ids=["bool", "numpy_bool", "nan", "complex_nan", "str", "inf"])
     def test_the_gate_and_the_scan_refuse_the_same_mirror_scales(self, bench_params, scale):
         with pytest.raises(ValidationError) as gate:
             GateConfig(params=bench_params, mirror_scale=scale)
@@ -76,6 +77,36 @@ class TestGateConfig:
                 stage(state, 0, bc, mirror_scale=scale)
             assert str(element.value) == str(gate.value)
             assert state.amplitudes == before
+
+    def test_a_numpy_scale_runs_as_the_python_float_it_equals(self, bench_params):
+        # under numpy 2 (NEP 50) a float32 scale times a complex T is complex64:
+        # every layer runs the scale as a Python float, in double precision
+        rng = np.random.default_rng(31)
+        photons = [random_photon_spec(rng) for _ in range(3)]
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        results = []
+        for scale in (np.float32(0.9), float(np.float32(0.9))):
+            cfg = GateConfig(params=bench_params, n_targets=2, mirror_scale=scale)
+            assert type(cfg.mirror_scale) is float
+            out = hyper_cnot_n(photons[0], photons[1:], cfg)
+            elements = []
+            for stage in (stage_polarization, stage_spatial):
+                state = init_state(photons[:2])
+                elements.append((stage(state, 1, bc, mirror_scale=scale), state.amplitudes))
+            results.append((out, fidelity_scan(3, 1, n_targets=2, mirror_scale=scale), elements))
+        assert results[0] == results[1]
+
+    def test_numpy_integers_are_passed_on_as_ints(self, bench_params):
+        cfg = GateConfig(params=bench_params, n_targets=np.int64(1), rng_seed=np.int64(7),
+                         mirror_scale=np.int64(1))
+        assert (type(cfg.n_targets), type(cfg.rng_seed), type(cfg.mirror_scale)) == (
+            int, int, float)
+        u = PhotonSpec.uniform()
+        stats = sample_shots(u, [u], cfg, np.int64(100))
+        assert type(stats.shots) is int
+        assert stats == sample_shots(u, [u], GateConfig(params=bench_params, rng_seed=7,
+                                                        mirror_scale=1.0), 100)
+        assert fidelity_scan(np.int64(2), np.int64(1), n_targets=np.int64(1)) == fidelity_scan(2, 1)
 
     def test_a_mirror_with_gain_is_refused_when_the_gate_runs(self, bench_params):
         # |T| is about 0.95 here, so a scale of 1.5 makes |m| about 1.42
