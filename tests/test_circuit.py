@@ -12,6 +12,7 @@ from hypercnot import (
     ValidationError,
     block_coeffs,
     init_state,
+    pack_label,
     scatter_coeffs,
     stage_polarization,
     stage_spatial,
@@ -80,6 +81,46 @@ class TestMirror:
         for label, amp in before.items():
             assert abs(state.amplitudes[label] - amp * t) < 1e-15
         assert absorbed == pytest.approx(1.0 - abs(t) ** 2, abs=1e-12)
+
+
+class TestBlockInteract:
+    """The basic block, seen through a stage on a photon whose whole state
+    takes the block branch."""
+
+    def test_transmission_flips_pol_and_kicks_spin(self, bench_params):
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        # photon L, spin 1 in (up+down)/sqrt2, spin 2 up: the stage's plate
+        # flips L onto R, and the block transmits R as L
+        amps = {pack_label([1], [0], (0, 0)): complex(math.sqrt(0.5)),
+                pack_label([1], [0], (1, 0)): complex(math.sqrt(0.5))}
+        state = HyperState(1, amps)
+        click, absorbed = stage_polarization(state, 0, bc)
+        up_label = pack_label([1], [0], (0, 0))
+        down_label = pack_label([1], [0], (1, 0))
+        assert state.amplitudes.keys() == {up_label, down_label}
+        assert abs(state.amplitudes[up_label] - bc.T * math.sqrt(0.5)) < 1e-15
+        assert abs(state.amplitudes[down_label] + bc.T * math.sqrt(0.5)) < 1e-15
+        assert click == pytest.approx(abs(bc.D) ** 2, abs=1e-12)
+        assert absorbed == pytest.approx(
+            1.0 - abs(bc.D) ** 2 - abs(bc.T) ** 2, abs=1e-12)
+        assert state.norm_sq() + click + absorbed == pytest.approx(1.0, abs=1e-12)
+
+    def test_unphysical_coefficients_rejected(self):
+        # |T| = 0.8 keeps the balanced mirror passive; |D|^2 + |T|^2 = 1.28 is not
+        state = HyperState(1, {pack_label([1], [0], (0, 0)): 1.0 + 0j})
+        before = dict(state.amplitudes)
+        with pytest.raises(ValidationError,
+                           match=r"block coefficients violate \|D\|\^2\+\|T\|\^2<=1 \(1.28"):
+            stage_polarization(state, 0, BlockCoeffs(D=0.8, T=0.8))
+        assert state.amplitudes == before
+
+    def test_second_spin_conditions_the_kick(self, bench_params):
+        bc = block_coeffs(scatter_coeffs(bench_params))
+        label = pack_label([0], [1], (1, 0))  # mode 2, spin1 down, spin2 up
+        state = HyperState(1, {label: 1.0 + 0j})
+        stage_spatial(state, 0, bc)
+        assert state.amplitudes.keys() == {label}
+        assert abs(state.amplitudes[label] - bc.T) < 1e-15  # spin 2 is up: no sign
 
 
 class TestStages:
