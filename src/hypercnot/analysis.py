@@ -48,7 +48,8 @@ from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 # point of N targets takes N + 1, and a chunk holds at least one point.
 _CHUNK_PHOTONS = 4096
 # Most targets a sweep point or scan case may take: memory grows with them,
-# to about 0.4 GB for one sweep point and 0.75 GB for one scan case at 10^6.
+# to a peak RSS of about 0.3 GB for one sweep point and 0.75 GB for one scan
+# case at 10^6 (numpy 2.4).
 MAX_TARGETS = 10**6
 # Most points a sweep grid may hold: a sweep keeps one report row per point,
 # about 360 bytes each at its peak.

@@ -29,6 +29,16 @@ def check_count(value, name: str, limit: int | None = None) -> int:
     return int(value)
 
 
+def check_real(value, name: str) -> float:
+    """A real number that is not a bool, a numpy one included, returned as
+    the Python float it equals: a float32 or a numpy integer would otherwise
+    set the precision of the arithmetic it enters."""
+    # numpy's bool_ is no numbers.Real; Python's bool is an Integral
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def refuse_where(bad, value, error: type, message: str) -> None:
     """Raise ``error(message.format(v))`` if ``bad`` holds. ``bad`` is a
     bool, or an array checked elementwise; ``value`` is a number, or an array

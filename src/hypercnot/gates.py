@@ -41,9 +41,14 @@ cancel, so a mirror m far weaker than the block still gives a uniform target
 u_i = m^2 x_i. On a balanced mirror F[0] = T^2 and u_i = T^2 x_i is taken
 directly, to the bit (K K x_i is x_i only to rounding).
 |F[sigma, k]| does not depend on sigma, so the success probability and every
-stage's masses are products of per-photon sums over a photon's (m, p) axes,
-computed with the photons stacked on one numpy axis from one Hadamard of
-each target, an elementwise butterfly that keeps exact cancellations exact.
+stage's masses are products of per-photon sums of a photon's four weights
+|v_k|^2, computed with the photons stacked on one numpy axis from one
+Hadamard of each target. The Hadamards are two butterflies a_lo +/- a_hi,
+each read with two ``take``s of fixed rows, which keep exact cancellations
+exact. The ledger is a few whole-array numpy calls whatever the photon
+count: the weighted sums of each photon's weights, one running product of
+the kept masses and one of the entered masses, and the stage masses, with no
+temporary larger than one weight per photon and entry.
 
 ``factored_run`` is that computation, written over leading numpy axes: for
 one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
@@ -67,13 +72,15 @@ exactly 0 (a dead mirror on a basis input) leaves no state, and
 ``hyper_cnot_n`` raises AmplitudeLostError.
 
 The run is trace-decreasing: with block transmission T, the heralded-success
-probability is |T|^(4(N+1)) for N targets. ``GateOutcome.stages`` records
-where the rest went: the (click, absorbed) masses of each photon's
-polarization stage and spatial stage, in run order, from
-``circuit.stage_losses``. A ``GateOutcome`` stores only the success
-probability, the spin branches and these stages; its detector and absorbed
-totals are properties that sum the stages, so no total can disagree with
-the ledger.
+probability is |T|^(4(N+1)) for N targets. ``GateOutcome`` records where
+the rest went in the kernel's two arrays, ``clicks`` and ``absorbed``,
+indexed [photon, stage]: the masses each photon's polarization stage and
+spatial stage sent to their detector and absorbed, from
+``circuit.stage_losses``. ``GateOutcome.stages`` reads them as
+(click, absorbed) pairs in run order, built only when read. A
+``GateOutcome`` stores only the success probability, the spin branches and
+these two arrays; its detector and absorbed totals are properties that sum
+them, so no total can disagree with the ledger.
 
 Every spin record carries the same corrected state, so ``hyper_cnot_n``
 reports the canonical first branch (both spins up, no feed-forward) and
@@ -168,7 +175,7 @@ class OutcomeBranch(NamedTuple):
 @dataclass
 class GateOutcome:
     """Full result of one gate run: the success probability, the spin
-    branches and the stages. Every other figure is a property over them.
+    branches and the stage ledger. Every other figure is a property over them.
 
     success_prob + heralded_failure_prob + absorbed_prob = 1 (to rounding).
     branches lists every nonzero spin outcome; conditional_state,
@@ -176,16 +183,32 @@ class GateOutcome:
     the branches carry the same corrected state, which is the point of the
     feed-forward, as one shared object).
 
-    stages holds one (click, absorbed) pair per routing stage, in run order:
-    photon k's polarization stage (detector_B1) is entry 2k and its spatial
-    stage (detector_B2) is entry 2k+1, with the control as photon 0. It is
-    the one record of where the probability went: detector_probs and
-    absorbed_prob are the math.fsum of its clicks and absorbed masses.
+    The ledger is the kernel's two arrays (``FactoredRun``), indexed
+    [photon, stage] with the control as photon 0 and the polarization stage
+    (detector_B1) before the spatial stage (detector_B2): clicks, the mass
+    each routing stage sent to its detector, and absorbed, the mass it
+    absorbed. stages reads them as one (click, absorbed) pair of floats per
+    stage, in run order (photon k's polarization stage is entry 2k, its
+    spatial stage entry 2k+1), built when it is read. It is the one record
+    of where the probability went: detector_probs and absorbed_prob are the
+    math.fsum of its clicks and absorbed masses, taken from the arrays. Two
+    outcomes are equal when their success, branches and stages are.
     """
 
     success_prob: float
     branches: tuple[OutcomeBranch, ...]
-    stages: tuple[tuple[float, float], ...]
+    clicks: np.ndarray
+    absorbed: np.ndarray
+
+    @property
+    def stages(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.clicks.ravel().tolist(), self.absorbed.ravel().tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GateOutcome):
+            return NotImplemented
+        return ((self.success_prob, self.branches, self.stages)
+                == (other.success_prob, other.branches, other.stages))
 
     @property
     def conditional_state(self) -> HyperState:
@@ -201,12 +224,13 @@ class GateOutcome:
 
     @property
     def detector_probs(self) -> dict[str, float]:
-        return {DETECTOR_B1: math.fsum(c for c, _ in self.stages[0::2]),
-                DETECTOR_B2: math.fsum(c for c, _ in self.stages[1::2])}
+        # fsum is exact before its one rounding, so the order does not matter
+        return {DETECTOR_B1: math.fsum(self.clicks[:, 0].tolist()),
+                DETECTOR_B2: math.fsum(self.clicks[:, 1].tolist())}
 
     @property
     def absorbed_prob(self) -> float:
-        return math.fsum(a for _, a in self.stages)
+        return math.fsum(self.absorbed.ravel().tolist())
 
     @property
     def heralded_failure_prob(self) -> float:
@@ -219,11 +243,15 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
             f"got {len(targets)} target specs but n_targets={cfg.n_targets}")
 
 
-# The butterfly over bit b pairs entry k & ~b with k | b; the entry with the
-# bit set takes the difference.
-_LO = {b: np.array([k & ~b for k in range(4)]) for b in (1, 2)}
-_HI = {b: np.array([k | b for k in range(4)]) for b in (1, 2)}
-_SIGN = {b: np.array([-1.0 if k & b else 1.0 for k in range(4)]) for b in (1, 2)}
+# The butterflies of the polarization bit b = 1 and the spatial bit b = 2 on
+# an entry-major array a[k, ...]: row k pairs row k & ~b with row k | b, and
+# takes the difference when it has the bit set. Each is (lo, hi, sign); the
+# sign is complex, as the rows are, so that numpy casts nothing (a cast
+# takes a buffer of its own).
+_BUTTERFLIES = tuple((np.array([k & ~b for k in range(4)]),
+                      np.array([k | b for k in range(4)]),
+                      np.array([[-1.0 + 0j] if k & b else [1.0 + 0j] for k in range(4)]))
+                     for b in (1, 2))
 # Spin record and feed-forward flags of the four branches, in branch order.
 _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
@@ -233,10 +261,18 @@ def _hadamards(a: np.ndarray) -> np.ndarray:
     """Polarization then spatial Hadamard (K) on the last axis: two unscaled
     elementwise butterflies a_lo +/- a_hi, so that exact cancellations give
     exact zeros, then one factor 1/sqrt2 * 1/sqrt2 = 0.5, which is exact, so
-    K keeps a basis vector's norm exactly."""
-    for bit in (1, 2):
-        a = a[..., _LO[bit]] + _SIGN[bit] * a[..., _HI[bit]]
-    return 0.5 * a
+    K keeps a basis vector's norm exactly.
+
+    The butterflies run on the rows of the entry-major view, read with
+    ``take``, and the result keeps that layout, entry k outermost in memory:
+    numpy sums a contiguous last axis of complex numbers pairwise but a
+    strided one in order, so the layout fixes the rounding of the overlaps
+    later taken over k."""
+    shape = a.shape
+    a = a.reshape(-1, 4).T   # rebound, so a temporary input is freed with it
+    for lo, hi, sign in _BUTTERFLIES:
+        a = a.take(lo, axis=0) + sign * a.take(hi, axis=0)
+    return (0.5 * a).T.reshape(shape)
 
 
 def check_transmits(T) -> None:
@@ -302,20 +338,26 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
     # kept and the input norms of the photons after it. Its own come from its
-    # weights w[..., photon, m, p] as it enters its polarization stage and
-    # g = (|t_mirror|^2, |T|^2) by branch bit: the polarization stage's mirror
-    # and block masses are the sum over m, the spatial stage's the g_p-weighted
-    # sum over p, the kept mass the g_m g_p-weighted sum over both axes and the
-    # entered mass the plain one. The batch axis comes from g: w lacks it when
-    # every point has the same photons.
+    # weights w[..., photon, k] = |v|^2 as it enters its polarization stage,
+    # k = p + 2m, and g = (|t_mirror|^2, |T|^2) by branch bit: the
+    # polarization stage's mirror and block masses are the sums over m, the
+    # spatial stage's the g_p-weighted sums over p, the kept mass the
+    # g_m g_p-weighted sum over k and the entered mass the plain one. The
+    # batch axis comes from g: w lacks it when every point has the same photons.
     n = x.shape[-2]
-    w = (np.abs(v) ** 2).reshape(v.shape[:-1] + (2, 2))
-    g = np.array((abs(t_mirror) ** 2, t2)).T[..., None, None, :]   # g_p
-    kept = (w * (g.swapaxes(-2, -1) * g)).sum(axis=(-2, -1))
-    chain = np.ones(kept.shape[:-1] + (2, n + 1))
+    w = np.abs(v)
+    del v   # not read again: freed before the ledger's temporaries
+    w *= w
+    gm = abs(t_mirror) ** 2
+    g = np.array((gm, t2, gm, t2)).T[..., None, :]                         # g_p
+    gg = np.array((gm * gm, gm * t2, t2 * gm, t2 * t2)).T[..., None, :]   # g_m g_p
+    kept = np.add.reduce(w * gg, axis=-1)
+    chain = np.empty(kept.shape[:-1] + (2, n + 1))
+    chain[..., 0] = 1.0
     chain[..., 0, 1:] = kept
-    chain[..., 1, 1:] = w.sum(axis=(-2, -1))[..., ::-1]
-    np.cumprod(chain, axis=-1, out=chain)  # kept up to photon j; norms from the last back
+    chain[..., 1, 1:] = np.add.reduce(w, axis=-1)[..., ::-1]
+    # kept up to photon j; norms from the last back
+    np.multiply.accumulate(chain, axis=-1, out=chain)
     success = chain[..., 0, -1][()]   # [()]: a float for one point
     tiny = success < sys.float_info.min
     if tiny.any() if tiny.ndim else tiny:   # one point skips .any(), a microsecond
@@ -324,8 +366,9 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
         with np.errstate(divide="ignore"):
             success = np.where(tiny, np.exp(np.log(kept).sum(axis=-1)), success)[()]
     masses = np.empty(kept.shape + (2, 2))   # [..., photon, stage, branch]
-    masses[..., 0, :] = w.sum(axis=-2)
-    masses[..., 1, :] = (w * g).sum(axis=-1)
+    np.add(w[..., :2], w[..., 2:], out=masses[..., 0, :])
+    wg = w * g
+    np.add(wg[..., 0::2], wg[..., 1::2], out=masses[..., 1, :])
     masses *= (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None, None]
     # transposed, the batch axis is last, where bc's fields broadcast
     clicks, absorbed = stage_losses(masses.T[0], masses.T[1], t_mirror, d2, t2)
@@ -349,10 +392,9 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     # branch's Hadamard sign and feed-forward sign folded in, times the
     # targets' X^c u_i; the state normalizes itself when read
     state = FactoredState(run.control * x[0], run.u, "the four branch states")
-    branches = tuple(OutcomeBranch(record, success / 4.0, corrections, state)
-                     for record, corrections in _RECORDS)
-    stages = tuple(zip(run.clicks.ravel().tolist(), run.absorbed.ravel().tolist()))
-    return GateOutcome(success_prob=success, branches=branches, stages=stages)
+    branches = tuple([OutcomeBranch(record, success / 4.0, corrections, state)
+                      for record, corrections in _RECORDS])
+    return GateOutcome(success, branches, run.clicks, run.absorbed)
 
 
 def hyper_cnot(control: PhotonSpec, target: PhotonSpec,

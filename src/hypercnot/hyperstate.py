@@ -47,6 +47,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 
 import numpy as np
 
@@ -367,8 +368,10 @@ def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
-    # one flat list: numpy builds it faster than nested tuples
-    pairs = np.array([c for spec in photons for c in (*spec.pol, *spec.spatial)], dtype=complex)
+    # one flat stream of the pairs' numbers: numpy reads it faster than a
+    # list, and far faster than nested tuples
+    pairs = np.fromiter(chain.from_iterable(spec.pol + spec.spatial for spec in photons),
+                        complex, 4 * len(photons))
     return pair_vectors(pairs.reshape(len(photons), 2, 2))
 
 

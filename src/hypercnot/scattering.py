@@ -49,7 +49,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegeneratePhysicsError, ValidationError, check_count, refuse_where
+from .errors import (
+    DegeneratePhysicsError,
+    ValidationError,
+    check_count,
+    check_real,
+    refuse_where,
+)
 
 # A scattering denominator no larger than this fraction of the summed
 # magnitudes of its terms has cancelled to rounding noise (or is exactly 0)
@@ -78,7 +84,8 @@ class CavityParams:
     omega_x  exciton transition frequency
 
     All in one consistent rate unit; only the detunings omega_c - omega and
-    omega_x - omega enter the coefficients.
+    omega_x - omega enter the coefficients. Each field is stored as the
+    Python float it equals (see ``errors.check_real``).
     """
 
     g: float
@@ -91,9 +98,10 @@ class CavityParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = check_real(getattr(self, f.name), f.name)
             if not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
         if not self.kappa > 0:
             raise ValidationError(f"kappa must be > 0, got {self.kappa}")
         if self.kappa_s < 0:
@@ -109,7 +117,9 @@ class CavityParams:
         """Build parameters in kappa = 1 units from the dimensionless ratios
         g/(kappa+kappa_s), kappa_s/kappa and gamma/kappa. Detunings are
         omega_c - omega and omega_x - omega in units of kappa."""
-        return cls(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x))
+        ratios = {"g_ratio": g_ratio, "ks_ratio": ks_ratio, "gamma_ratio": gamma_ratio,
+                  "detuning_c": detuning_c, "detuning_x": detuning_x}
+        return cls(**_rates(**{k: check_real(v, k) for k, v in ratios.items()}))
 
 
 def _rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x) -> dict:
@@ -165,21 +175,22 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
     its real part is at least kappa > 0). On arrays that test is
     elementwise and the coefficients where it fails are meaningless; on one
     point a failure raises DegeneratePhysicsError. A g^2 that overflows is
-    taken as ``_G2_MAX``, which gives T its strong-coupling limit."""
+    taken as ``_G2_MAX``, which gives T its strong-coupling limit. Python's
+    float arithmetic never warns, and on one point nothing is divided by 0;
+    ``ratio_coeffs`` silences numpy's warnings around the call."""
     dipole = 1j * (omega_x - omega) + gamma / 2.0
     cavity = 1j * (omega_c - omega) + kappa + kappa_s / 2.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g2 = g * g
-        g2 = np.minimum(g2, _G2_MAX) if isinstance(g2, np.ndarray) else min(g2, _G2_MAX)
-        den = dipole * cavity + g2
-        scale = abs(dipole) * abs(cavity) + g2
-        ok = abs(den) > DENOMINATOR_REL_EPS * scale
-        if not (isinstance(ok, np.ndarray) or ok):
-            raise DegeneratePhysicsError(
-                f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
-        leak = kappa / cavity   # -t0
-        # T = kappa g^2 / (c (d c + g^2)), exactly 0 at g = 0
-        T = leak * (g2 / den)
+    g2 = g * g
+    g2 = np.minimum(g2, _G2_MAX) if isinstance(g2, np.ndarray) else min(g2, _G2_MAX)
+    den = dipole * cavity + g2
+    scale = abs(dipole) * abs(cavity) + g2
+    ok = abs(den) > DENOMINATOR_REL_EPS * scale
+    if not (isinstance(ok, np.ndarray) or ok):
+        raise DegeneratePhysicsError(
+            f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
+    leak = kappa / cavity   # -t0
+    # T = kappa g^2 / (c (d c + g^2)), exactly 0 at g = 0
+    T = leak * (g2 / den)
     t0 = -leak
     t = t0 + T
     return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0), ok
@@ -213,8 +224,11 @@ def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
     differently from Python; the block's T is exactly 0 at g = 0 on both),
     and the mask of the points whose denominators stand clear of rounding
     noise (elsewhere the coefficients are meaningless). The ratios are not
-    checked: the caller passes what CavityParams would accept."""
-    return _coeffs(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x))
+    checked: the caller passes what CavityParams would accept. Overflow, 0/0
+    and the like at such points are expected, and numpy's warnings of them
+    are silenced."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _coeffs(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x))
 
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:

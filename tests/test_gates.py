@@ -1,11 +1,13 @@
 """Gate runs: heralding arithmetic, truth behavior, feed-forward, sampling."""
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypercnot import hyperstate
+from hypercnot.gates import factored_run
 from hypercnot import (
     DETECTOR_B1,
     DETECTOR_B2,
@@ -442,6 +444,100 @@ class TestSamplerDistribution:
         assert sum(stats.spin_counts.values()) == stats.successes
         assert (stats.successes + sum(stats.detector_clicks.values())
                 + stats.absorbed) == shots
+
+    @pytest.mark.parametrize("seed", [3, 7, 11, 17])
+    def test_the_counts_are_one_draw_over_the_stage_ledger(self, case, seed):
+        # the draw reads the stages' (click, absorbed) pairs in run order, then
+        # the branches: the outcome's arrays must feed it those same numbers
+        control, targets, params = case
+        cfg = GateConfig(params=params, n_targets=2, mirror_scale=0.9, rng_seed=seed)
+        out = hyper_cnot_n(control, targets, cfg)
+        p = np.array([m for stage in out.stages for m in stage]
+                     + [b.probability for b in out.branches])
+        counts = np.random.default_rng(seed).multinomial(10**6, p / p.sum()).tolist()
+        stats = sample_shots(control, targets, cfg, 10**6)
+        n = 2 * len(out.stages)
+        assert stats.detector_clicks == {DETECTOR_B1: sum(counts[0:n:4]),
+                                         DETECTOR_B2: sum(counts[2:n:4])}
+        assert stats.absorbed == sum(counts[1:n:2])
+        assert list(stats.spin_counts.values()) == counts[n:]
+
+
+class TestOutcomeLedger:
+    """GateOutcome holds the kernel's click and absorbed arrays; what it
+    reports from them stays what it reported from a tuple of stages."""
+
+    @pytest.fixture
+    def outcome(self):
+        params = CavityParams.from_ratios(1.5, ks_ratio=0.3, gamma_ratio=0.15,
+                                          detuning_c=0.2, detuning_x=-0.3)
+        rng = np.random.default_rng(2)
+        photons = [random_photon_spec(rng) for _ in range(3)]
+        cfg = GateConfig(params=params, n_targets=2, mirror_scale=0.9)
+        return hyper_cnot_n(photons[0], photons[1:], cfg), photons, cfg
+
+    def test_stages_are_float_pairs_in_run_order(self, outcome):
+        out, _, _ = outcome
+        stages = out.stages
+        assert type(stages) is tuple and len(stages) == 6
+        assert all(type(stage) is tuple and len(stage) == 2 for stage in stages)
+        assert all(type(m) is float for stage in stages for m in stage)
+        # photon k's polarization stage is entry 2k, its spatial stage 2k + 1
+        for k in range(3):
+            for stage in range(2):
+                assert stages[2 * k + stage] == (out.clicks[k, stage], out.absorbed[k, stage])
+        assert stages[0] + stages[1] == pytest.approx(
+            (0.06264125238634734, 0.26765485755008994,
+             0.005911545713619803, 0.28562522701334625), rel=1e-13)
+
+    def test_totals_are_the_fsum_of_the_stages(self, outcome):
+        out, _, _ = outcome
+        assert out.detector_probs == {
+            DETECTOR_B1: math.fsum(c for c, _ in out.stages[0::2]),
+            DETECTOR_B2: math.fsum(c for c, _ in out.stages[1::2])}
+        assert out.absorbed_prob == math.fsum(a for _, a in out.stages)
+        assert out.heralded_failure_prob == math.fsum(out.detector_probs.values())
+        assert out.detector_probs == pytest.approx(
+            {DETECTOR_B1: 0.06811545889631666, DETECTOR_B2: 0.014836228087859891}, rel=1e-13)
+        assert out.absorbed_prob == pytest.approx(0.8745085095089, rel=1e-13)
+
+    def test_outcomes_compare_by_value(self, outcome):
+        out, photons, cfg = outcome
+        again = hyper_cnot_n(photons[0], photons[1:], cfg)
+        assert again.clicks is not out.clicks
+        assert again == out
+        other = hyper_cnot_n(photons[0], photons[1:],
+                             GateConfig(params=cfg.params, n_targets=2, mirror_scale=0.8))
+        assert other != out
+        assert out != out.stages
+
+
+def test_the_kernel_peak_memory_per_photon(bench_params):
+    # the tracemalloc peak of one factored_run on 10^5 photons, per photon: at
+    # most 264 bytes on a balanced mirror and 320 on an unbalanced one, plus a
+    # fixed allowance for the small arrays. A ledger that cuts numpy calls by
+    # stacking per-photon weight tables raises it (400 bytes measured), and
+    # with it the memory of a sweep point or scan case of 10^6 targets.
+    n = 10**5
+    rng = np.random.default_rng(5)
+    pairs = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    pairs /= np.sqrt((np.abs(pairs) ** 2).sum(axis=-1, keepdims=True))
+    x = hyperstate.pair_vectors(pairs)
+    bc = block_coeffs(scatter_coeffs(bench_params))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for scale, per_photon in ((None, 264), (0.9, 320), (complex(0.8, 0.1), 320)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run = factored_run(bc, scale, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            del run
+            assert peak <= per_photon * n + 2**18, (scale, peak / n)
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def test_single_target_wrapper_matches_the_general_gate(bench_config):

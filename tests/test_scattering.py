@@ -14,10 +14,13 @@ from hypercnot import (
     CavityParams,
     DegeneratePhysicsError,
     DephasingParams,
+    GateConfig,
+    PhotonSpec,
     ValidationError,
     block_coeffs,
     dephasing_penalty,
     efficiency,
+    hyper_cnot,
     scatter_coeffs,
 )
 from hypercnot.scattering import ratio_coeffs
@@ -190,6 +193,34 @@ class TestValidationAndDegeneracy:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):
                 CavityParams(**{"g": 1.0, "kappa": 1.0, name: value})
+
+    def test_numpy_and_integer_fields_run_as_the_floats_they_equal(self):
+        # a float32 rate would run the coefficient formula in single precision
+        rates = dict(g=2.0, kappa=1.0, kappa_s=float(np.float32(0.1)), gamma=0.1)
+        ref = CavityParams(**rates)
+        u = PhotonSpec.uniform()
+        ref_gate = hyper_cnot(u, u, GateConfig(params=ref))
+        for name, value in (("g", 2), ("g", np.int64(2)), ("kappa", np.float32(1.0)),
+                            ("kappa", np.float64(1.0)), ("kappa_s", np.float32(0.1)),
+                            ("gamma", np.float64(0.1)), ("omega", np.float32(0.0))):
+            p = CavityParams(**{**rates, name: value})
+            assert all(type(getattr(p, f)) is float for f in (
+                "g", "kappa", "kappa_s", "gamma", "omega", "omega_c", "omega_x"))
+            assert p == ref
+            assert scatter_coeffs(p) == scatter_coeffs(ref)
+            out = hyper_cnot(u, u, GateConfig(params=p))
+            assert (out.success_prob, out.stages) == (ref_gate.success_prob, ref_gate.stages)
+        assert CavityParams.from_ratios(np.float32(3.0), np.float32(0.125), np.float64(0.1),
+                                        np.int64(0)) == CavityParams.from_ratios(3.0, 0.125, 0.1)
+
+    @pytest.mark.parametrize("value", [1j, np.complex128(2.0), "2", None, True, np.bool_(True)])
+    def test_a_field_that_is_not_a_real_number_is_refused(self, value):
+        with pytest.raises(ValidationError, match="g must be a real number"):
+            CavityParams(g=value, kappa=1.0)
+        with pytest.raises(ValidationError, match="gamma must be a real number"):
+            CavityParams(g=1.0, kappa=1.0, gamma=value)
+        with pytest.raises(ValidationError, match="ks_ratio must be a real number"):
+            CavityParams.from_ratios(3.0, value)
 
     def test_zero_denominator_raises(self):
         # g = 0 and gamma = 0 on resonance zero the hot-coefficient denominator
