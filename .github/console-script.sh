@@ -43,6 +43,22 @@ status=0
 hypercnot run --control L,2 $(printf -- '--target L,2 %.0s' $(seq 4000)) \
   --g 3.3 --kappa-s 0.1 --gamma 0.1 || status=$?
 test "$status" -eq 3
+# a params value that is a string, or a number past the float range, is refused (exit 2)
+printf '{"params": {"g": "3.3"}}' > params-str.json
+status=0
+hypercnot run --control +,+ --target +,+ --params-file params-str.json || status=$?
+test "$status" -eq 2
+python -c "print('{\"params\": {\"g\": 1' + '0' * 400 + '}}')" > params-huge.json
+status=0
+hypercnot run --control +,+ --target +,+ --params-file params-huge.json || status=$?
+test "$status" -eq 2
+# cavity terms past the float range are degenerate (exit 3), one error line
+status=0
+hypercnot run --control +,+ --target +,+ --g 1 --gamma 1.7e308 --detuning-x 1.7e308 \
+  2> overflow.err || status=$?
+test "$status" -eq 3
+test "$(grep -c '^error:' overflow.err)" -eq 1
+test "$(wc -l < overflow.err)" -eq 1
 # a standard output that cannot be written is an I/O failure (exit 4)
 status=0
 hypercnot run --control +,+ --target +,+ --g 3.3 --kappa-s 0.1 --gamma 0.1 \

@@ -27,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -38,9 +39,11 @@ from .errors import (
     DegeneratePhysicsError,
     ValidationError,
     check_count,
+    check_real,
+    check_seed,
     refuse_where,
 )
-from .gates import MIN_BLOCK_T, check_seed, check_transmits, factored_run
+from .gates import MIN_BLOCK_T, check_transmits, factored_run
 from .hyperstate import PhotonSpec, pair_vectors, photon_vectors
 from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 
@@ -79,29 +82,26 @@ class SweepGrid:
 
     def __post_init__(self):
         for name in ("g_ratios", "ks_ratios"):
-            values = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, values)
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"{name} must be finite, got {values}")
+            axis = getattr(self, name)
+            if isinstance(axis, (str, bytes)):   # their items are no ratios
+                raise ValidationError(f"{name} must be a sequence of numbers, got {axis!r}")
+            object.__setattr__(self, name, tuple(map(check_real, axis, repeat(name))))
         for name in ("gamma_ratio", "detuning_c", "detuning_x"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not self.g_ratios or not self.ks_ratios:
             raise ValidationError("sweep axes must be non-empty")
         points = len(self.g_ratios) * len(self.ks_ratios)
         if points > MAX_GRID_POINTS:
             raise ValidationError(f"the sweep grid has {points} points, more than "
                                   f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-        if any(g < 0 for g in self.g_ratios):
+        if min(self.g_ratios) < 0:
             raise ValidationError("g ratios must be >= 0")
-        if any(k < 0 for k in self.ks_ratios):
+        if min(self.ks_ratios) < 0:
             raise ValidationError("side-leakage ratios must be >= 0")
         if self.gamma_ratio < 0:
             raise ValidationError(f"gamma_ratio must be >= 0, got {self.gamma_ratio}")
-        if not math.isfinite(max(self.g_ratios) * (1.0 + max(self.ks_ratios))):
-            raise ValidationError("g_ratios times 1 + ks_ratios must be finite")
+        check_real(max(self.g_ratios) * (1.0 + max(self.ks_ratios)),
+                   "g_ratios times 1 + ks_ratios")
         object.__setattr__(self, "n_targets",
                            check_count(self.n_targets, "n_targets", MAX_TARGETS))
 

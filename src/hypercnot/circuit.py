@@ -38,26 +38,18 @@ photons.
 """
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 
-from .errors import ValidationError, refuse_where
+from .errors import ValidationError, check_number, refuse_where
 from .hyperstate import HyperState
 from .scattering import BlockCoeffs, clip_unit
 
 
 def check_mirror_scale(scale) -> float | complex | None:
-    """A mirror scale: None (balanced), or a finite number that is not a
-    bool, returned as a Python float when real and complex otherwise, so that
-    a numpy scalar cannot set the precision of a stage."""
-    if scale is None:
-        return None
-    # numpy's bool_ is no numbers.Number; Python's bool is an Integral
-    if (isinstance(scale, bool) or not isinstance(scale, numbers.Number)
-            or not cmath.isfinite(scale)):
-        raise ValidationError(f"mirror_scale must be None or a finite number, got {scale!r}")
-    return float(scale) if isinstance(scale, numbers.Real) else complex(scale)
+    """A mirror scale: None (balanced), or ``errors.check_number``'s Python
+    float or complex, so that a numpy scalar cannot set the precision of a
+    stage."""
+    return None if scale is None else check_number(scale, "mirror_scale")
 
 
 def check_stage(bc: BlockCoeffs, mirror_scale=None):

@@ -41,7 +41,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .errors import DegeneratePhysicsError, ValidationError
+from .errors import DegeneratePhysicsError, ValidationError, check_real
 from .gates import (
     GateConfig,
     hyper_cnot_n,
@@ -189,16 +189,6 @@ def _load_run_file(path: str) -> dict:
     return data
 
 
-def _file_number(file_params: dict, key: str) -> float:
-    value = file_params[key]
-    if not isinstance(value, bool):  # JSON true/false are not numbers
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(f"params file: {key} must be a number, got {value!r}")
-
-
 def _raw_file_params(file_params: dict) -> dict[str, float]:
     """The file's params object as raw values keyed like the flags' dests.
     Ratio keys the file leaves out take ``CavityParams.from_ratios``'s
@@ -210,12 +200,12 @@ def _raw_file_params(file_params: dict) -> dict[str, float]:
     if raw and ratio:
         raise ValidationError(
             f"params file: raw keys {raw} and ratio keys {ratio} cannot be mixed")
+    values = {k: check_real(v, f"params file: {k}") for k, v in file_params.items()}
     if not ratio:
-        return {k: _file_number(file_params, k) for k in _RAW_KEYS if k in file_params}
-    if "g_ratio" not in file_params:
+        return values
+    if "g_ratio" not in values:
         raise ValidationError(f"params file: ratio keys {ratio} need g_ratio")
-    ratios = {k: _file_number(file_params, k) for k in _RATIO_KEYS if k in file_params}
-    p = CavityParams.from_ratios(**{"ks_ratio": 0.0, **ratios})
+    p = CavityParams.from_ratios(**{"ks_ratio": 0.0, **values})
     return dict(zip(_RAW_KEYS, (p.g, p.kappa, p.kappa_s, p.gamma, p.omega_c, p.omega_x)))
 
 
@@ -384,8 +374,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         g_ratios=parse_axis(args.g_ratio, "--g-ratio"),
         ks_ratios=parse_axis(args.ks_ratio, "--ks-ratio"),
         gamma_ratio=args.gamma_ratio,
-        detuning_c=args.detuning_c or 0.0,
-        detuning_x=args.detuning_x or 0.0,
+        detuning_c=args.detuning_c,
+        detuning_x=args.detuning_x,
         n_targets=args.n_targets,
     )
     rows = sweep_efficiency(grid)
@@ -496,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="axis of kappa_s/kappa: start:stop:step or comma list")
     sw.add_argument("--gamma-ratio", type=float, default=0.1,
                     help="gamma/kappa held fixed across the grid (default 0.1)")
-    sw.add_argument("--detuning-c", type=float, help="cavity detuning (default 0)")
-    sw.add_argument("--detuning-x", type=float, help="emitter detuning (default 0)")
+    sw.add_argument("--detuning-c", type=float, default=0.0, help="cavity detuning (default 0)")
+    sw.add_argument("--detuning-x", type=float, default=0.0, help="emitter detuning (default 0)")
     sw.add_argument("--n-targets", type=int, default=1)
     _add_out_flags(sw, ("csv", "json"))
     sw.set_defaults(func=cmd_sweep)

@@ -92,7 +92,6 @@ masses, whose cost does not grow with the shot count.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -105,6 +104,7 @@ from .errors import (
     DegeneratePhysicsError,
     ValidationError,
     check_count,
+    check_seed,
     refuse_where,
 )
 from .hyperstate import (
@@ -125,16 +125,6 @@ from .scattering import CavityParams, block_coeffs, scatter_coeffs
 
 # Below this transmission magnitude the gate cannot post-select a success.
 MIN_BLOCK_T = 1e-12
-
-
-def check_seed(seed, name: str) -> int | None:
-    """A seed numpy's generators accept: None, or an integer >= 0 that is
-    not a bool, returned as an int."""
-    if seed is None:
-        return None
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"{name} must be None or an int >= 0, got {seed!r}")
-    return int(seed)
 
 
 @dataclass(frozen=True)

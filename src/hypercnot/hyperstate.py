@@ -40,9 +40,7 @@ in the photons.
 """
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -51,7 +49,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_number
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -98,7 +96,7 @@ class Spin(IntEnum):
 class PhotonSpec:
     """Input single-photon state: complex coefficient pairs for (R, L) and
     (mode 1, mode 2). Each pair must be a sequence (not a string) of exactly
-    two numbers (not bools), finite and normalized within NORM_TOL."""
+    two numbers (see ``errors.check_number``), normalized within NORM_TOL."""
 
     pol: tuple[complex, complex]
     spatial: tuple[complex, complex]
@@ -106,15 +104,10 @@ class PhotonSpec:
     def __post_init__(self):
         for name in ("pol", "spatial"):
             pair = getattr(self, name)
-            if (isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence)
-                    or len(pair) != 2
-                    or not all(isinstance(c, numbers.Number) and not isinstance(c, bool)
-                               for c in pair)):
+            if isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence) or len(pair) != 2:
                 raise ValidationError(f"{name} must be a pair of numbers, got {pair!r}")
-            object.__setattr__(self, name, (complex(pair[0]), complex(pair[1])))
-        for name, pair in (("pol", self.pol), ("spatial", self.spatial)):
-            if not all(map(cmath.isfinite, pair)):
-                raise ValidationError(f"{name} pair {pair} is not finite")
+            pair = tuple(complex(check_number(c, f"{name}[{i}]")) for i, c in enumerate(pair))
+            object.__setattr__(self, name, pair)
             nrm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
             if abs(nrm - 1.0) > NORM_TOL:
                 raise ValidationError(
@@ -226,19 +219,13 @@ class HyperState:
                 for bits, amp in sorted(self.amplitudes.items())]
 
     def _photon_mask(self, photon: int, spatial: bool) -> int:
-        if (isinstance(photon, bool) or not isinstance(photon, numbers.Integral)
-                or not 0 <= photon < self.n_photons):
-            raise ValidationError(
-                f"invalid photon index {photon} for {self.n_photons}-photon state")
+        photon = check_count(photon, "the photon index", self.n_photons - 1, low=0)
         return spatial_mask(photon) if spatial else pol_mask(photon)
 
     def _spin_bit_mask(self, which_spin: int) -> int:
         if not self.has_spins:
             raise ValidationError("state has no spins (already measured out)")
-        if (isinstance(which_spin, bool) or not isinstance(which_spin, numbers.Integral)
-                or which_spin not in (1, 2)):
-            raise ValidationError(f"invalid spin id {which_spin}, expected 1 or 2")
-        return spin_mask(self.n_photons, which_spin)
+        return spin_mask(self.n_photons, check_count(which_spin, "the spin id", 2))
 
     # -- generic bit operations -------------------------------------------
 

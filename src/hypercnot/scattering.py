@@ -98,10 +98,7 @@ class CavityParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = check_real(getattr(self, f.name), f.name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value}")
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, check_real(getattr(self, f.name), f.name))
         if not self.kappa > 0:
             raise ValidationError(f"kappa must be > 0, got {self.kappa}")
         if self.kappa_s < 0:
@@ -154,16 +151,17 @@ class BlockCoeffs:
 @dataclass(frozen=True)
 class DephasingParams:
     """Cavity photon lifetime tau and electron spin coherence time t2, in the
-    same time unit."""
+    same time unit; each a finite float (see ``errors.check_real``)."""
 
     tau: float
     t2: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be > 0, got {self.tau}")
-        if not self.t2 > 0:
-            raise ValidationError(f"t2 must be > 0, got {self.t2}")
+        for f in fields(self):
+            value = check_real(getattr(self, f.name), f.name)
+            if value <= 0:
+                raise ValidationError(f"{f.name} must be > 0, got {value}")
+            object.__setattr__(self, f.name, value)
 
 
 def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
@@ -172,9 +170,10 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
     arrays for arrays of points. The ScatterCoeffs, and whether the hot
     denominator d*c + g^2 stands clear of rounding noise, its magnitude
     above ``DENOMINATOR_REL_EPS`` times |d|*|c| + g^2 (c never vanishes:
-    its real part is at least kappa > 0). On arrays that test is
-    elementwise and the coefficients where it fails are meaningless; on one
-    point a failure raises DegeneratePhysicsError. A g^2 that overflows is
+    its real part is at least kappa > 0); terms that overflow the float
+    range fail it too. On arrays that test is elementwise and the
+    coefficients where it fails are meaningless; on one point a failure
+    raises DegeneratePhysicsError. A g^2 that overflows is
     taken as ``_G2_MAX``, which gives T its strong-coupling limit. Python's
     float arithmetic never warns, and on one point nothing is divided by 0;
     ``ratio_coeffs`` silences numpy's warnings around the call."""
@@ -183,11 +182,15 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
     g2 = g * g
     g2 = np.minimum(g2, _G2_MAX) if isinstance(g2, np.ndarray) else min(g2, _G2_MAX)
     den = dipole * cavity + g2
-    scale = abs(dipole) * abs(cavity) + g2
-    ok = abs(den) > DENOMINATOR_REL_EPS * scale
+    try:
+        scale = abs(dipole) * abs(cavity) + g2
+        ok = abs(den) > DENOMINATOR_REL_EPS * scale
+    except OverflowError:   # Python's abs of a complex past the float range
+        scale = math.inf
+        ok = np.zeros(den.shape, bool) if isinstance(den, np.ndarray) else False
     if not (isinstance(ok, np.ndarray) or ok):
-        raise DegeneratePhysicsError(
-            f"scattering denominator vanishes (den={den!r}, terms of size {scale!r})")
+        what = "terms overflow" if scale == math.inf else "denominator vanishes"
+        raise DegeneratePhysicsError(f"scattering {what} (den={den!r}, terms of size {scale!r})")
     leak = kappa / cavity   # -t0
     # T = kappa g^2 / (c (d c + g^2)), exactly 0 at g = 0
     T = leak * (g2 / den)

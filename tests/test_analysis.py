@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercnot import (
+    CavityParams,
     ScanSummary,
     SweepGrid,
     SweepRow,
@@ -46,6 +49,9 @@ class TestSweepGrid:
     @pytest.mark.parametrize("field, value", [
         ("g_ratios", (math.nan,)), ("ks_ratios", (math.inf,)), ("gamma_ratio", -1.0),
         ("gamma_ratio", math.inf), ("detuning_c", math.nan), ("detuning_x", -math.inf),
+        ("g_ratios", "12"), ("ks_ratios", b"12"), ("ks_ratios", (np.bool_(True),)),
+        ("g_ratios", (10**400,)), ("ks_ratios", (1j,)), ("gamma_ratio", True),
+        ("detuning_c", "0"),
     ])
     def test_refusal_names_the_field(self, field, value):
         kwargs = {"g_ratios": (1.0,), "ks_ratios": (0.1,), field: value}
@@ -115,6 +121,40 @@ class TestSweepEfficiency:
             assert row.efficiency == 0.0
             assert row.success_prob == 0.0
             assert row.fidelity == 0.0
+
+    @pytest.mark.parametrize("gamma_ratio, detuning_c, detuning_x", [
+        (1.7e308, 0.0, 1.7e308), (1e200, 1e200, 0.0)])
+    def test_rows_whose_terms_overflow_report_zero(self, gamma_ratio, detuning_c,
+                                                   detuning_x):
+        # the single-point path refuses such a point as degenerate (exit 3)
+        grid = SweepGrid(g_ratios=(1.0,), ks_ratios=(0.0,), gamma_ratio=gamma_ratio,
+                         detuning_c=detuning_c, detuning_x=detuning_x)
+        assert sweep_efficiency(grid) == [SweepRow(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+
+# Grid entries: ratios CavityParams.from_ratios accepts, and one of each kind
+# it refuses. 1e300 with a ks_ratio of 1e300 is a g that overflows.
+_ACCEPTED = [0.0, 0.5, 3.0, 1e300, -0.5, np.float32(0.25), np.int64(2)]
+_REFUSED = [True, np.bool_(True), "1", 1j, math.nan, math.inf, -math.inf, 10**400]
+_GRID_VALUE = st.sampled_from(_ACCEPTED) | st.sampled_from(_ACCEPTED + _REFUSED)
+
+
+def _refused(build) -> bool:
+    try:
+        build()
+    except ValidationError:
+        return True
+    return False
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(g=st.lists(_GRID_VALUE, min_size=1, max_size=3),
+       ks=st.lists(_GRID_VALUE, min_size=1, max_size=3),
+       rest=st.tuples(_GRID_VALUE, _GRID_VALUE, _GRID_VALUE))
+def test_a_grid_is_refused_exactly_where_from_ratios_refuses_a_point(g, ks, rest):
+    grid_refused = _refused(lambda: SweepGrid(g, ks, *rest))
+    assert grid_refused == any(_refused(lambda: CavityParams.from_ratios(g_ratio, ks_ratio, *rest))
+                               for g_ratio in g for ks_ratio in ks)
 
 
 class TestRandomPhotonSpec:

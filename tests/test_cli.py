@@ -147,10 +147,15 @@ class TestRun:
           "--gamma", "0.1"], 3),                                       # degenerate
         (["run", "--control", "+,+", "--target", "+,+", "--g", "0",
           "--gamma", "0"], 3),                                         # zero denominator
+        (["run", "--control", "+,+", "--target", "+,+", "--g", "1", "--gamma", "1.7e308",
+          "--detuning-x", "1.7e308"], 3),                              # |d| overflows
+        (["run", "--control", "+,+", "--target", "+,+", "--g", "1", "--gamma", "1e200",
+          "--detuning-c", "1e200"], 3),                                # d * c overflows
     ])
     def test_exit_codes(self, argv, code, capsys):
         assert main(argv) == code
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_a_mirror_with_gain_is_refused_naming_the_scale(self, capsys):
         assert main(["run", "--control", "+,+", "--target", "+,+", *BENCH,
@@ -431,9 +436,14 @@ class TestParamsFile:
         assert f"success probability   {success}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key", ["g_ratio", "g"])
-    @pytest.mark.parametrize("value", ["abc", [1], None],
-                             ids=["string", "list", "null"])
-    def test_non_number_param_is_invalid(self, key, value, tmp_path, capsys):
+    @pytest.mark.parametrize("value, refusal", [
+        ("abc", "must be a real number"), ([1], "must be a real number"),
+        (None, "must be a real number"), ("3.3", "must be a real number"),
+        ("1", "must be a real number"), (True, "must be a real number"),
+        (10**400, "must be finite, got a number past the float range"),
+    ], ids=["string", "list", "null", "numeric_string", "numeric_string_1", "bool",
+            "huge_int"])
+    def test_non_number_param_is_invalid(self, key, value, refusal, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"params": {key: value}}))
         code = main(["run", "--params-file", str(path),
@@ -441,7 +451,7 @@ class TestParamsFile:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert f"params file: {key} must be a number" in err
+        assert f"params file: {key} {refusal}" in err
 
     def test_unknown_key_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -542,7 +552,7 @@ class TestParamsFileAsFlags:
         ({"targets": [1]}, "target 1: expected POL,MODE"),
         ({"control": 5}, "control: expected POL,MODE"),
         ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
-        ({"params": {"g": True}}, "params file: g must be a number, got True"),
+        ({"params": {"g": True}}, "params file: g must be a real number, got True"),
     ], ids=["seed_string", "seed_float", "target_int", "control_int",
             "format_xml", "g_bool"])
     def test_bad_value_is_one_error(self, spec, named, tmp_path, capsys):

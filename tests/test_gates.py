@@ -60,16 +60,20 @@ class TestGateConfig:
         with pytest.raises(ValidationError):
             GateConfig(**kwargs)
 
-    @pytest.mark.parametrize("scale", [True, np.bool_(True), math.nan, complex(0.5, math.nan),
-                                       "x", math.inf],
-                             ids=["bool", "numpy_bool", "nan", "complex_nan", "str", "inf"])
-    def test_the_gate_and_the_scan_refuse_the_same_mirror_scales(self, bench_params, scale):
+    @pytest.mark.parametrize("scale, reason", [
+        (True, "a number"), (np.bool_(True), "a number"), (math.nan, "finite"),
+        (complex(0.5, math.nan), "finite"), ("x", "a number"), ("1", "a number"),
+        (math.inf, "finite"), (10**400, "finite"),
+    ], ids=["bool", "numpy_bool", "nan", "complex_nan", "str", "numeric_str", "inf",
+            "huge_int"])
+    def test_the_gate_and_the_scan_refuse_the_same_mirror_scales(self, bench_params, scale,
+                                                                  reason):
         with pytest.raises(ValidationError) as gate:
             GateConfig(params=bench_params, mirror_scale=scale)
         with pytest.raises(ValidationError) as scan:
             fidelity_scan(2, 1, mirror_scale=scale)
         assert str(gate.value) == str(scan.value)
-        assert str(gate.value).startswith("mirror_scale must be None or a finite")
+        assert str(gate.value).startswith(f"mirror_scale must be {reason}, got ")
         # the element stages refuse them too, before the state is touched
         bc = block_coeffs(scatter_coeffs(bench_params))
         state = init_state([PhotonSpec.uniform()])

@@ -190,7 +190,7 @@ class TestValidationAndDegeneracy:
     @pytest.mark.parametrize("name", ["g", "kappa", "kappa_s", "gamma",
                                       "omega", "omega_c", "omega_x"])
     def test_non_finite_cavity_params(self, name):
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, 10**400):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):
                 CavityParams(**{"g": 1.0, "kappa": 1.0, name: value})
 
@@ -213,19 +213,37 @@ class TestValidationAndDegeneracy:
         assert CavityParams.from_ratios(np.float32(3.0), np.float32(0.125), np.float64(0.1),
                                         np.int64(0)) == CavityParams.from_ratios(3.0, 0.125, 0.1)
 
-    @pytest.mark.parametrize("value", [1j, np.complex128(2.0), "2", None, True, np.bool_(True)])
-    def test_a_field_that_is_not_a_real_number_is_refused(self, value):
-        with pytest.raises(ValidationError, match="g must be a real number"):
+    @pytest.mark.parametrize("value, refusal", [
+        (1j, "must be a real number"), (np.complex128(2.0), "must be a real number"),
+        ("2", "must be a real number"), ("1", "must be a real number"),
+        (None, "must be a real number"), (True, "must be a real number"),
+        (np.bool_(True), "must be a real number"),
+        (10**400, "must be finite, got a number past the float range"),
+    ])
+    def test_a_field_that_is_not_a_real_number_is_refused(self, value, refusal):
+        with pytest.raises(ValidationError, match=f"g {refusal}"):
             CavityParams(g=value, kappa=1.0)
-        with pytest.raises(ValidationError, match="gamma must be a real number"):
+        with pytest.raises(ValidationError, match=f"gamma {refusal}"):
             CavityParams(g=1.0, kappa=1.0, gamma=value)
-        with pytest.raises(ValidationError, match="ks_ratio must be a real number"):
+        with pytest.raises(ValidationError, match=f"ks_ratio {refusal}"):
             CavityParams.from_ratios(3.0, value)
 
     def test_zero_denominator_raises(self):
         # g = 0 and gamma = 0 on resonance zero the hot-coefficient denominator
         with pytest.raises(DegeneratePhysicsError):
             scatter_coeffs(CavityParams(g=0.0, kappa=1.0, gamma=0.0))
+
+    @pytest.mark.parametrize("gamma, omega_c, omega_x", [
+        (1.7e308, 0.0, 1.7e308),   # |d| overflows: Python's abs would raise
+        (1e200, 1e200, 0.0),       # d * c overflows: the denominator did not vanish
+    ])
+    def test_terms_past_the_float_range_are_degenerate_on_both_paths(self, gamma, omega_c,
+                                                                     omega_x):
+        with pytest.raises(DegeneratePhysicsError, match="scattering terms overflow"):
+            scatter_coeffs(CavityParams(g=1.0, kappa=1.0, gamma=gamma, omega_c=omega_c,
+                                        omega_x=omega_x))
+        _, ok = ratio_coeffs(np.array([1.0]), 0.0, gamma, omega_c, omega_x)
+        assert not ok.any()
 
     @pytest.mark.parametrize("g", [1e155, 1e200, 1.7e308])
     def test_an_overflowing_coupling_is_the_strong_coupling_limit(self, g):
@@ -275,14 +293,21 @@ class TestValidationAndDegeneracy:
         # a hair over 1 from rounding clamps instead of erroring
         assert efficiency(1.0 + 1e-13, 1) == 1.0
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(tau=-1e-9, t2=2.6e-6),
-        dict(tau=4.5e-9, t2=0.0),
-        dict(tau=4.5e-9, t2=-1.0),
+    @pytest.mark.parametrize("kwargs, refusal", [
+        (dict(tau=-1e-9, t2=2.6e-6), "tau must be > 0"),
+        (dict(tau=4.5e-9, t2=0.0), "t2 must be > 0"),
+        (dict(tau=4.5e-9, t2=-1.0), "t2 must be > 0"),
+        (dict(tau=True, t2=2.6e-6), "tau must be a real number, got True"),
+        (dict(tau=math.inf, t2=2.6e-6), "tau must be finite, got inf"),
+        (dict(tau=4.5e-9, t2="2.6e-6"), "t2 must be a real number, got '2.6e-6'"),
     ])
-    def test_bad_dephasing_params(self, kwargs):
-        with pytest.raises(ValidationError):
+    def test_bad_dephasing_params(self, kwargs, refusal):
+        with pytest.raises(ValidationError, match=refusal):
             DephasingParams(**kwargs)
+
+    def test_dephasing_params_are_stored_as_floats(self):
+        d = DephasingParams(tau=np.float32(0.5), t2=2)
+        assert (d.tau, d.t2) == (0.5, 2.0) and type(d.tau) is type(d.t2) is float
 
 
 def test_dephasing_penalty_value():
