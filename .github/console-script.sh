@@ -26,6 +26,11 @@ test "$status" -eq 2
 status=0
 hypercnot verify --n-cases 5 --seed 11 --mirror-override 0.9 || status=$?
 test "$status" -eq 1
+# so is a mirror far weaker than the block, on a batch of three-target cases
+# (the spectral target path and per-point ledger tables, warnings as errors)
+status=0
+hypercnot verify --n-cases 20 --seed 2 --n-targets 3 --mirror-override 1e-6 || status=$?
+test "$status" -eq 1
 # a mirror with gain is refused as invalid input (exit 2), naming the scale
 status=0
 hypercnot run --control +,+ --target +,+ --g 3.3 --kappa-s 0.1 --gamma 0.1 \

@@ -29,12 +29,14 @@ and the block branch by T, negated when the block's spin is down. A mirror
 is given as ``mirror_scale`` times the block's T (None: T itself, a balanced
 mirror). ``check_mirror_scale`` refuses a scale that is not a finite number
 and returns it as a Python float or complex, ``check_stage`` forms the
-mirror and refuses one with gain or a block that is not passive, and
-``stage_losses`` turns a stage's mirror and block mass into its (click,
-absorbed) pair. ``stage_polarization`` and ``stage_spatial`` check once,
-apply a stage in one pass over a sparse state and return the masses it
-removed; the gate engine in ``gates`` uses the same functions on factored
-photons.
+mirror and refuses one with gain or a block that is not passive,
+``branch_fractions`` splits a unit of each branch's mass into what clicks,
+what is absorbed and what is kept, and ``stage_losses`` turns a stage's
+mirror and block mass into its (click, absorbed) pair by those fractions.
+``stage_polarization`` and ``stage_spatial`` check once, apply a stage in
+one pass over a sparse state and return the masses it removed; the gate
+kernel in ``gates`` checks with ``check_stage`` and builds its whole ledger
+from the same ``branch_fractions``, so the split is written once.
 """
 from __future__ import annotations
 
@@ -70,14 +72,24 @@ def check_stage(bc: BlockCoeffs, mirror_scale=None):
     return t_mirror, d2, t2
 
 
+def branch_fractions(t_mirror, d2, t2):
+    """What a stage does with a unit of mass on each branch, from the figures
+    of ``check_stage``: the (mirror, block) fractions that click, that are
+    absorbed and that are kept, as one flat 6-tuple. The block branch sends
+    |D|^2 to the detector and keeps |T|^2; the mirror branch never clicks (a
+    zero of the figures' shape) and keeps |t_mirror|^2; each branch absorbs
+    the rest. Elementwise on arrays of one shape."""
+    gm = abs(t_mirror) ** 2
+    return 0.0 * t2, d2, clip_unit(1.0 - gm), clip_unit(1.0 - d2 - t2), gm, t2
+
+
 def stage_losses(mirror_mass, block_mass, t_mirror, d2, t2):
     """(click, absorbed) of a stage whose mirror branch carried mirror_mass
     and whose block branch carried block_mass, from the figures of
-    ``check_stage``: the block branch's mass times |D|^2 clicks; the rest of
-    both branches' loss is absorbed. Elementwise on arrays, the figures
-    broadcasting against the masses' trailing axes."""
-    return d2 * block_mass, (clip_unit(1.0 - abs(t_mirror) ** 2) * mirror_mass
-                             + clip_unit(1.0 - d2 - t2) * block_mass)
+    ``check_stage``, split by ``branch_fractions``. Elementwise on arrays,
+    the figures broadcasting against the masses' trailing axes."""
+    _, click, absorbed_mirror, absorbed_block, _, _ = branch_fractions(t_mirror, d2, t2)
+    return click * block_mass, absorbed_mirror * mirror_mass + absorbed_block * block_mass
 
 
 def _route(state: HyperState, branch_mask: int, which_spin: int,

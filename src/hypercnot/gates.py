@@ -42,13 +42,18 @@ u_i = m^2 x_i. On a balanced mirror F[0] = T^2 and u_i = T^2 x_i is taken
 directly, to the bit (K K x_i is x_i only to rounding).
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums of a photon's four weights
-|v_k|^2, computed with the photons stacked on one numpy axis from one
-Hadamard of each target. The Hadamards are two butterflies a_lo +/- a_hi,
-each read with two ``take``s of fixed rows, which keep exact cancellations
-exact. The ledger is a few whole-array numpy calls whatever the photon
-count: the weighted sums of each photon's weights, one running product of
-the kept masses and one of the entered masses, and the stage masses, with no
-temporary larger than one weight per photon and entry.
+|v_k|^2, computed with the photons stacked on one numpy axis. The Hadamards
+of every target are one contraction with the fixed matrix K (``np.einsum``,
+as is the spectral K (F[0] o K x_i)), and the ledger is another: the
+weights times a 4 x 6 table per cavity point, whose columns give each photon
+its own polarization and spatial clicks, its polarization and spatial
+absorbed masses, its kept mass and its entered mass. Each table entry is a
+polarization-bit factor times a spatial-bit factor, taken from the stage's
+``circuit.branch_fractions`` (what a branch clicks, absorbs and keeps) and
+ones. One running product of the kept masses and one of the entered masses
+then scale the first four columns into the stage masses, in place. Neither
+contraction calls BLAS, and the ledger takes no per-photon temporary beyond
+its (photon, column) table.
 
 ``factored_run`` is that computation, written over leading numpy axes: for
 one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
@@ -75,8 +80,8 @@ The run is trace-decreasing: with block transmission T, the heralded-success
 probability is |T|^(4(N+1)) for N targets. ``GateOutcome`` records where
 the rest went in the kernel's two arrays, ``clicks`` and ``absorbed``,
 indexed [photon, stage]: the masses each photon's polarization stage and
-spatial stage sent to their detector and absorbed, from
-``circuit.stage_losses``. ``GateOutcome.stages`` reads them as
+spatial stage sent to their detector and absorbed, two views of the scaled
+ledger table. ``GateOutcome.stages`` reads them as
 (click, absorbed) pairs in run order, built only when read. A
 ``GateOutcome`` stores only the success probability, the spin branches and
 these two arrays; its detector and absorbed totals are properties that sum
@@ -98,7 +103,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import check_mirror_scale, check_stage, stage_losses
+from .circuit import branch_fractions, check_mirror_scale, check_stage
 from .errors import (
     AmplitudeLostError,
     DegeneratePhysicsError,
@@ -233,36 +238,26 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
             f"got {len(targets)} target specs but n_targets={cfg.n_targets}")
 
 
-# The butterflies of the polarization bit b = 1 and the spatial bit b = 2 on
-# an entry-major array a[k, ...]: row k pairs row k & ~b with row k | b, and
-# takes the difference when it has the bit set. Each is (lo, hi, sign); the
-# sign is complex, as the rows are, so that numpy casts nothing (a cast
-# takes a buffer of its own).
-_BUTTERFLIES = tuple((np.array([k & ~b for k in range(4)]),
-                      np.array([k | b for k in range(4)]),
-                      np.array([[-1.0 + 0j] if k & b else [1.0 + 0j] for k in range(4)]))
-                     for b in (1, 2))
+# The target's Hadamards K = H (x) H on entry k = p + 2m: row j holds
+# (-1)^(j.k) / 2, complex so that einsum casts nothing. A product with 1/2 is
+# exact, so K keeps a basis vector's norm exactly.
+_K = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+                    dtype=complex)
+# The ledger's 4 x 6 coefficient table. Entry [k, column] is a
+# polarization-bit factor times a spatial-bit factor, each read with ``take``
+# from eight values indexed 2 * kind + branch bit: kinds 0, 1 and 2 are the
+# (mirror, block) fractions that click, are absorbed and are kept
+# (``circuit.branch_fractions``), kind 3 a pair of ones. _COLUMNS gives each
+# column's (polarization, spatial) kinds: pol click, spatial click, pol
+# absorbed, spatial absorbed (the spatial stage sees what the polarization
+# stage kept), kept and entered.
+_COLUMNS = ((0, 3), (2, 0), (1, 3), (2, 1), (2, 2), (3, 3))
+_FACTOR_AT = tuple(np.array([[2 * kinds[b] + (k >> b & 1) for kinds in _COLUMNS]
+                             for k in range(4)])
+                   for b in (0, 1))
 # Spin record and feed-forward flags of the four branches, in branch order.
 _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
-
-
-def _hadamards(a: np.ndarray) -> np.ndarray:
-    """Polarization then spatial Hadamard (K) on the last axis: two unscaled
-    elementwise butterflies a_lo +/- a_hi, so that exact cancellations give
-    exact zeros, then one factor 1/sqrt2 * 1/sqrt2 = 0.5, which is exact, so
-    K keeps a basis vector's norm exactly.
-
-    The butterflies run on the rows of the entry-major view, read with
-    ``take``, and the result keeps that layout, entry k outermost in memory:
-    numpy sums a contiguous last axis of complex numbers pairwise but a
-    strided one in order, so the layout fixes the rounding of the overlaps
-    later taken over k."""
-    shape = a.shape
-    a = a.reshape(-1, 4).T   # rebound, so a temporary input is freed with it
-    for lo, hi, sign in _BUTTERFLIES:
-        a = a.take(lo, axis=0) + sign * a.take(hi, axis=0)
-    return (0.5 * a).T.reshape(shape)
 
 
 def check_transmits(T) -> None:
@@ -285,7 +280,9 @@ class FactoredRun(NamedTuple):
                 on the control's basis index c it leaves as X^c u_i
       success   heralded-success probability (a float for one point)
       clicks    detector clicks [..., photon, stage], the polarization
-                stage first; absorbed is indexed alike
+                stage first; absorbed is indexed alike. Both are views of
+                one [..., photon, column] ledger table, which they keep
+                alive
     """
     x: np.ndarray
     control: np.ndarray
@@ -317,36 +314,35 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
     # which moves a batch axis to the front
     control = (f0[:, None] * f0).reshape((4,) + f0.shape[1:]).T
-    v = _hadamards(x)
+    v = np.einsum("...k,jk->...j", x, _K)
     # u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i); a balanced mirror makes
     # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit
     if mirror_scale is None:
         u = np.asarray(bc.T * bc.T)[..., None, None] * x[..., 1:, :]
     else:
-        u = _hadamards(control[..., None, :] * v[..., 1:, :])
+        u = np.einsum("...k,jk->...j", control[..., None, :] * v[..., 1:, :], _K)
     v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
-    # kept and the input norms of the photons after it. Its own come from its
+    # kept and the input norms of the photons after it. Its own are its
     # weights w[..., photon, k] = |v|^2 as it enters its polarization stage,
-    # k = p + 2m, and g = (|t_mirror|^2, |T|^2) by branch bit: the
-    # polarization stage's mirror and block masses are the sums over m, the
-    # spatial stage's the g_p-weighted sums over p, the kept mass the
-    # g_m g_p-weighted sum over k and the entered mass the plain one. The
-    # batch axis comes from g: w lacks it when every point has the same photons.
+    # contracted with the point's table (``_COLUMNS``); the batch axis comes
+    # from the table, as w lacks it when every point has the same photons.
     n = x.shape[-2]
     w = np.abs(v)
-    del v   # not read again: freed before the ledger's temporaries
+    del v   # not read again: freed before the ledger
     w *= w
-    gm = abs(t_mirror) ** 2
-    g = np.array((gm, t2, gm, t2)).T[..., None, :]                         # g_p
-    gg = np.array((gm * gm, gm * t2, t2 * gm, t2 * t2)).T[..., None, :]   # g_m g_p
-    kept = np.add.reduce(w * gg, axis=-1)
+    fractions = branch_fractions(t_mirror, d2, t2)
+    one = fractions[0] + 1.0   # the mirror never clicks: a 1 of the figures' shape
+    factors = np.array((*fractions, one, one)).T   # [..., 2 * kind + branch bit]
+    table = factors.take(_FACTOR_AT[0], axis=-1) * factors.take(_FACTOR_AT[1], axis=-1)
+    ledger = np.einsum("...pk,...kc->...pc", w, table)   # [..., photon, column]
+    kept = ledger[..., 4]
     chain = np.empty(kept.shape[:-1] + (2, n + 1))
     chain[..., 0] = 1.0
     chain[..., 0, 1:] = kept
-    chain[..., 1, 1:] = np.add.reduce(w, axis=-1)[..., ::-1]
-    # kept up to photon j; norms from the last back
+    chain[..., 1, 1:] = ledger[..., ::-1, 5]
+    # kept up to photon j; entered from the last back
     np.multiply.accumulate(chain, axis=-1, out=chain)
     success = chain[..., 0, -1][()]   # [()]: a float for one point
     tiny = success < sys.float_info.min
@@ -355,14 +351,9 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
         # to itself; the sum of logs gives 0 below the smallest subnormal
         with np.errstate(divide="ignore"):
             success = np.where(tiny, np.exp(np.log(kept).sum(axis=-1)), success)[()]
-    masses = np.empty(kept.shape + (2, 2))   # [..., photon, stage, branch]
-    np.add(w[..., :2], w[..., 2:], out=masses[..., 0, :])
-    wg = w * g
-    np.add(wg[..., 0::2], wg[..., 1::2], out=masses[..., 1, :])
-    masses *= (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None, None]
-    # transposed, the batch axis is last, where bc's fields broadcast
-    clicks, absorbed = stage_losses(masses.T[0], masses.T[1], t_mirror, d2, t2)
-    return FactoredRun(x, control, u, success, clicks.T, absorbed.T)
+    stage_masses = ledger[..., :4]
+    stage_masses *= (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
+    return FactoredRun(x, control, u, success, ledger[..., :2], ledger[..., 2:4])
 
 
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],

@@ -139,15 +139,17 @@ def spin_mask(n_photons: int, which_spin: int) -> int:
 def pack_label(pol_bits: Sequence[int], spatial_bits: Sequence[int],
                spin_bits: Sequence[int] = ()) -> int:
     """Pack per-photon (pol, spatial) bits and optional (spin1, spin2) bits
-    into a canonical basis label."""
+    into a canonical basis label. Each bit is an int 0 or 1 (a numpy
+    integer, ``Pol``, ``Spatial`` or ``Spin`` included); anything else, a
+    bool or a float among them, is refused."""
     if len(pol_bits) != len(spatial_bits):
         raise ValidationError("pol_bits and spatial_bits must have equal length")
     bits = 0
     for i, (p, s) in enumerate(zip(pol_bits, spatial_bits)):
-        bits |= (int(p) & 1) << (2 * i)
-        bits |= (int(s) & 1) << (2 * i + 1)
+        bits |= check_count(p, f"pol_bits[{i}]", 1, low=0) << (2 * i)
+        bits |= check_count(s, f"spatial_bits[{i}]", 1, low=0) << (2 * i + 1)
     for k, sp in enumerate(spin_bits):
-        bits |= (int(sp) & 1) << (2 * len(pol_bits) + k)
+        bits |= check_count(sp, f"spin_bits[{k}]", 1, low=0) << (2 * len(pol_bits) + k)
     return bits
 
 
@@ -325,9 +327,13 @@ def product_overlap(a, b):
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<a|b>|^2 / (<a|a> <b|b>) over the last axis."""
-    return (np.abs((a.conj() * b).sum(axis=-1)) ** 2
-            / ((np.abs(a) ** 2).sum(axis=-1) * (np.abs(b) ** 2).sum(axis=-1)))
+    """|<a|b>|^2 / (<a|a> <b|b>) over the last axis. The first ufunc of each
+    sum writes its array C-ordered: numpy adds a contiguous run of complex
+    numbers pairwise and a strided one in order, so the bits of the result
+    would otherwise depend on the memory layout of a and b."""
+    return (np.abs(np.multiply(a.conj(), b, order="C").sum(axis=-1)) ** 2
+            / ((np.abs(a, order="C") ** 2).sum(axis=-1)
+               * (np.abs(b, order="C") ** 2).sum(axis=-1)))
 
 
 def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:

@@ -8,6 +8,7 @@ import pytest
 
 from hypercnot import hyperstate
 from hypercnot.gates import factored_run
+from hypercnot.scattering import BlockCoeffs
 from hypercnot import (
     DETECTOR_B1,
     DETECTOR_B2,
@@ -514,6 +515,89 @@ class TestOutcomeLedger:
                              GateConfig(params=cfg.params, n_targets=2, mirror_scale=0.8))
         assert other != out
         assert out != out.stages
+
+
+def _reference_ledger(D, T, scale, photons):
+    """success, clicks and absorbed of factored_run in plain Python, from the
+    closed forms: the control enters its stages as it came and each target
+    after its Hadamards K; a photon's entry k = p + 2m keeps g(p) g(m) of its
+    weight, g = (|mirror|^2, |T|^2) by branch bit, the block branch of a
+    stage clicks |D|^2 of what reaches it and each branch absorbs the rest.
+    A stage mass is the photon's own times what the photons before it kept
+    and the photons after it entered with."""
+    t_mirror = T if scale is None else scale * T
+    d2, t2 = abs(D) ** 2, abs(T) ** 2
+    keep = (abs(t_mirror) ** 2, t2)
+    absorb = tuple(max(0.0, min(1.0 - a, 1.0)) for a in (keep[0], d2 + t2))
+    click = (0.0, d2)
+    own = []
+    for i, x in enumerate(photons):
+        v = x if i == 0 else [0.5 * sum((-1) ** bin(j & k).count("1") * x[k] for k in range(4))
+                              for j in range(4)]
+        w = [(abs(a) ** 2, k & 1, k >> 1) for k, a in enumerate(v)]
+        own.append([math.fsum(wk * click[p] for wk, p, m in w),
+                    math.fsum(wk * keep[p] * click[m] for wk, p, m in w),
+                    math.fsum(wk * absorb[p] for wk, p, m in w),
+                    math.fsum(wk * keep[p] * absorb[m] for wk, p, m in w),
+                    math.fsum(wk * keep[p] * keep[m] for wk, p, m in w),
+                    math.fsum(wk for wk, p, m in w)])
+    masses = [[mass * math.prod(o[4] for o in own[:j]) * math.prod(o[5] for o in own[j + 1:])
+               for mass in photon[:4]] for j, photon in enumerate(own)]
+    return (math.prod(o[4] for o in own), [m[:2] for m in masses], [m[2:] for m in masses])
+
+
+def _assert_matches_reference(success, clicks, absorbed, reference):
+    for got, want in zip((success, clicks, absorbed), reference):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+_KERNEL_MIRRORS = (None, 0.9, complex(0.6, 0.3), 1e-6)
+
+
+def _random_block(rng):
+    # a passive block: |D|^2 + |T|^2 in (0.1, 1]
+    d, t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    scale = math.sqrt(rng.uniform(0.1, 1.0) / (abs(d) ** 2 + abs(t) ** 2))
+    return complex(d * scale), complex(t * scale)
+
+
+def test_the_kernel_ledger_matches_the_closed_forms_at_single_points():
+    rng = np.random.default_rng(24)
+    for n in range(1, 12):
+        for scale in _KERNEL_MIRRORS:
+            D, T = _random_block(rng)
+            x = hyperstate.photon_vectors([random_photon_spec(rng) for _ in range(n + 1)])
+            run = factored_run(BlockCoeffs(D=D, T=T), scale, x)
+            assert run.clicks.shape == run.absorbed.shape == (n + 1, 2)
+            _assert_matches_reference(run.success, run.clicks, run.absorbed,
+                                      _reference_ledger(D, T, scale, x.tolist()))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("scale", [None, complex(0.6, 0.3)])
+def test_the_kernel_ledger_matches_the_closed_forms_on_a_batch(shared, scale):
+    rng = np.random.default_rng(25)
+    blocks = [_random_block(rng) for _ in range(5)]
+    D, T = (np.array(f) for f in zip(*blocks))
+    n_photons = 4
+    photons = [hyperstate.photon_vectors([random_photon_spec(rng) for _ in range(n_photons)])
+               for _ in range(1 if shared else len(blocks))]
+    run = factored_run(BlockCoeffs(D=D, T=T), scale, photons[0] if shared else np.array(photons))
+    assert run.clicks.shape == run.absorbed.shape == (len(blocks), n_photons, 2)
+    for b, (d, t) in enumerate(blocks):
+        _assert_matches_reference(run.success[b], run.clicks[b], run.absorbed[b],
+                                  _reference_ledger(d, t, scale, photons[0 if shared else b].tolist()))
+
+
+@pytest.mark.parametrize("scale", _KERNEL_MIRRORS)
+def test_an_r1_control_never_clicks(bench_params, scale):
+    # R,1 takes the mirror branch of both its stages: no mass reaches a block
+    rng = np.random.default_rng(26)
+    targets = [PhotonSpec.basis(Pol(b & 1), Spatial(b >> 1)) for b in rng.integers(0, 4, 5)]
+    out = hyper_cnot_n(PhotonSpec.basis(Pol.R, Spatial.M1), targets,
+                       GateConfig(params=bench_params, n_targets=5, mirror_scale=scale))
+    assert out.clicks[0].tolist() == [0.0, 0.0]
+    assert out.clicks[1:].all()
 
 
 def test_the_kernel_peak_memory_per_photon(bench_params):

@@ -1,5 +1,6 @@
 """Sparse dual-DOF state container: packing, single-DOF ops, fidelity."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ class TestLabels:
     def test_pack_label_length_mismatch(self):
         with pytest.raises(ValidationError):
             pack_label([0, 1], [0])
+
+    @pytest.mark.parametrize("pol, spatial, spins, refusal", [
+        ([1.7, 3], [True, 2], (), "pol_bits[0] must be an int >= 0"),
+        ([1, 3], [0, 0], (), "pol_bits[1] must be <= 1"),
+        ([1, 0], [True, 0], (), "spatial_bits[0] must be an int"),
+        ([0], [np.float64(1.0)], (), "spatial_bits[0] must be an int"),
+        ([0], [1], (0, -1), "spin_bits[1] must be an int >= 0"),
+        ([0], [1], (np.bool_(True), 0), "spin_bits[0] must be an int"),
+    ])
+    def test_pack_label_refuses_what_is_not_a_bit(self, pol, spatial, spins, refusal):
+        # int() would take each of these, and & 1 would make [1.7, 3], [True, 2] 7
+        with pytest.raises(ValidationError, match=re.escape(refusal)):
+            pack_label(pol, spatial, spins)
+
+    def test_pack_label_accepts_numpy_ints_and_the_bit_enums(self):
+        assert (pack_label([np.int64(1), Pol.L], [Spatial.M2, np.uint8(0)],
+                           (Spin.DOWN, np.int32(1)))
+                == pack_label([1, 1], [1, 0], (1, 1)) == 0b110111)
 
 
 class TestInitState:
@@ -246,6 +265,35 @@ class TestFidelity:
         a = HyperState(1, {0: 1.0 + 0j}, has_spins=False)
         with pytest.raises(ValidationError):
             fidelity(a, HyperState(1, {}, has_spins=False))
+
+
+def test_overlap_does_not_depend_on_the_memory_layout():
+    # numpy adds a contiguous run of complex numbers pairwise and a strided
+    # one in order: the overlaps fix their own order, so C- and F-ordered
+    # copies of the same factors give the same bits
+    rng = np.random.default_rng(17)
+
+    def factors(*lead):
+        coef = rng.standard_normal(lead + (4,)) + 1j * rng.standard_normal(lead + (4,))
+        vectors = (rng.standard_normal(lead + (5, 4))
+                   + 1j * rng.standard_normal(lead + (5, 4)))
+        return coef, vectors
+
+    def layouts(f):
+        return [tuple(np.array(a, order=order) for a in f) for order in "CF"]
+
+    for lead in ((), (3,)):
+        a, b = factors(*lead), factors(*lead)
+        (ac, af), (bc, bf) = layouts(a), layouts(b)
+        assert af[1].flags.f_contiguous and not af[1].flags.c_contiguous
+        c_order = hyperstate.product_overlap(ac, bc)
+        for pair in ((af, bf), (ac, bf), (af, bc)):
+            assert np.array_equal(hyperstate.product_overlap(*pair), c_order)
+    a, b = factors(), factors()
+    (ac, af), (bc, bf) = layouts(a), layouts(b)
+    c_order = fidelity(hyperstate.FactoredState(*ac, "a"), hyperstate.FactoredState(*bc, "b"))
+    assert fidelity(hyperstate.FactoredState(*af, "a"),
+                    hyperstate.FactoredState(*bf, "b")) == c_order
 
 
 def test_norm_sq_insensitive_to_insertion_order():
