@@ -7,6 +7,9 @@ set -eo pipefail
 
 hypercnot verify --n-cases 20 --seed 1
 hypercnot verify --n-cases 20 --seed 1 --n-targets 3
+# many chunks of cases, each drawn in one call (ten chunks at N = 1)
+hypercnot verify --n-cases 20000 --seed 3
+hypercnot verify --n-cases 20000 --seed 3 --n-targets 5
 # an explicit balanced scale takes the spectral path, not the T^2 shortcut
 hypercnot verify --n-cases 20 --seed 1 --n-targets 3 --mirror-override 1
 hypercnot sample --control +,+ --target +,+ --target +,+ --target +,+ \

@@ -19,6 +19,17 @@ a GateConfig or an amplitude dict. Each pass works through its points in
 chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory does not grow
 with the grid or the number of cases. A grid or scan is refused where the
 single-point path would refuse any of its points.
+
+The scan draws every case of a chunk in one call, ``rng.random((cases,
+5 + 6 (N + 1)))``: each case reads 5 + 6 (N + 1) uniforms in order, its five
+cavity ratios first (low + (high - low) u) and then three uniforms (a, b, c)
+per coefficient pair, photon by photon and polarization first, taken as the
+Hopf coordinates (sqrt(a) e^(2 pi i b), sqrt(1 - a) e^(2 pi i c)) -- exactly
+Haar-random pairs, with nothing rejected (``random_photon_spec`` draws its
+pairs the same way). Every uniform takes one word of the generator, so the
+cases a seed gives do not depend on how they are chunked: the first k cases
+of a longer scan are those of a k-case scan. A given seed draws different
+cases than it did before the scan read this stream.
 """
 from __future__ import annotations
 
@@ -51,7 +62,7 @@ from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 # point of N targets takes N + 1, and a chunk holds at least one point.
 _CHUNK_PHOTONS = 4096
 # Most targets a sweep point or scan case may take: memory grows with them,
-# to a peak RSS of about 0.3 GB for one sweep point and 0.75 GB for one scan
+# to a peak RSS of about 0.33 GB for one sweep point and 0.26 GB for one scan
 # case at 10^6 (numpy 2.4).
 MAX_TARGETS = 10**6
 # Most points a sweep grid may hold: a sweep keeps one report row per point,
@@ -158,30 +169,23 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
     return rows
 
 
-def _pair(v: list[float]) -> tuple[complex, complex] | None:
-    """The coefficient pair (v0 + i v1, v2 + i v3), normalized; None when it
-    is too short to normalize."""
-    c0 = complex(v[0], v[1])
-    c1 = complex(v[2], v[3])
-    nrm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-    return (c0 / nrm, c1 / nrm) if nrm > 1e-6 else None
-
-
-def _random_pairs(rng: np.random.Generator, count: int) -> list[tuple[complex, complex]]:
-    """``count`` normalized coefficient pairs, each from the next four
-    standard normals of the stream that make one long enough to normalize."""
-    pairs = [pair for pair in map(_pair, rng.standard_normal((count, 4)).tolist()) if pair]
-    while len(pairs) < count:
-        pair = _pair(rng.standard_normal(4).tolist())
-        if pair:
-            pairs.append(pair)
+def _hopf_pairs(u: np.ndarray) -> np.ndarray:
+    """Coefficient pairs (..., 2) from uniforms (a, b, c) in [0, 1) on the
+    last axis, in Hopf coordinates: (sqrt(a) e^(2 pi i b), sqrt(1 - a)
+    e^(2 pi i c)). |c0|^2 uniform in [0, 1] and two independent uniform
+    phases is exactly the Haar measure on the unit sphere of C^2, with
+    nothing rejected."""
+    pairs = 2j * np.pi * u[..., 1:]
+    np.exp(pairs, out=pairs)
+    a = u[..., :1]
+    pairs *= np.sqrt(np.concatenate((a, 1.0 - a), axis=-1))
     return pairs
 
 
 def random_photon_spec(rng: np.random.Generator) -> PhotonSpec:
-    """Haar-ish random input photon: each coefficient pair drawn from complex
-    normals and normalized."""
-    pol, spatial = _random_pairs(rng, 2)
+    """Haar-random input photon: each coefficient pair from the next three
+    uniforms of the stream (``_hopf_pairs``), polarization first."""
+    pol, spatial = _hopf_pairs(rng.random((2, 3))).tolist()
     return PhotonSpec(pol=pol, spatial=spatial)
 
 
@@ -208,20 +212,22 @@ _SCAN_RANGES = {
     "gamma_ratio": (0.05, 0.2),
     "detuning": (-1.0, 1.0),
 }
-# One case's uniform draws, in order: the arguments of
+# A case's first five uniform draws, in order: the arguments of
 # ``scattering.ratio_coeffs``, each low + (high - low) * u as numpy's
 # Generator.uniform draws it.
 _SCAN_DRAWS = tuple(_SCAN_RANGES[k] for k in ("g_ratio", "ks_ratio", "gamma_ratio",
                                                "detuning", "detuning"))
+_SCAN_LOW, _SCAN_SPAN = np.array([(lo, hi - lo) for lo, hi in _SCAN_DRAWS]).T
 
 
 def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
                   mirror_scale: complex | None = None) -> ScanSummary:
     """Random-case check that the heralded gate is exact.
 
-    Each case draws cavity parameters from _SCAN_RANGES and fresh random
-    input photons, runs the gate, and compares the corrected state (every
-    spin branch's) against the truth-rule state. mirror_scale is
+    Each case draws cavity parameters from _SCAN_RANGES and fresh Haar-random
+    input photons (the stream of the module docstring), runs the gate, and
+    compares the corrected state (every spin branch's) against the
+    truth-rule state. mirror_scale is
     ``GateConfig.mirror_scale``: if given, it multiplies the balancing
     mirrors' transmission, deliberately unbalancing the gate; expect
     fidelities below 1 in that case.
@@ -236,18 +242,16 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
     max_dev = 0.0
     max_cons = 0.0
     for start, stop in _chunks(n_cases, n_targets):
-        ratios = []
-        pairs = []
-        for _ in range(start, stop):
-            ratios.append([lo + (hi - lo) * u
-                           for (lo, hi), u in zip(_SCAN_DRAWS, rng.random(5).tolist())])
-            pairs += _random_pairs(rng, 2 * (n_targets + 1))
-        coeffs, ok = ratio_coeffs(*np.array(ratios).T)
+        # each case's uniforms, in case order: five ratios, then three per
+        # coefficient pair, photon by photon, polarization first
+        u = rng.random((stop - start, 5 + 6 * (n_targets + 1)))
+        coeffs, ok = ratio_coeffs(*(_SCAN_LOW + _SCAN_SPAN * u[:, :5]).T)
         refuse_where(~ok, ok, DegeneratePhysicsError,
                      "scattering denominator vanishes at a scanned point")
         bc = block_coeffs(coeffs)
         check_transmits(bc.T)
-        x = pair_vectors(np.array(pairs).reshape(stop - start, n_targets + 1, 2, 2))
+        x = pair_vectors(_hopf_pairs(u[:, 5:].reshape(stop - start, n_targets + 1, 2, 3)))
+        del u   # not read again: freed before the gate
         run = factored_run(bc, mirror_scale, x)
         refuse_where(run.success == 0.0, run.success, AmplitudeLostError,
                      "all amplitude lost: nothing left to measure")

@@ -30,13 +30,13 @@ is given as ``mirror_scale`` times the block's T (None: T itself, a balanced
 mirror). ``check_mirror_scale`` refuses a scale that is not a finite number
 and returns it as a Python float or complex, ``check_stage`` forms the
 mirror and refuses one with gain or a block that is not passive,
-``branch_fractions`` splits a unit of each branch's mass into what clicks,
-what is absorbed and what is kept, and ``stage_losses`` turns a stage's
-mirror and block mass into its (click, absorbed) pair by those fractions.
-``stage_polarization`` and ``stage_spatial`` check once, apply a stage in
-one pass over a sparse state and return the masses it removed; the gate
-kernel in ``gates`` checks with ``check_stage`` and builds its whole ledger
-from the same ``branch_fractions``, so the split is written once.
+and ``branch_fractions`` splits a unit of each branch's mass into what
+clicks, what is absorbed and what is kept. ``stage_polarization`` and
+``stage_spatial`` check once, apply a stage in one pass over a sparse state
+and return the (click, absorbed) masses it removed, its mirror and block
+masses split by those fractions; the gate kernel in ``gates`` checks with
+``check_stage`` and builds its whole ledger from the same
+``branch_fractions``, so the split is written once.
 """
 from __future__ import annotations
 
@@ -83,15 +83,6 @@ def branch_fractions(t_mirror, d2, t2):
     return 0.0 * t2, d2, clip_unit(1.0 - gm), clip_unit(1.0 - d2 - t2), gm, t2
 
 
-def stage_losses(mirror_mass, block_mass, t_mirror, d2, t2):
-    """(click, absorbed) of a stage whose mirror branch carried mirror_mass
-    and whose block branch carried block_mass, from the figures of
-    ``check_stage``, split by ``branch_fractions``. Elementwise on arrays,
-    the figures broadcasting against the masses' trailing axes."""
-    _, click, absorbed_mirror, absorbed_block, _, _ = branch_fractions(t_mirror, d2, t2)
-    return click * block_mass, absorbed_mirror * mirror_mass + absorbed_block * block_mass
-
-
 def _route(state: HyperState, branch_mask: int, which_spin: int,
            bc: BlockCoeffs, mirror_scale: complex | None) -> tuple[float, float]:
     """Net map of one routing stage, applied in place in one pass over the
@@ -99,7 +90,8 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
     bit set crosses the block (x T, negated when the block's spin is down),
     one with it clear the mirror (x mirror_scale * T; T when None). No label
     moves; amplitudes that become exactly zero are dropped. Returns the
-    stage's (click, absorbed) masses.
+    stage's (click, absorbed) masses: its mirror and block masses split by
+    ``branch_fractions``.
     """
     t_mirror, d2, t2 = check_stage(bc, check_mirror_scale(mirror_scale))
     t_up, t_down = bc.T, -bc.T
@@ -120,7 +112,9 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
             zeros.append(label)
     for label in zeros:
         del amps[label]
-    return stage_losses(math.fsum(mirror_mass), math.fsum(block_mass), t_mirror, d2, t2)
+    _, click, absorbed_mirror, absorbed_block, _, _ = branch_fractions(t_mirror, d2, t2)
+    mirror, block = math.fsum(mirror_mass), math.fsum(block_mass)
+    return click * block, absorbed_mirror * mirror + absorbed_block * block
 
 
 def stage_polarization(state: HyperState, photon: int, bc: BlockCoeffs,

@@ -62,8 +62,9 @@ so one call runs the gate at every point of a chunk. The truth-rule state is
 the same kind of sum, sum_c x0_c |c> (x) X^c x_1 (x) ... (x) X^c x_N. The
 flips X^c are common to both states and no inner product sees them, so the
 fidelity is the control's overlap ratio times one ratio per target,
-|<u_i|x_i>|^2 / (|u_i|^2 |x_i|^2) (``hyperstate.product_overlap``), for one
-point (``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
+|<u_i|x_i>|^2 / (|u_i|^2 |x_i|^2), all taken in one overlap of the photon
+rows stacked on one axis (``hyperstate.product_overlap``), for one point
+(``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
 
 Only the corrected state's amplitudes grow with the output, and
 ``hyper_cnot_n`` does not write them: its four branches share one
@@ -123,8 +124,9 @@ from .hyperstate import (
     Spatial,
     Spin,
     fidelity,
+    _ratio,
+    photon_rows,
     photon_vectors,
-    product_overlap,
 )
 from .scattering import CavityParams, block_coeffs, scatter_coeffs
 
@@ -294,11 +296,13 @@ class FactoredRun(NamedTuple):
     def truth_fidelity(self) -> np.ndarray:
         """Fidelity of the corrected branch state (the same for every spin
         record) with the truth-rule state of ``ideal_hyper_cnot_n``, from the
-        factors of both (``hyperstate.product_overlap``): the branch state's
-        coefficient F[0, c] x0_c and vectors u_i, unnormalized, against x0_c
-        and x_i."""
-        x0 = self.x[..., 0, :]
-        return product_overlap((self.control * x0, self.u), (x0, self.x[..., 1:, :]))
+        factors of both, as ``hyperstate.product_overlap`` takes it: the
+        branch state's coefficient F[0, c] x0_c and vectors u_i,
+        unnormalized, against x0_c and x_i. Stacked, the truth rule's rows
+        are x itself, so one overlap (``hyperstate._ratio``) of the branch
+        state's rows (``hyperstate.photon_rows``) with x takes them all."""
+        rows = photon_rows(self.control * self.x[..., 0, :], self.u)
+        return _ratio(rows, self.x).prod(axis=-1)
 
 
 def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:

@@ -35,8 +35,8 @@ PRL 91, 147902 (2003), whose four terms share their vectors up to those
 flips). It normalizes itself and expands its amplitudes on their first
 read, so what refuses either surfaces there; until then ``fidelity`` takes
 the overlap of two of them from their factors (``product_overlap``), as the
-control's overlap ratio times one ratio per further photon, in time linear
-in the photons.
+product of one overlap ratio per photon, all taken in one overlap of the
+stacked rows, in time linear in the photons.
 """
 from __future__ import annotations
 
@@ -313,17 +313,25 @@ class FactoredState(HyperState):
 def product_overlap(a, b):
     """|<a|b>|^2 / (<a|a> <b|b>) of two states given as factors (coef[..., c],
     vectors[..., i, k]) of ``FactoredState``, elementwise over leading axes
-    that broadcast. Both states flip every target by the same X^c on the
-    control's index c, which no inner product sees, so
+    that broadcast (a state's coef and vectors share theirs). Both states
+    flip every target by the same X^c on the control's index c, which no
+    inner product sees, so
 
       <a|b> = sum_c conj(a_c) b_c  prod_i <va[i] | vb[i]>
 
-    and the norms alike: the ratio is the control's ratio times one ratio
-    per target, each in [0, 1], so the product cannot overflow, and it
+    and the norms alike: the ratio is the product of one ratio per photon
+    row (``photon_rows``: the control's, then each target's), taken in one
+    overlap. Each is in [0, 1], so the product cannot overflow, and it
     underflows only where the fidelity itself is that small. An operand of
     norm 0 gives NaN (0/0)."""
-    (ca, va), (cb, vb) = a, b
-    return _ratio(ca, cb) * _ratio(va, vb).prod(axis=-1)
+    return _ratio(photon_rows(*a), photon_rows(*b)).prod(axis=-1)
+
+
+def photon_rows(coef: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """A factored state's coefficients and vectors as one array of rows
+    [..., photon, k], the control's coefficients first, stacked like the
+    photon vectors of ``photon_vectors``."""
+    return np.concatenate((coef[..., None, :], vectors), axis=-2)
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,7 +33,11 @@ so the block maps an incoming R photon by
                    = kappa g^2 / (c (d*c + g^2))
 
 ``_coeffs`` takes T from that closed form and builds t = t0 + T, so at g = 0
-the hot pair is the cold pair exactly and T is exactly 0. The end-to-end
+the hot pair is the cold pair exactly and T is exactly 0. ``block_coeffs``
+keeps that closed-form T rather than taking (h - h0)/2 again: at weak
+coupling t = t0 + T has already rounded against t0 (about -1), which would
+cost T its relative precision (a few parts in 10^6 at g/(kappa+kappa_s) =
+6e-7 on resonance). The end-to-end
 photon survival of a gate with ``n`` target photons is |T|^(4*(n+1)).
 
 The formulas are written once, in ``_coeffs``, and apply elementwise: to the
@@ -132,12 +136,14 @@ def _rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x) -> dict:
 @dataclass(frozen=True)
 class ScatterCoeffs:
     """Single-pass cavity amplitudes: (r, t) for the hot cavity and (r0, t0)
-    for the cold one. Constructed so r = 1 + t and r0 = 1 + t0 hold exactly."""
+    for the cold one, and T = t - t0 in its closed form. Constructed so
+    r = 1 + t, r0 = 1 + t0 and t = t0 + T hold exactly."""
 
     r: complex
     t: complex
     r0: complex
     t0: complex
+    T: complex
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,7 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
     T = leak * (g2 / den)
     t0 = -leak
     t = t0 + T
-    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0), ok
+    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0, T=T), ok
 
 
 def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
@@ -236,10 +242,10 @@ def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:
     """Effective basic-block amplitudes from the single-pass coefficients,
-    H diag(h, h0) H of the module docstring; elementwise on arrays."""
-    h = s.t + s.r
-    h0 = s.t0 + s.r0
-    return BlockCoeffs(D=(h + h0) / 2.0, T=(h - h0) / 2.0)
+    H diag(h, h0) H of the module docstring: D = (h + h0)/2 = 1 + t + t0,
+    and T the closed form the coefficients carry, which (h - h0)/2 matches
+    only to the rounding of t; elementwise on arrays."""
+    return BlockCoeffs(D=((s.t + s.r) + (s.t0 + s.r0)) / 2.0, T=s.T)
 
 
 def clip_unit(value):

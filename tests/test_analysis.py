@@ -170,6 +170,22 @@ class TestRandomPhotonSpec:
         rng = np.random.default_rng(41)
         assert random_photon_spec(rng).pol != random_photon_spec(rng).pol
 
+    def test_pairs_are_haar_random(self):
+        # Hopf coordinates: every pair normalized, |c0|^2 uniform in [0, 1]
+        # (mean 1/2, variance 1/12) and both phases uniform; the bounds are
+        # several standard deviations wide at 10^4 pairs
+        rng = np.random.default_rng(43)
+        specs = [random_photon_spec(rng) for _ in range(5000)]
+        pairs = np.array([pair for spec in specs for pair in (spec.pol, spec.spatial)])
+        assert np.abs((np.abs(pairs) ** 2).sum(axis=1) - 1.0).max() <= 1e-15
+        weight = np.abs(pairs[:, 0]) ** 2
+        assert abs(weight.mean() - 0.5) <= 0.02
+        assert abs(weight.var() - 1.0 / 12.0) <= 0.01
+        expected = len(pairs) / 8
+        for phase in np.angle(pairs).T:
+            counts, _ = np.histogram(phase, bins=8, range=(-np.pi, np.pi))
+            assert np.abs(counts - expected).max() <= 0.2 * expected, counts
+
 
 class TestFidelityScan:
     def test_balanced_gate_is_exact(self):

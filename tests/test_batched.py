@@ -186,14 +186,16 @@ def test_underflowing_success_reports_zero_and_a_subnormal_one_is_refused():
 
 
 # Summaries of the scan as the gate ran one case at a time, expanding each
-# branch state and the truth-rule state into amplitude dicts.
+# branch state and the truth-rule state into amplitude dicts; each case's
+# ratios and photons replayed from the seed's stream in Python (``cmath``
+# for the Hopf pairs).
 SCAN_FIGURES = {
-    (25, 3, 2, None): (0.9999999999999998, 1.0, 4.996003610813204e-16,
-                       2.1094237467877974e-15),
-    (20, 4, 1, 0.8): (0.955877335304778, 0.9677442114604926, 0.2934832674546278,
-                      7.771561172376096e-16),
-    (10, 5, 3, 0.9): (0.9810701277733334, 0.9856533362818833, 0.1137778901349121,
-                      1.887379141862766e-15),
+    (25, 3, 2, None): (0.9999999999999998, 1.0000000000000002, 5.551115123125783e-17,
+                       9.992007221626409e-16),
+    (20, 4, 1, 0.8): (0.9566323255286463, 0.9680514211309905, 0.17148899923452296,
+                      4.440892098500626e-16),
+    (10, 5, 3, 0.9): (0.9835008049148407, 0.9854715113542072, 0.45215265529331455,
+                      8.881784197001252e-16),
 }
 
 

@@ -1,6 +1,8 @@
 """The gate's lazily expanded output state: one shared object, expanded on
 the first read of its amplitudes, and a fidelity taken from its factors."""
+import cmath
 import json
+import math
 import random
 
 import numpy as np
@@ -270,13 +272,17 @@ def test_an_unbalanced_gate_follows_the_closed_form():
 
 @pytest.mark.parametrize("n, scale", [(1, 0.6), (3, -0.9), (8, 0.3)])
 def test_an_unbalanced_scan_follows_the_closed_form(n, scale):
-    # the scan's own stream of draws, case by case (see ``fidelity_scan``)
+    # the scan's own stream of draws, case by case (see ``fidelity_scan``):
+    # five ratios, then a Hopf pair from each next three uniforms, photon by
+    # photon, polarization first
     rng = np.random.default_rng(13)
     fids = []
     for _ in range(40):
-        ratios = [lo + (hi - lo) * u
-                  for (lo, hi), u in zip(analysis._SCAN_DRAWS, rng.random(5).tolist())]
-        pairs = analysis._random_pairs(rng, 2 * (n + 1))
+        u = rng.random(5 + 6 * (n + 1)).tolist()
+        ratios = [lo + (hi - lo) * v for (lo, hi), v in zip(analysis._SCAN_DRAWS, u)]
+        pairs = [(math.sqrt(a) * cmath.exp(2j * math.pi * b),
+                  math.sqrt(1.0 - a) * cmath.exp(2j * math.pi * c))
+                 for a, b, c in zip(u[5::3], u[6::3], u[7::3])]
         photons = [PhotonSpec(pol=pol, spatial=spatial)
                    for pol, spatial in zip(pairs[0::2], pairs[1::2])]
         T = block_coeffs(scatter_coeffs(CavityParams.from_ratios(*ratios))).T

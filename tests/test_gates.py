@@ -474,6 +474,8 @@ class TestOutcomeLedger:
 
     @pytest.fixture
     def outcome(self):
+        # the figures pinned below are the dense state-vector replay's
+        # (``test_dense_reference._replay``) on this gate
         params = CavityParams.from_ratios(1.5, ks_ratio=0.3, gamma_ratio=0.15,
                                           detuning_c=0.2, detuning_x=-0.3)
         rng = np.random.default_rng(2)
@@ -492,8 +494,8 @@ class TestOutcomeLedger:
             for stage in range(2):
                 assert stages[2 * k + stage] == (out.clicks[k, stage], out.absorbed[k, stage])
         assert stages[0] + stages[1] == pytest.approx(
-            (0.06264125238634734, 0.26765485755008994,
-             0.005911545713619803, 0.28562522701334625), rel=1e-13)
+            (0.04858460849195582, 0.30914499668696843,
+             0.038375859152369414, 0.17738728448768937), rel=1e-13)
 
     def test_totals_are_the_fsum_of_the_stages(self, outcome):
         out, _, _ = outcome
@@ -503,8 +505,8 @@ class TestOutcomeLedger:
         assert out.absorbed_prob == math.fsum(a for _, a in out.stages)
         assert out.heralded_failure_prob == math.fsum(out.detector_probs.values())
         assert out.detector_probs == pytest.approx(
-            {DETECTOR_B1: 0.06811545889631666, DETECTOR_B2: 0.014836228087859891}, rel=1e-13)
-        assert out.absorbed_prob == pytest.approx(0.8745085095089, rel=1e-13)
+            {DETECTOR_B1: 0.06603546910737669, DETECTOR_B2: 0.057784803563932854}, rel=1e-13)
+        assert out.absorbed_prob == pytest.approx(0.8111830003024713, rel=1e-13)
 
     def test_outcomes_compare_by_value(self, outcome):
         out, photons, cfg = outcome

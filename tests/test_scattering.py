@@ -6,6 +6,7 @@ kappa_s=0.1, gamma=0.1, g=3.3, all on resonance).
 """
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from hypercnot import (
     DephasingParams,
     GateConfig,
     PhotonSpec,
+    SweepGrid,
     ValidationError,
     block_coeffs,
     dephasing_penalty,
     efficiency,
     hyper_cnot,
     scatter_coeffs,
+    sweep_efficiency,
 )
 from hypercnot.scattering import ratio_coeffs
 
@@ -308,6 +311,43 @@ class TestValidationAndDegeneracy:
     def test_dephasing_params_are_stored_as_floats(self):
         d = DephasingParams(tau=np.float32(0.5), t2=2)
         assert (d.tau, d.t2) == (0.5, 2.0) and type(d.tau) is type(d.t2) is float
+
+
+WEAK_COUPLINGS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 6e-7)
+
+
+def _exact_T(params):
+    """kappa g^2 / (c (d c + g^2)) on resonance, in exact rational arithmetic
+    on the parameters' floats, rounded once."""
+    g, kappa, kappa_s, gamma = map(Fraction, (params.g, params.kappa, params.kappa_s,
+                                              params.gamma))
+    c = kappa + kappa_s / 2
+    d = gamma / 2
+    return float(kappa * g * g / (c * (d * c + g * g)))
+
+
+def test_the_block_T_keeps_its_precision_at_weak_coupling():
+    # t = t0 + T rounds against t0 = -kappa/c, about -1, so a T taken back
+    # out of t would keep only about 1e-16 / |T| of its relative precision;
+    # the block keeps the closed form's T, on one point, on a batch and in
+    # a sweep's abs_T and success_prob (|T|^8)
+    ks, gamma = 0.1, 0.1
+    exact = [_exact_T(CavityParams.from_ratios(g, ks, gamma)) for g in WEAK_COUPLINGS]
+    coeffs, ok = ratio_coeffs(np.array(WEAK_COUPLINGS), ks, gamma, 0.0, 0.0)
+    batch = block_coeffs(coeffs).T
+    rows = sweep_efficiency(SweepGrid(g_ratios=WEAK_COUPLINGS, ks_ratios=(ks,),
+                                      gamma_ratio=gamma))
+    assert ok.all()
+    for g, want, T, row in zip(WEAK_COUPLINGS, exact, batch, rows):
+        point = block_coeffs(scatter_coeffs(CavityParams.from_ratios(g, ks, gamma))).T
+        for got in (point, T, row.abs_T):
+            assert abs(got - want) <= 1e-14 * want, (g, got, want)
+        assert abs(row.success_prob - want ** 8) <= 1e-14 * want ** 8, (g, row)
+    # and it stays exactly 0 without coupling
+    assert block_coeffs(scatter_coeffs(CavityParams.from_ratios(0.0, ks, gamma))).T == 0.0
+    coeffs, _ = ratio_coeffs(np.array([0.0, 1e-3]), ks, gamma, 0.0, 0.0)
+    assert block_coeffs(coeffs).T[0] == 0.0
+    assert sweep_efficiency(SweepGrid(g_ratios=(0.0,), ks_ratios=(ks,)))[0].abs_T == 0.0
 
 
 def test_dephasing_penalty_value():
