@@ -40,6 +40,20 @@ hypercnot run --control +,+ --target +,+ --g 3.3 --kappa-s 0.1 --gamma 0.1 \
   --mirror-override 1.5 2> mirror.err || status=$?
 test "$status" -eq 2
 grep -q "mirror_scale 1.5" mirror.err
+# so is a mirror with gain on a batch of scan cases, single- and three-target
+# (one fused guard over the mirror and passivity checks of each chunk)
+status=0
+hypercnot verify --n-cases 20 --seed 1 --mirror-override 1.5 2> mirror.err || status=$?
+test "$status" -eq 2
+grep -q "mirror_scale 1.5" mirror.err
+status=0
+hypercnot verify --n-cases 20 --seed 1 --n-targets 3 --mirror-override 1.5 2> mirror.err \
+  || status=$?
+test "$status" -eq 2
+grep -q "mirror_scale 1.5" mirror.err
+# undefined coefficients (g = gamma = 0 on resonance) give the row of zeros
+hypercnot sweep --g-ratio 0,1 --ks-ratio 0 --gamma-ratio 0 > degenerate.csv
+grep -qx "0.0,0.0,0.0,0.0,0.0,0.0" degenerate.csv
 # one axis may hold as many points as a whole grid
 hypercnot sweep --g-ratio 0:1:0.00001 --ks-ratio 0 --out /dev/null
 # a grid of about 10^8 points would not fit in memory: refused (exit 2)

@@ -29,9 +29,11 @@ and the block branch by T, negated when the block's spin is down. A mirror
 is given as ``mirror_scale`` times the block's T (None: T itself, a balanced
 mirror). ``check_mirror_scale`` refuses a scale that is not a finite number
 and returns it as a Python float or complex, ``check_stage`` forms the
-mirror and refuses one with gain or a block that is not passive,
-and ``branch_fractions`` splits a unit of each branch's mass into what
-clicks, what is absorbed and what is kept. ``stage_polarization`` and
+mirror, refuses one with gain or a block that is not passive, and returns
+the stage's four figures (the mirror's transmission and the squared
+magnitudes of it, D and T, each taken once), and ``branch_fractions``
+splits a unit of each branch's mass into what clicks, what is absorbed and
+what is kept, from the last three. ``stage_polarization`` and
 ``stage_spatial`` check once, apply a stage in one pass over a sparse state
 and return the (click, absorbed) masses it removed, its mirror and block
 masses split by those fractions; the gate kernel in ``gates`` checks with
@@ -41,6 +43,8 @@ masses split by those fractions; the gate kernel in ``gates`` checks with
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import ValidationError, check_number, refuse_where
 from .hyperstate import HyperState
@@ -55,31 +59,44 @@ def check_mirror_scale(scale) -> float | complex | None:
 
 
 def check_stage(bc: BlockCoeffs, mirror_scale=None):
-    """The mirror's transmission, |D|^2 and |T|^2 of a routing stage,
-    refusing a mirror with gain (named by its scale) or a block that is not
-    passive. The mirror transmits mirror_scale times the block's T, or the
-    block's T itself when the scale is None (a balanced mirror, scale 1).
-    Elementwise when bc's fields and the scale are arrays of one shape."""
-    t_mirror = bc.T if mirror_scale is None else mirror_scale * bc.T
-    refuse_where(abs(t_mirror) > 1.0 + 1e-12, 1 if mirror_scale is None else mirror_scale,
-                 ValidationError,
-                 "mirror transmission |mirror_scale * T| exceeds 1 at mirror_scale {}")
+    """The four figures of a routing stage: the mirror's transmission
+    t_mirror, |t_mirror|^2, |D|^2 and |T|^2. The mirror transmits
+    mirror_scale times the block's T, or the block's T itself when the
+    scale is None (a balanced mirror, scale 1, whose |t_mirror|^2 is the
+    |T|^2 taken for the block). |T| is taken once. Refuses a mirror with
+    gain (named by its scale) before a block that is not passive.
+    Elementwise when bc's fields and the scale are arrays of one shape; a
+    batch then runs one test over both refusals, and the two refusals only
+    when it trips."""
+    mag = abs(bc.T)
+    t2 = mag ** 2
+    if mirror_scale is None:
+        t_mirror, mirror_mag, gm = bc.T, mag, t2
+    else:
+        t_mirror = mirror_scale * bc.T
+        mirror_mag = abs(t_mirror)
+        gm = mirror_mag ** 2
     d2 = abs(bc.D) ** 2
-    t2 = abs(bc.T) ** 2
     total = d2 + t2
-    refuse_where(total > 1.0 + 1e-9, total, ValidationError,
-                 "block coefficients violate |D|^2+|T|^2<=1 ({})")
-    return t_mirror, d2, t2
+    gain = mirror_mag > 1.0 + 1e-12
+    active = total > 1.0 + 1e-9
+    bad = gain | active
+    if bad if isinstance(bad, bool) else np.count_nonzero(bad):
+        refuse_where(gain, 1 if mirror_scale is None else mirror_scale, ValidationError,
+                     "mirror transmission |mirror_scale * T| exceeds 1 at mirror_scale {}")
+        refuse_where(active, total, ValidationError,
+                     "block coefficients violate |D|^2+|T|^2<=1 ({})")
+    return t_mirror, gm, d2, t2
 
 
-def branch_fractions(t_mirror, d2, t2):
-    """What a stage does with a unit of mass on each branch, from the figures
-    of ``check_stage``: the (mirror, block) fractions that click, that are
-    absorbed and that are kept, as one flat 6-tuple. The block branch sends
-    |D|^2 to the detector and keeps |T|^2; the mirror branch never clicks (a
-    zero of the figures' shape) and keeps |t_mirror|^2; each branch absorbs
-    the rest. Elementwise on arrays of one shape."""
-    gm = abs(t_mirror) ** 2
+def branch_fractions(gm, d2, t2):
+    """What a stage does with a unit of mass on each branch, from the
+    figures |t_mirror|^2, |D|^2 and |T|^2 of ``check_stage``: the (mirror,
+    block) fractions that click, that are absorbed and that are kept, as one
+    flat 6-tuple. The block branch sends |D|^2 to the detector and keeps
+    |T|^2; the mirror branch never clicks (a zero of the figures' shape) and
+    keeps |t_mirror|^2; each branch absorbs the rest. Elementwise on arrays
+    of one shape."""
     return 0.0 * t2, d2, clip_unit(1.0 - gm), clip_unit(1.0 - d2 - t2), gm, t2
 
 
@@ -93,7 +110,7 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
     stage's (click, absorbed) masses: its mirror and block masses split by
     ``branch_fractions``.
     """
-    t_mirror, d2, t2 = check_stage(bc, check_mirror_scale(mirror_scale))
+    t_mirror, gm, d2, t2 = check_stage(bc, check_mirror_scale(mirror_scale))
     t_up, t_down = bc.T, -bc.T
     zm = state._spin_bit_mask(which_spin)
     amps = state.amplitudes
@@ -112,7 +129,7 @@ def _route(state: HyperState, branch_mask: int, which_spin: int,
             zeros.append(label)
     for label in zeros:
         del amps[label]
-    _, click, absorbed_mirror, absorbed_block, _, _ = branch_fractions(t_mirror, d2, t2)
+    _, click, absorbed_mirror, absorbed_block, _, _ = branch_fractions(gm, d2, t2)
     mirror, block = math.fsum(mirror_mass), math.fsum(block_mass)
     return click * block, absorbed_mirror * mirror + absorbed_block * block
 

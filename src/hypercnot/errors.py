@@ -8,6 +8,8 @@ import cmath
 import math
 import numbers
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Malformed or non-normalized user input (bad coefficients, indices, flags)."""
@@ -26,7 +28,10 @@ def check_count(value, name: str, limit: int | None = None, low: int = 1) -> int
     """An integer >= ``low`` that is not a bool, and at most ``limit`` if one
     is given, returned as an int: a count of targets, cases or shots, or at
     ``low`` 0 a seed or an index."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    # an exact int skips numbers.Integral's slow check; a bool's class is bool
+    if (value.__class__ is not int and (isinstance(value, bool)
+                                        or not isinstance(value, numbers.Integral))
+            or value < low):
         raise ValidationError(f"{name} must be an int >= {low}, got {value!r}")
     if limit is not None and value > limit:
         raise ValidationError(f"{name} must be <= {limit}, got {value!r}")
@@ -80,7 +85,7 @@ def refuse_where(bad, value, error: type, message: str) -> None:
     if bad is False:   # one point that passes: the common case, kept cheap
         return
     if getattr(bad, "ndim", 0):
-        if bad.any():
+        if np.count_nonzero(bad):   # on a few points, a third of .any()'s cost
             raise error(message.format(value[bad][0] if getattr(value, "ndim", 0)
                                        else value))
     elif bad:

@@ -50,7 +50,8 @@ its own polarization and spatial clicks, its polarization and spatial
 absorbed masses, its kept mass and its entered mass. Each table entry is a
 polarization-bit factor times a spatial-bit factor, taken from the stage's
 ``circuit.branch_fractions`` (what a branch clicks, absorbs and keeps) and
-ones. One running product of the kept masses and one of the entered masses
+ones; those fractions come from the figures that ``circuit.check_stage``
+takes and checks once per run. One running product of the kept masses and one of the entered masses
 then scale the first four columns into the stage masses, in place. Neither
 contraction calls BLAS, and the ledger takes no per-photon temporary beyond
 its (photon, column) table.
@@ -262,12 +263,13 @@ _RECORDS = tuple(((Spin(d1), Spin(d2)), (bool(d1), bool(d2)))
                  for d1 in (0, 1) for d2 in (0, 1))
 
 
-def check_transmits(T) -> None:
+def check_transmits(T):
     """Refuse a block that never transmits: the gate cannot herald there.
-    Elementwise on an array of T."""
+    Returns |T|. Elementwise on an array of T."""
     mag = abs(T)
     refuse_where(mag < MIN_BLOCK_T, mag, DegeneratePhysicsError,
                  "basic block never transmits (|T|={:.3e}): the gate cannot herald a success")
+    return mag
 
 
 class FactoredRun(NamedTuple):
@@ -300,7 +302,8 @@ class FactoredRun(NamedTuple):
         branch state's coefficient F[0, c] x0_c and vectors u_i,
         unnormalized, against x0_c and x_i. Stacked, the truth rule's rows
         are x itself, so one overlap (``hyperstate._ratio``) of the branch
-        state's rows (``hyperstate.photon_rows``) with x takes them all."""
+        state's rows (``hyperstate.photon_rows``) with x takes them all,
+        overwriting those fresh rows."""
         rows = photon_rows(self.control * self.x[..., 0, :], self.u)
         return _ratio(rows, self.x).prod(axis=-1)
 
@@ -313,7 +316,7 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     The caller has checked that every block transmits (``check_transmits``).
     Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
     transmission |mirror_scale * T| above 1 among them."""
-    t_mirror, d2, t2 = check_stage(bc, mirror_scale)
+    t_mirror, gm, d2, t2 = check_stage(bc, mirror_scale)
     f0 = np.array((t_mirror, bc.T))             # f(branch bit, spin up)
     # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
     # which moves a batch axis to the front
@@ -336,7 +339,7 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     w = np.abs(v)
     del v   # not read again: freed before the ledger
     w *= w
-    fractions = branch_fractions(t_mirror, d2, t2)
+    fractions = branch_fractions(gm, d2, t2)
     one = fractions[0] + 1.0   # the mirror never clicks: a 1 of the figures' shape
     factors = np.array((*fractions, one, one)).T   # [..., 2 * kind + branch bit]
     table = factors.take(_FACTOR_AT[0], axis=-1) * factors.take(_FACTOR_AT[1], axis=-1)
@@ -350,7 +353,7 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     np.multiply.accumulate(chain, axis=-1, out=chain)
     success = chain[..., 0, -1][()]   # [()]: a float for one point
     tiny = success < sys.float_info.min
-    if tiny.any() if tiny.ndim else tiny:   # one point skips .any(), a microsecond
+    if np.count_nonzero(tiny) if tiny.ndim else tiny:   # one point skips the count
         # a subnormal product sticks where a kept mass above 1/2 rounds it back
         # to itself; the sum of logs gives 0 below the smallest subnormal
         with np.errstate(divide="ignore"):

@@ -324,24 +324,32 @@ def product_overlap(a, b):
     overlap. Each is in [0, 1], so the product cannot overflow, and it
     underflows only where the fidelity itself is that small. An operand of
     norm 0 gives NaN (0/0)."""
-    return _ratio(photon_rows(*a), photon_rows(*b)).prod(axis=-1)
+    a, b = np.broadcast_arrays(photon_rows(*a), photon_rows(*b))
+    # _ratio overwrites its first operand: a C-ordered copy of a's rows
+    return _ratio(a.copy(), b).prod(axis=-1)
 
 
 def photon_rows(coef: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """A factored state's coefficients and vectors as one array of rows
     [..., photon, k], the control's coefficients first, stacked like the
-    photon vectors of ``photon_vectors``."""
+    photon vectors of ``photon_vectors``, in a fresh array."""
     return np.concatenate((coef[..., None, :], vectors), axis=-2)
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<a|b>|^2 / (<a|a> <b|b>) over the last axis. The first ufunc of each
-    sum writes its array C-ordered: numpy adds a contiguous run of complex
-    numbers pairwise and a strided one in order, so the bits of the result
-    would otherwise depend on the memory layout of a and b."""
-    return (np.abs(np.multiply(a.conj(), b, order="C").sum(axis=-1)) ** 2
-            / ((np.abs(a, order="C") ** 2).sum(axis=-1)
-               * (np.abs(b, order="C") ** 2).sum(axis=-1)))
+    """|<a|b>|^2 / (<a|a> <b|b>) over the last axis. a is a fresh array of
+    the broadcast shape of a and b, which this overwrites: the conjugate
+    products are taken in place in it when it is C-ordered, so the overlap
+    makes no further array of its size, and in a C-ordered array otherwise.
+    The first ufunc of each sum writes its array C-ordered: numpy adds a
+    contiguous run of complex numbers pairwise and a strided one in order,
+    so the bits of the result would otherwise depend on the memory layout
+    of a and b."""
+    na = (np.abs(a, order="C") ** 2).sum(axis=-1)
+    nb = (np.abs(b, order="C") ** 2).sum(axis=-1)
+    inner = np.multiply(np.conjugate(a, out=a), b, order="C",
+                        out=a if a.flags.c_contiguous else None)
+    return np.abs(inner.sum(axis=-1)) ** 2 / (na * nb)
 
 
 def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState:

@@ -15,9 +15,12 @@ they are
     cold:  t0 = -kappa / c                  r0 = 1 + t0
 
 All rates and detunings share one arbitrary unit (the CLI normalizes
-kappa = 1); the formulas are homogeneous in that unit, and
-``scatter_coeffs`` evaluates them in units of kappa, so that no square
-underflows or overflows in a tiny or huge unit.
+kappa = 1); the formulas are homogeneous in that unit, and ``_coeffs``
+evaluates them in units of kappa (kappa = 1, omega = 0, the detunings
+omega_c - omega and omega_x - omega), so that no square underflows or
+overflows in a tiny or huge unit. ``scatter_coeffs`` divides one point's
+parameters by kappa; the ratios of ``ratio_coeffs`` are in those units
+already.
 
 The composite gate element ("basic block") built around one cavity
 sandwiches it between two Hadamard wave plates, H = [[1, 1], [1, -1]]/sqrt2
@@ -43,13 +46,16 @@ photon survival of a gate with ``n`` target photons is |T|^(4*(n+1)).
 The formulas are written once, in ``_coeffs``, and apply elementwise: to the
 floats of one ``CavityParams`` (``scatter_coeffs``) or to numpy arrays of
 ratios, one entry per cavity point (``ratio_coeffs``, for the batched sweep
-and scan). ``block_coeffs`` and ``efficiency`` are elementwise too.
+and scan). ``block_coeffs`` and ``efficiency`` are elementwise too. Their
+records, ``ScatterCoeffs`` and ``BlockCoeffs``, are NamedTuples: immutable,
+compared by value, and cheap to build once per gate run or chunk of points.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +139,7 @@ def _rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x) -> dict:
             "omega_c": detuning_c, "omega_x": detuning_x}
 
 
-@dataclass(frozen=True)
-class ScatterCoeffs:
+class ScatterCoeffs(NamedTuple):
     """Single-pass cavity amplitudes: (r, t) for the hot cavity and (r0, t0)
     for the cold one, and T = t - t0 in its closed form. Constructed so
     r = 1 + t, r0 = 1 + t0 and t = t0 + T hold exactly."""
@@ -146,8 +151,7 @@ class ScatterCoeffs:
     T: complex
 
 
-@dataclass(frozen=True)
-class BlockCoeffs:
+class BlockCoeffs(NamedTuple):
     """Effective basic-block amplitudes: D heralds (detector), T transmits."""
 
     D: complex
@@ -170,21 +174,23 @@ class DephasingParams:
             object.__setattr__(self, f.name, value)
 
 
-def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
-    """The formulas of the module docstring, in the arithmetic of the
-    inputs: Python's complex for the floats of one point, numpy complex
-    arrays for arrays of points. The ScatterCoeffs, and whether the hot
-    denominator d*c + g^2 stands clear of rounding noise, its magnitude
-    above ``DENOMINATOR_REL_EPS`` times |d|*|c| + g^2 (c never vanishes:
-    its real part is at least kappa > 0); terms that overflow the float
-    range fail it too. On arrays that test is elementwise and the
-    coefficients where it fails are meaningless; on one point a failure
-    raises DegeneratePhysicsError. A g^2 that overflows is
-    taken as ``_G2_MAX``, which gives T its strong-coupling limit. Python's
-    float arithmetic never warns, and on one point nothing is divided by 0;
-    ``ratio_coeffs`` silences numpy's warnings around the call."""
-    dipole = 1j * (omega_x - omega) + gamma / 2.0
-    cavity = 1j * (omega_c - omega) + kappa + kappa_s / 2.0
+def _coeffs(g, kappa_s, gamma, detuning_c, detuning_x):
+    """The formulas of the module docstring in units of kappa (kappa = 1,
+    omega = 0: every rate and the detunings omega_c - omega and
+    omega_x - omega divided by kappa), in the arithmetic of the inputs:
+    Python's complex for the floats of one point, numpy complex arrays for
+    arrays of points. The ScatterCoeffs, and whether the hot denominator
+    d*c + g^2 stands clear of rounding noise, its magnitude above
+    ``DENOMINATOR_REL_EPS`` times |d|*|c| + g^2 (c never vanishes: its real
+    part is at least kappa = 1); terms that overflow the float range fail it
+    too. On arrays that test is elementwise and the coefficients where it
+    fails are meaningless; on one point a failure raises
+    DegeneratePhysicsError. A g^2 that overflows is taken as ``_G2_MAX``,
+    which gives T its strong-coupling limit. Python's float arithmetic never
+    warns, and on one point nothing is divided by 0; ``ratio_coeffs``
+    silences numpy's warnings around the call."""
+    dipole = 1j * detuning_x + gamma / 2.0
+    cavity = 1j * detuning_c + 1.0 + kappa_s / 2.0
     g2 = g * g
     g2 = np.minimum(g2, _G2_MAX) if isinstance(g2, np.ndarray) else min(g2, _G2_MAX)
     den = dipole * cavity + g2
@@ -197,7 +203,7 @@ def _coeffs(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
     if not (isinstance(ok, np.ndarray) or ok):
         what = "terms overflow" if scale == math.inf else "denominator vanishes"
         raise DegeneratePhysicsError(f"scattering {what} (den={den!r}, terms of size {scale!r})")
-    leak = kappa / cavity   # -t0
+    leak = 1.0 / cavity   # -t0
     # T = kappa g^2 / (c (d c + g^2)), exactly 0 at g = 0
     T = leak * (g2 / den)
     t0 = -leak
@@ -220,8 +226,7 @@ def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
         raise ValidationError(
             "kappa_s, gamma and the detunings must stay finite in units of kappa, got "
             + ", ".join(map(repr, rates)))
-    kappa_s, gamma, detuning_c, detuning_x = rates
-    return _coeffs(p.g / k, 1.0, kappa_s, gamma, 0.0, detuning_c, detuning_x)[0]
+    return _coeffs(p.g / k, *rates)[0]
 
 
 def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
@@ -232,12 +237,14 @@ def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
     point's to about 4e-16 (numpy rounds complex products and quotients
     differently from Python; the block's T is exactly 0 at g = 0 on both),
     and the mask of the points whose denominators stand clear of rounding
-    noise (elsewhere the coefficients are meaningless). The ratios are not
-    checked: the caller passes what CavityParams would accept. Overflow, 0/0
-    and the like at such points are expected, and numpy's warnings of them
-    are silenced."""
+    noise (elsewhere the coefficients are meaningless). The ratios are
+    already in units of kappa, so they go to ``_coeffs`` as they are, but
+    for g = g_ratio (1 + ks_ratio), as ``_rates`` forms it. The ratios are
+    not checked: the caller passes what CavityParams would accept. Overflow,
+    0/0 and the like at such points are expected, and numpy's warnings of
+    them are silenced."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _coeffs(**_rates(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x))
+        return _coeffs(g_ratio * (1.0 + ks_ratio), ks_ratio, gamma_ratio, detuning_c, detuning_x)
 
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:

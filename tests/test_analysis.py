@@ -1,6 +1,7 @@
 """Sweeps, randomized fidelity scans, and report round trips."""
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ class TestSweepGrid:
 
 
 class TestSweepEfficiency:
+    def test_the_peak_memory_per_photon(self):
+        # the tracemalloc peak of a one-point sweep of 10^5 targets, per
+        # photon: at most 200 bytes, plus a fixed allowance for the small
+        # arrays. Holding the run's stage ledger through the overlap, or
+        # taking the overlap's conjugate and product in arrays of their own,
+        # raises it to about 305.
+        n = 10**5
+        grid = SweepGrid(g_ratios=(3.0,), ks_ratios=(0.1,), n_targets=n)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sweep_efficiency(grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 200 * n + 2**18, peak / n
+
     def test_rows_follow_grid_order(self):
         grid = SweepGrid(g_ratios=(1.0, 3.0), ks_ratios=(0.0, 0.5))
         rows = sweep_efficiency(grid)

@@ -276,6 +276,43 @@ def test_the_stage_checks_run_once_per_pass(stage_checks):
         factored_run(BlockCoeffs(D=np.array([0.1, 0.9]), T=np.array([0.9, 0.9])), None, x)
 
 
+def test_a_mirror_with_gain_is_refused_before_a_block_that_is_not_passive():
+    # one test guards both refusals of a batch; when it trips they run in
+    # their order, so a mirror with gain anywhere is named by its scale even
+    # where an earlier point's block is not passive
+    x = photon_vectors([PhotonSpec.uniform()] * 2)
+    bc = BlockCoeffs(D=np.array([0.9, 0.1]), T=np.array([0.9, 0.9]))
+    mirror = r"mirror transmission \|mirror_scale \* T\| exceeds 1 at mirror_scale {}$"
+    with pytest.raises(ValidationError, match=mirror.format(r"2\.0")):
+        factored_run(bc, np.array([1.0, 2.0]), x)
+    with pytest.raises(ValidationError, match=mirror.format(r"1\.5")):
+        factored_run(bc, 1.5, x)
+    with pytest.raises(ValidationError, match=r"\|D\|\^2\+\|T\|\^2<=1 \(1.62"):
+        factored_run(bc, np.array([1.0, 1.0]), x)
+    # one point alike
+    point = BlockCoeffs(D=0.9, T=0.9)
+    with pytest.raises(ValidationError, match=mirror.format(r"1\.5")):
+        factored_run(point, 1.5, x)
+    with pytest.raises(ValidationError, match=mirror.format(r"1\.5")):
+        circuit.check_stage(point, 1.5)
+    with pytest.raises(ValidationError, match=r"\|D\|\^2\+\|T\|\^2<=1 \(1.62"):
+        circuit.check_stage(point)
+
+
+def test_the_stage_figures_take_the_mirror_mass_once():
+    # |t_mirror|^2 of a balanced mirror is the block's |T|^2, the same value
+    T = np.array([0.6 + 0.3j, 0.5j])
+    bc = BlockCoeffs(D=np.array([0.1, 0.2]), T=T)
+    t_mirror, gm, d2, t2 = circuit.check_stage(bc)
+    assert t_mirror is T and gm is t2
+    assert np.array_equal(t2, np.abs(T) ** 2) and np.array_equal(d2, np.abs(bc.D) ** 2)
+    t_mirror, gm, _, _ = circuit.check_stage(bc, 0.5j)
+    assert np.array_equal(t_mirror, 0.5j * T)
+    assert np.array_equal(gm, np.abs(0.5j * T) ** 2)
+    t_mirror, gm, d2, t2 = circuit.check_stage(BlockCoeffs(D=0.6, T=0.8j), 0.5)
+    assert (t_mirror, gm, d2, t2) == (0.4j, abs(0.4j) ** 2, abs(0.6) ** 2, abs(0.8j) ** 2)
+
+
 @pytest.mark.parametrize("stage", [circuit.stage_polarization, circuit.stage_spatial],
                          ids=["polarization", "spatial"])
 def test_a_dict_stage_checks_once(stage, stage_checks):

@@ -26,7 +26,7 @@ from hypercnot import (
     scatter_coeffs,
     sweep_efficiency,
 )
-from hypercnot.scattering import ratio_coeffs
+from hypercnot.scattering import BlockCoeffs, ScatterCoeffs, ratio_coeffs
 
 # Frozen reference-point values (50-digit oracle, rounded to nearest double).
 T_HOT = -0.004569339730408956
@@ -348,6 +348,21 @@ def test_the_block_T_keeps_its_precision_at_weak_coupling():
     coeffs, _ = ratio_coeffs(np.array([0.0, 1e-3]), ks, gamma, 0.0, 0.0)
     assert block_coeffs(coeffs).T[0] == 0.0
     assert sweep_efficiency(SweepGrid(g_ratios=(0.0,), ks_ratios=(ks,)))[0].abs_T == 0.0
+
+
+@pytest.mark.parametrize("record, names", [(ScatterCoeffs, ("r", "t", "r0", "t0", "T")),
+                                           (BlockCoeffs, ("D", "T"))],
+                         ids=["ScatterCoeffs", "BlockCoeffs"])
+def test_coefficient_records_are_immutable_values(record, names):
+    values = {name: complex(k, 1) for k, name in enumerate(names)}
+    rec = record(**values)
+    assert [getattr(rec, name) for name in names] == list(values.values())
+    assert rec == record(**values)
+    assert rec != record(**{**values, names[-1]: 0j})
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0j)
+    assert rec == record(**values)
 
 
 def test_dephasing_penalty_value():
