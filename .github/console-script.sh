@@ -81,6 +81,14 @@ hypercnot run --control +,+ --target +,+ --g 1 --gamma 1.7e308 --detuning-x 1.7e
 test "$status" -eq 3
 test "$(grep -c '^error:' overflow.err)" -eq 1
 test "$(wc -l < overflow.err)" -eq 1
+# a photon coefficient whose square is past the float range is invalid input
+# (exit 2), one error line
+status=0
+hypercnot run --control "pol=(1e200,0),(1e200,0);spat=1" --target +,+ \
+  --g 3.3 --kappa-s 0.1 --gamma 0.1 2> photon.err || status=$?
+test "$status" -eq 2
+test "$(grep -c '^error:' photon.err)" -eq 1
+test "$(wc -l < photon.err)" -eq 1
 # a standard output that cannot be written is an I/O failure (exit 4)
 status=0
 hypercnot run --control +,+ --target +,+ --g 3.3 --kappa-s 0.1 --gamma 0.1 \

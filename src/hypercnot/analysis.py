@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,8 +117,9 @@ class SweepGrid:
                            check_count(self.n_targets, "n_targets", MAX_TARGETS))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep point's figures, in REPORT_COLUMNS order."""
+
     g_ratio: float
     ks_ratio: float
     abs_T: float
@@ -169,8 +170,8 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
             # where every amplitude is lost (success 0) there is no state
             with np.errstate(divide="ignore", invalid="ignore"):
                 fid[live] = np.where(run.success > 0.0, run.truth_fidelity(), 0.0)
-        rows += map(SweepRow, g.tolist(), ks.tolist(), abs_t.tolist(), eff.tolist(),
-                    success.tolist(), fid.tolist())
+        rows += map(SweepRow._make, zip(g.tolist(), ks.tolist(), abs_t.tolist(),
+                                        eff.tolist(), success.tolist(), fid.tolist()))
     return rows
 
 
@@ -194,8 +195,7 @@ def random_photon_spec(rng: np.random.Generator) -> PhotonSpec:
     return PhotonSpec(pol=pol, spatial=spatial)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(NamedTuple):
     """Worst-case figures over a randomized scan. Fidelity statistics cover
     every case; every spin-outcome branch of a case has the same corrected
     state, so they cover every branch too."""

@@ -50,7 +50,7 @@ from .gates import (
     truth_table,
 )
 from .hyperstate import PhotonSpec, fidelity
-from .scattering import CavityParams, block_coeffs, scatter_coeffs
+from .scattering import CavityParams, cavity_block_coeffs
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -308,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     outcome = hyper_cnot_n(control, targets, cfg)
     ideal = ideal_hyper_cnot_n(control, targets)
     fid = fidelity(outcome.conditional_state, ideal)
-    bc = block_coeffs(scatter_coeffs(cfg.params))
+    bc = cavity_block_coeffs(cfg.params)
     gate = "cnot" if len(targets) == 1 else f"cnot^{len(targets)}"
     if args.format == "json":
         payload = {

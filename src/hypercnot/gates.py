@@ -40,6 +40,15 @@ target's Hadamards and o the entrywise product: no mirror and block terms
 cancel, so a mirror m far weaker than the block still gives a uniform target
 u_i = m^2 x_i. On a balanced mirror F[0] = T^2 and u_i = T^2 x_i is taken
 directly, to the bit (K K x_i is x_i only to rounding).
+The control row F[0, k] = f(m, 0) f(p, 0) is four products, (m m, m T, T m,
+T T) on k = 0..3, taken in one numpy multiply of (m, m, T, T) by (m, T, m, T)
+and transposed so that a batch axis comes first. On one point as on a batch
+they are numpy's products, the outer product of (m, T) with itself to the
+bit: Python's complex multiply rounds the last bit differently (numpy's
+fuses a multiply-add), and that bit reaches the fidelity. The balanced
+u_i = T^2 x_i keeps T^2 as the first operand: one point's Python T * T, or
+a batch's (B, 1, 1) view of the control row's last column, so both give
+numpy's product with x_i.
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums of a photon's four weights
 |v_k|^2, computed with the photons stacked on one numpy axis. The Hadamards
@@ -129,7 +138,7 @@ from .hyperstate import (
     photon_rows,
     photon_vectors,
 )
-from .scattering import CavityParams, block_coeffs, scatter_coeffs
+from .scattering import CavityParams, cavity_block_coeffs
 
 # Below this transmission magnitude the gate cannot post-select a success.
 MIN_BLOCK_T = 1e-12
@@ -236,9 +245,13 @@ class GateOutcome:
 
 
 def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
-    if len(targets) != cfg.n_targets:
+    try:
+        n = len(targets)
+    except TypeError:   # a generator or an iterator: no count to check
         raise ValidationError(
-            f"got {len(targets)} target specs but n_targets={cfg.n_targets}")
+            f"targets must be a sequence of PhotonSpec, got {type(targets).__name__}") from None
+    if n != cfg.n_targets:
+        raise ValidationError(f"got {n} target specs but n_targets={cfg.n_targets}")
 
 
 # The target's Hadamards K = H (x) H on entry k = p + 2m: row j holds
@@ -316,16 +329,20 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     The caller has checked that every block transmits (``check_transmits``).
     Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
     transmission |mirror_scale * T| above 1 among them."""
-    t_mirror, gm, d2, t2 = check_stage(bc, mirror_scale)
-    f0 = np.array((t_mirror, bc.T))             # f(branch bit, spin up)
-    # F[..., 0, k] = f(p, 0) f(m, 0), built as [m, p, ...] and transposed,
-    # which moves a batch axis to the front
-    control = (f0[:, None] * f0).reshape((4,) + f0.shape[1:]).T
+    tm, gm, d2, t2 = check_stage(bc, mirror_scale)
+    T = bc.T
+    # F[..., 0, k] = f(m, 0) f(p, 0) on k = p + 2m, f(0, 0) = tm the mirror's
+    # and f(1, 0) = T the block's: four products in one numpy multiply (for a
+    # point too: Python's complex multiply rounds differently), on a leading
+    # axis that the transpose moves to the back, behind a batch axis
+    control = (np.array((tm, tm, T, T)) * np.array((tm, T, tm, T))).T
     v = np.einsum("...k,jk->...j", x, _K)
     # u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i); a balanced mirror makes
-    # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit
+    # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit, T^2 the
+    # first operand: one point's number as it is, a batch's as a (B, 1, 1)
+    # view of the control row
     if mirror_scale is None:
-        u = np.asarray(bc.T * bc.T)[..., None, None] * x[..., 1:, :]
+        u = (control[:, 3, None, None] if control.ndim > 1 else T * T) * x[..., 1:, :]
     else:
         u = np.einsum("...k,jk->...j", control[..., None, :] * v[..., 1:, :], _K)
     v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
@@ -360,7 +377,7 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
             success = np.where(tiny, np.exp(np.log(kept).sum(axis=-1)), success)[()]
     stage_masses = ledger[..., :4]
     stage_masses *= (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
-    return FactoredRun(x, control, u, success, ledger[..., :2], ledger[..., 2:4])
+    return FactoredRun._make((x, control, u, success, ledger[..., :2], ledger[..., 2:4]))
 
 
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
@@ -369,7 +386,7 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     of freedom at once) and return the heralded outcome. Its branches share
     one ``FactoredState``, expanded on the first read of its amplitudes."""
     _check_targets(targets, cfg)
-    bc = block_coeffs(scatter_coeffs(cfg.params))
+    bc = cavity_block_coeffs(cfg.params)
     check_transmits(bc.T)
     x = photon_vectors([control, *targets])
     run = factored_run(bc, cfg.mirror_scale, x)
@@ -380,8 +397,11 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     # branch's Hadamard sign and feed-forward sign folded in, times the
     # targets' X^c u_i; the state normalizes itself when read
     state = FactoredState(run.control * x[0], run.u, "the four branch states")
-    branches = tuple([OutcomeBranch(record, success / 4.0, corrections, state)
-                      for record, corrections in _RECORDS])
+    p = success / 4.0
+    (r0, c0), (r1, c1), (r2, c2), (r3, c3) = _RECORDS
+    make = OutcomeBranch._make   # tuple.__new__ on the fields, skipping __new__
+    branches = (make((r0, p, c0, state)), make((r1, p, c1, state)),
+                make((r2, p, c2, state)), make((r3, p, c3, state)))
     return GateOutcome(success, branches, run.clicks, run.absorbed)
 
 

@@ -108,7 +108,12 @@ class PhotonSpec:
                 raise ValidationError(f"{name} must be a pair of numbers, got {pair!r}")
             pair = tuple(complex(check_number(c, f"{name}[{i}]")) for i, c in enumerate(pair))
             object.__setattr__(self, name, pair)
-            nrm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
+            try:
+                nrm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
+            except OverflowError:   # a magnitude or its square past the float range
+                raise ValidationError(
+                    f"{name} pair {pair} has a squared norm past the float range, "
+                    "expected 1") from None
             if abs(nrm - 1.0) > NORM_TOL:
                 raise ValidationError(
                     f"{name} pair {pair} has squared norm {nrm:.12g}, expected 1")
@@ -204,6 +209,12 @@ class HyperState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperState):
             return NotImplemented
+        # equal factors expand to equal amplitudes, so two unexpanded
+        # FactoredStates compare without expanding; two factorings of one
+        # state differ in their factors and are compared by the amplitudes
+        if (self.factors is not None and other.factors is not None
+                and all(map(np.array_equal, self.factors, other.factors))):
+            return True
         return (self.n_photons == other.n_photons
                 and self.has_spins == other.has_spins
                 and self.amplitudes == other.amplitudes)
@@ -272,10 +283,14 @@ class FactoredState(HyperState):
     ``what``, a squared norm below the smallest normal float, whose root
     cannot normalize it, or too many amplitudes. Until that read (or an
     assignment of ``amplitudes``, which drops the factors) ``factors``
-    holds (coef, vectors), else None."""
+    holds (coef, vectors), else None; two states that both hold equal
+    factors compare equal without expanding."""
 
     def __init__(self, coef: np.ndarray, vectors: np.ndarray, what: str):
-        super().__init__(1 + vectors.shape[-2], has_spins=False)
+        # HyperState's fields set directly: its __init__ would assign an empty
+        # dict through the amplitudes setter, only for the factors to replace it
+        self.n_photons = 1 + vectors.shape[-2]
+        self.has_spins = False
         self.factors = (coef, vectors)
         self.what = what
 
@@ -358,13 +373,18 @@ def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState
     spins="plus" prepares both spins in (up+down)/sqrt2 (a Hadamard applied to
     up,up); spins="up" leaves them in up,up.
     """
-    if not photons:
+    try:
+        n = len(photons)
+    except TypeError:   # a generator or an iterator: no count to check
+        raise ValidationError(
+            f"photons must be a sequence of PhotonSpec, got {type(photons).__name__}") from None
+    if not n:
         raise ValidationError("need at least one photon")
     if spins not in ("plus", "up"):
         raise ValidationError(f"spins must be 'plus' or 'up', got {spins!r}")
     amps = expand_products([(0, 1 + 0j, photon_vectors(photons))], 0,
                            "the input photons with the spins")
-    state = HyperState(len(photons), amps, has_spins=True)
+    state = HyperState(n, amps, has_spins=True)
     if spins == "plus":
         state.spin_hadamard(1)
         state.spin_hadamard(2)

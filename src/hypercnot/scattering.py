@@ -48,7 +48,9 @@ floats of one ``CavityParams`` (``scatter_coeffs``) or to numpy arrays of
 ratios, one entry per cavity point (``ratio_coeffs``, for the batched sweep
 and scan). ``block_coeffs`` and ``efficiency`` are elementwise too. Their
 records, ``ScatterCoeffs`` and ``BlockCoeffs``, are NamedTuples: immutable,
-compared by value, and cheap to build once per gate run or chunk of points.
+compared by value, and cheap to build once per chunk of points. A gate run
+reads only the block's D and T, so it takes them with
+``cavity_block_coeffs``, which builds no ScatterCoeffs record on the way.
 """
 from __future__ import annotations
 
@@ -179,7 +181,8 @@ def _coeffs(g, kappa_s, gamma, detuning_c, detuning_x):
     omega = 0: every rate and the detunings omega_c - omega and
     omega_x - omega divided by kappa), in the arithmetic of the inputs:
     Python's complex for the floats of one point, numpy complex arrays for
-    arrays of points. The ScatterCoeffs, and whether the hot denominator
+    arrays of points. ScatterCoeffs' fields as a plain tuple (the caller
+    builds the record it needs), and whether the hot denominator
     d*c + g^2 stands clear of rounding noise, its magnitude above
     ``DENOMINATOR_REL_EPS`` times |d|*|c| + g^2 (c never vanishes: its real
     part is at least kappa = 1); terms that overflow the float range fail it
@@ -208,7 +211,19 @@ def _coeffs(g, kappa_s, gamma, detuning_c, detuning_x):
     T = leak * (g2 / den)
     t0 = -leak
     t = t0 + T
-    return ScatterCoeffs(r=1.0 + t, t=t, r0=1.0 + t0, t0=t0, T=T), ok
+    return (1.0 + t, t, 1.0 + t0, t0, T), ok
+
+
+def _point_coeffs(p: CavityParams) -> tuple:
+    """ScatterCoeffs' fields for one point's parameters, as ``_coeffs``
+    gives them (see ``scatter_coeffs``)."""
+    k = p.kappa
+    rates = (p.kappa_s / k, p.gamma / k, (p.omega_c - p.omega) / k, (p.omega_x - p.omega) / k)
+    if not all(map(math.isfinite, rates)):
+        raise ValidationError(
+            "kappa_s, gamma and the detunings must stay finite in units of kappa, got "
+            + ", ".join(map(repr, rates)))
+    return _coeffs(p.g / k, *rates)[0]
 
 
 def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
@@ -220,13 +235,14 @@ def scatter_coeffs(p: CavityParams) -> ScatterCoeffs:
     At kappa = 1 the division is exact. A coupling past the float range in
     that unit is the strong-coupling limit (see ``_coeffs``); any other
     rate or detuning there is refused."""
-    k = p.kappa
-    rates = (p.kappa_s / k, p.gamma / k, (p.omega_c - p.omega) / k, (p.omega_x - p.omega) / k)
-    if not all(map(math.isfinite, rates)):
-        raise ValidationError(
-            "kappa_s, gamma and the detunings must stay finite in units of kappa, got "
-            + ", ".join(map(repr, rates)))
-    return _coeffs(p.g / k, *rates)[0]
+    return ScatterCoeffs._make(_point_coeffs(p))
+
+
+def cavity_block_coeffs(p: CavityParams) -> BlockCoeffs:
+    """``block_coeffs(scatter_coeffs(p))``, to the bit, with the same
+    refusals, without building the ScatterCoeffs record: the gate reads only
+    the block's D and T."""
+    return _block(*_point_coeffs(p))
 
 
 def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
@@ -244,7 +260,9 @@ def ratio_coeffs(g_ratio, ks_ratio, gamma_ratio, detuning_c, detuning_x):
     0/0 and the like at such points are expected, and numpy's warnings of
     them are silenced."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _coeffs(g_ratio * (1.0 + ks_ratio), ks_ratio, gamma_ratio, detuning_c, detuning_x)
+        fields, ok = _coeffs(g_ratio * (1.0 + ks_ratio), ks_ratio, gamma_ratio,
+                             detuning_c, detuning_x)
+    return ScatterCoeffs._make(fields), ok
 
 
 def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:
@@ -252,7 +270,13 @@ def block_coeffs(s: ScatterCoeffs) -> BlockCoeffs:
     H diag(h, h0) H of the module docstring: D = (h + h0)/2 = 1 + t + t0,
     and T the closed form the coefficients carry, which (h - h0)/2 matches
     only to the rounding of t; elementwise on arrays."""
-    return BlockCoeffs(D=((s.t + s.r) + (s.t0 + s.r0)) / 2.0, T=s.T)
+    return _block(*s)
+
+
+def _block(r, t, r0, t0, T) -> BlockCoeffs:
+    """``block_coeffs`` of ScatterCoeffs' five fields, from a record or from
+    ``_coeffs``' plain tuple."""
+    return BlockCoeffs._make((((t + r) + (t0 + r0)) / 2.0, T))
 
 
 def clip_unit(value):

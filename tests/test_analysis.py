@@ -332,4 +332,4 @@ class TestReports:
                 load_report(io.StringIO(f"[{{{cells}}}]"), "json")
 
     def test_row_fields_match_the_header(self):
-        assert REPORT_COLUMNS == tuple(SweepRow.__dataclass_fields__)
+        assert REPORT_COLUMNS == tuple(SweepRow._fields)

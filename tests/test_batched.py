@@ -26,7 +26,7 @@ from hypercnot import (
 from hypercnot import analysis, circuit, gates
 from hypercnot.gates import factored_run
 from hypercnot.hyperstate import photon_vectors
-from hypercnot.scattering import BlockCoeffs, ratio_coeffs
+from hypercnot.scattering import BlockCoeffs, cavity_block_coeffs, ratio_coeffs
 
 
 def _random_case(rng, nrng, case):
@@ -83,6 +83,56 @@ def test_a_batch_matches_one_point_at_a_time(n):
         assert np.abs(stages - np.array(outcome.stages)).max() <= 1e-15
         ideal = ideal_hyper_cnot_n(photons[0], photons[1:])
         assert abs(fids[j] - fidelity(outcome.conditional_state, ideal)) <= 1e-12
+
+
+def _outer_control(t_mirror, T):
+    """F[..., 0, k] = f(m, 0) f(p, 0) on k = p + 2m: the outer product of
+    f(branch bit, spin up) = (t_mirror, T) with itself, moved to [..., k]."""
+    f0 = np.array((t_mirror, T))
+    return (f0[:, None] * f0).reshape((4,) + f0.shape[1:]).T
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("scale", ["balanced", "scalar", "per_point"])
+def test_a_batchs_control_row_is_the_outer_product_to_the_bit(scale):
+    rng = np.random.default_rng(101)
+    ratios = [rng.uniform(lo, hi, 500) for lo, hi in
+              ((0.2, 5.0), (0.0, 1.0), (0.05, 0.2), (-1.0, 1.0), (-1.0, 1.0))]
+    coeffs, ok = ratio_coeffs(*ratios)
+    bc = block_coeffs(coeffs)
+    mirror_scale = {"balanced": None, "scalar": complex(0.8, 0.1),
+                    "per_point": rng.uniform(0.5, 0.9, 500) * np.exp(0.3j * rng.uniform(-1, 1, 500))
+                    }[scale]
+    run = factored_run(bc, mirror_scale, photon_vectors([PhotonSpec.uniform()] * 2))
+    t_mirror = bc.T if mirror_scale is None else mirror_scale * bc.T
+    assert (_bits(run.control) == _bits(_outer_control(t_mirror, bc.T))).all()
+
+
+def test_a_points_control_row_is_a_one_entry_batchs():
+    # both are numpy's products, to the bit on a balanced mirror; an
+    # unbalanced mirror's transmission mirror_scale * T is Python's product
+    # on one point and numpy's on a batch, which may round the last bit
+    # differently
+    rng = random.Random(103)
+    nrng = np.random.default_rng(104)
+    worst = 0.0
+    for case in range(400):
+        cfg, photons = _random_case(rng, nrng, case)
+        bc = cavity_block_coeffs(cfg.params)
+        if abs(bc.T * (cfg.mirror_scale or 1.0)) > 1.0:
+            continue   # a mirror with gain: refused on both paths
+        x = photon_vectors(photons)
+        point = factored_run(bc, cfg.mirror_scale, x).control
+        batch = factored_run(BlockCoeffs(D=np.array([bc.D]), T=np.array([bc.T])),
+                             cfg.mirror_scale, x[None]).control[0]
+        if cfg.mirror_scale is None:
+            assert (_bits(point) == _bits(batch)).all(), case
+        else:
+            worst = max(worst, (np.abs(point - batch) / np.abs(batch)).max())
+    assert worst <= 6e-16
 
 
 def test_batched_coefficients_match_one_point_and_vanish_at_g_zero():

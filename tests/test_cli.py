@@ -151,6 +151,8 @@ class TestRun:
           "--detuning-x", "1.7e308"], 3),                              # |d| overflows
         (["run", "--control", "+,+", "--target", "+,+", "--g", "1", "--gamma", "1e200",
           "--detuning-c", "1e200"], 3),                                # d * c overflows
+        (["run", "--control", "pol=(1e200,0),(1e200,0);spat=1", "--target", "+,+",
+          *BENCH], 2),                                                 # |c|^2 overflows
     ])
     def test_exit_codes(self, argv, code, capsys):
         assert main(argv) == code

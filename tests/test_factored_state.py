@@ -98,6 +98,28 @@ def test_repeated_reads_expand_once(bench_config, expansions):
     assert expansions == ["the four branch states"]
 
 
+@pytest.mark.parametrize("n", [7, 9])
+def test_equal_outcomes_compare_by_their_factors(bench_params, expansions, n):
+    # at CNOT^9 the four branch states would need more than MAX_AMPLITUDES
+    cfg = GateConfig(params=bench_params, n_targets=n)
+    first, second = hyper_cnot_n(U, [U] * n, cfg), hyper_cnot_n(U, [U] * n, cfg)
+    assert first.conditional_state is not second.conditional_state
+    assert first == second
+    assert first.conditional_state == second.conditional_state
+    assert expansions == []
+    assert first.conditional_state.factors is not None
+
+
+def test_two_factorings_of_one_state_compare_by_their_amplitudes(bench_config, expansions):
+    (coef, vectors), = [hyper_cnot_n(U, [U], bench_config).conditional_state.factors]
+    # the state normalizes itself, so doubling the coefficients changes no amplitude
+    doubled = FactoredState(2.0 * coef, vectors, "the doubled state")
+    assert FactoredState(coef, vectors, "the state") == doubled
+    assert expansions == ["the state", "the doubled state"]
+    assert FactoredState(coef, vectors, "the state") != FactoredState(
+        coef, vectors * np.array([1, 1, 1, -1]), "another state")
+
+
 def _case(rng, nrng, case):
     params = CavityParams.from_ratios(
         rng.uniform(0.2, 5.0), rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.2),

@@ -366,6 +366,18 @@ class TestValidationAndDegeneracy:
                          [PhotonSpec.uniform(), PhotonSpec.uniform()],
                          bench_config)
 
+    @pytest.mark.parametrize("targets", [
+        lambda: (PhotonSpec.uniform() for _ in range(1)),
+        lambda: iter([PhotonSpec.uniform()]),
+    ], ids=["generator", "iterator"])
+    def test_targets_without_a_length_are_refused(self, bench_params, targets):
+        cfg = GateConfig(params=bench_params, rng_seed=1)
+        refusal = "targets must be a sequence of PhotonSpec"
+        with pytest.raises(ValidationError, match=refusal):
+            hyper_cnot_n(PhotonSpec.uniform(), targets(), cfg)
+        with pytest.raises(ValidationError, match=refusal):
+            sample_shots(PhotonSpec.uniform(), targets(), cfg, 10)
+
 
 class TestShotSampling:
     def test_counts_close(self, bench_params):

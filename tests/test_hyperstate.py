@@ -82,6 +82,16 @@ class TestPhotonSpec:
         PhotonSpec(pol=(complex(0.6, 0.0), complex(0.0, 0.8)),
                    spatial=(SQ2, -SQ2))
 
+    @pytest.mark.parametrize("bad", [1e200, complex(1e200, 1e200), complex(1.7e308, 1.7e308)],
+                             ids=["square_overflows", "complex_square_overflows",
+                                  "magnitude_overflows"])
+    def test_rejects_a_pair_whose_squares_overflow(self, bad):
+        # each number is finite, but its squared magnitude is past the float range
+        with pytest.raises(ValidationError, match=r"pol pair .* past the float range"):
+            PhotonSpec(pol=(bad, 0), spatial=(1, 0))
+        with pytest.raises(ValidationError, match=r"spatial pair .* past the float range"):
+            PhotonSpec(pol=(1, 0), spatial=(0, bad))
+
 
 class TestLabels:
     def test_pack_label_bit_layout(self):
@@ -165,6 +175,14 @@ class TestInitState:
             init_state([PhotonSpec.uniform()], spins="sideways")
         with pytest.raises(ValidationError):
             init_state(["L,a2"])  # strings are a CLI notion, not a state one
+
+    @pytest.mark.parametrize("photons", [
+        lambda: (PhotonSpec.uniform() for _ in range(2)),
+        lambda: iter([PhotonSpec.uniform()] * 2),
+    ], ids=["generator", "iterator"])
+    def test_refuses_photons_without_a_length(self, photons):
+        with pytest.raises(ValidationError, match="photons must be a sequence of PhotonSpec"):
+            init_state(photons())
 
     def test_refused_past_the_amplitude_limit(self, monkeypatch):
         # the documented limit admits CNOT^8 with every photon in superposition

@@ -26,7 +26,7 @@ from hypercnot import (
     scatter_coeffs,
     sweep_efficiency,
 )
-from hypercnot.scattering import BlockCoeffs, ScatterCoeffs, ratio_coeffs
+from hypercnot.scattering import BlockCoeffs, ScatterCoeffs, cavity_block_coeffs, ratio_coeffs
 
 # Frozen reference-point values (50-digit oracle, rounded to nearest double).
 T_HOT = -0.004569339730408956
@@ -348,6 +348,46 @@ def test_the_block_T_keeps_its_precision_at_weak_coupling():
     coeffs, _ = ratio_coeffs(np.array([0.0, 1e-3]), ks, gamma, 0.0, 0.0)
     assert block_coeffs(coeffs).T[0] == 0.0
     assert sweep_efficiency(SweepGrid(g_ratios=(0.0,), ks_ratios=(ks,)))[0].abs_T == 0.0
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def test_the_gates_block_coefficients_are_the_records_to_the_bit():
+    # the gate takes D and T without the ScatterCoeffs record; the same
+    # formulas, so the same bits, at random points, without coupling and at
+    # the weakest coupling of the precision test
+    rng = np.random.default_rng(27)
+    points = [_random_params(rng) for _ in range(300)]
+    points += [replace(p, g=0.0) for p in points[:50]]
+    points += [CavityParams.from_ratios(6e-7, 0.1, 0.1),
+               CavityParams(g=1e200, kappa=1.0, kappa_s=0.1, gamma=0.1),
+               CavityParams(g=3.3e-100, kappa=1e-100, kappa_s=1e-101, gamma=1e-101)]
+    for p in points:
+        got = cavity_block_coeffs(p)
+        want = block_coeffs(scatter_coeffs(p))
+        assert isinstance(got, BlockCoeffs)
+        assert list(map(_bits, got)) == list(map(_bits, want)), p
+
+
+@pytest.mark.parametrize("kwargs, error, refusal", [
+    (dict(g=1.0, kappa=1.0, gamma=1.7e308, omega_x=1.7e308), DegeneratePhysicsError,
+     "scattering terms overflow"),
+    (dict(g=1.0, kappa=1.0, gamma=1e200, omega_c=1e200), DegeneratePhysicsError,
+     "scattering terms overflow"),
+    (dict(g=0.0, kappa=1.0, gamma=0.0), DegeneratePhysicsError,
+     "scattering denominator vanishes"),
+    (dict(g=1.0, kappa=1e-300, gamma=1e10), ValidationError,
+     "must stay finite in units of kappa"),
+], ids=["abs_overflows", "product_overflows", "vanishing", "rate_past_the_range"])
+def test_the_gates_block_coefficients_refuse_as_the_records_do(kwargs, error, refusal):
+    p = CavityParams(**kwargs)
+    with pytest.raises(error, match=refusal) as records:
+        scatter_coeffs(p)
+    with pytest.raises(error, match=refusal) as gate:
+        cavity_block_coeffs(p)
+    assert str(gate.value) == str(records.value)
 
 
 @pytest.mark.parametrize("record, names", [(ScatterCoeffs, ("r", "t", "r0", "t0", "T")),
