@@ -5,6 +5,13 @@
 # numpy pyproject.toml accepts.
 set -eo pipefail
 
+# a bare import loads neither numpy nor any submodule: each name loads its
+# module on first read
+python -c "import sys, hypercnot
+loaded = [m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'hypercnot.'))]
+assert not loaded, loaded"
+hypercnot --help > /dev/null
+
 hypercnot verify --n-cases 20 --seed 1
 hypercnot verify --n-cases 20 --seed 1 --n-targets 3
 # many chunks of cases, each drawn in one call (ten chunks at N = 1)

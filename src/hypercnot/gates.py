@@ -496,7 +496,8 @@ def _draw(masses: Sequence[float], shots: int, seed: int) -> np.ndarray:
     """Counts of ``shots`` independent draws over outcomes with the given
     non-negative masses, normalized by their sum."""
     p = np.asarray(masses, dtype=float)
-    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    rng = np.random.Generator(np.random.PCG64(seed))   # default_rng(seed) minus its dispatch
+    return rng.multinomial(shots, p / p.sum())
 
 
 def sample_shots(control: PhotonSpec, targets: Sequence[PhotonSpec],

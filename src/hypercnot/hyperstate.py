@@ -149,6 +149,8 @@ def pack_label(pol_bits: Sequence[int], spatial_bits: Sequence[int],
     bool or a float among them, is refused."""
     if len(pol_bits) != len(spatial_bits):
         raise ValidationError("pol_bits and spatial_bits must have equal length")
+    if len(spin_bits) > 2:
+        raise ValidationError(f"at most two spin bits, got {len(spin_bits)}")
     bits = 0
     for i, (p, s) in enumerate(zip(pol_bits, spatial_bits)):
         bits |= check_count(p, f"pol_bits[{i}]", 1, low=0) << (2 * i)

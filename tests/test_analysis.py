@@ -52,7 +52,7 @@ class TestSweepGrid:
         ("gamma_ratio", math.inf), ("detuning_c", math.nan), ("detuning_x", -math.inf),
         ("g_ratios", "12"), ("ks_ratios", b"12"), ("ks_ratios", (np.bool_(True),)),
         ("g_ratios", (10**400,)), ("ks_ratios", (1j,)), ("gamma_ratio", True),
-        ("detuning_c", "0"),
+        ("detuning_c", "0"), ("g_ratios", 3.0), ("ks_ratios", None),
     ])
     def test_refusal_names_the_field(self, field, value):
         kwargs = {"g_ratios": (1.0,), "ks_ratios": (0.1,), field: value}

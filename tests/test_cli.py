@@ -803,3 +803,59 @@ missing = set(hypercnot.__all__) - namespace.keys()
 assert not missing, missing
 assert namespace["SweepGrid"] is hypercnot.analysis.SweepGrid
 """)
+
+
+SUBMODULES = ("analysis", "circuit", "cli", "errors", "gates", "hyperstate", "scattering")
+
+
+class TestNamespace:
+    """Every public name and submodule of ``hypercnot`` loads its module on
+    first read; each check runs in a fresh interpreter."""
+
+    @staticmethod
+    def _check(script):
+        proc = _python("-c", "import sys\nimport hypercnot\n" + script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_bare_import_loads_no_submodule_and_no_numpy(self):
+        self._check("""
+loaded = sorted(m for m in sys.modules
+                if m == "numpy" or m.startswith(("numpy.", "hypercnot.")))
+assert loaded == [], loaded
+""")
+
+    def test_every_public_name_is_the_object_its_module_defines(self):
+        self._check("""
+assert hypercnot.__all__, "no public names"
+for name in hypercnot.__all__:
+    obj = getattr(hypercnot, name)
+    home = "hypercnot." + hypercnot._HOME[name]
+    assert getattr(sys.modules[home], name) is obj, name
+    # a class or function is bound from the module that defines it
+    assert getattr(obj, "__module__", home) == home, (name, obj.__module__)
+""")
+
+    @pytest.mark.parametrize("module", SUBMODULES)
+    def test_submodule_resolves_after_a_bare_import(self, module):
+        self._check(f"""
+mod = hypercnot.{module}
+assert mod is sys.modules["hypercnot.{module}"], mod
+assert "{module}" in dir(hypercnot)
+""")
+
+    def test_unknown_name_raises_an_attribute_error_naming_it(self):
+        self._check("""
+for name in ("no_such_name", "__wrapped__", "check_real"):
+    try:
+        getattr(hypercnot, name)
+    except AttributeError as exc:
+        assert repr(name) in str(exc), exc
+    else:
+        raise AssertionError(f"{name} resolved")
+try:
+    from hypercnot import no_such_name
+except ImportError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("an unknown name imported")
+""")

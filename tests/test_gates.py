@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hypercnot import hyperstate
-from hypercnot.gates import factored_run
+from hypercnot.gates import _draw, factored_run
 from hypercnot.scattering import BlockCoeffs
 from hypercnot import (
     DETECTOR_B1,
@@ -422,6 +422,17 @@ class TestShotSampling:
         for shots in (0, 2**63, 1.5, 1000.7, True):
             with pytest.raises(ValidationError, match="shots"):
                 sample_shots(PhotonSpec.uniform(), [PhotonSpec.uniform()], cfg, shots)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1, 2**70])
+def test_the_draws_are_default_rngs_stream(seed):
+    # _draw and fidelity_scan build Generator(PCG64(seed)), skipping
+    # default_rng's dispatch; every seeded figure rests on the same stream
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assert rng.random((3, 5)).tolist() == np.random.default_rng(seed).random((3, 5)).tolist()
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    assert (_draw(p, 10**6, seed).tolist()
+            == np.random.default_rng(seed).multinomial(10**6, p / p.sum()).tolist())
 
 
 def _count_tolerance(shots, p, alpha=1e-9):

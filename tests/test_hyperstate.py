@@ -134,6 +134,7 @@ class TestLabels:
         ([0], [np.float64(1.0)], (), "spatial_bits[0] must be an int"),
         ([0], [1], (0, -1), "spin_bits[1] must be an int >= 0"),
         ([0], [1], (np.bool_(True), 0), "spin_bits[0] must be an int"),
+        ([1], [0], [1, 1, 1], "at most two spin bits, got 3"),
     ])
     def test_pack_label_refuses_what_is_not_a_bit(self, pol, spatial, spins, refusal):
         # int() would take each of these, and & 1 would make [1.7, 3], [True, 2] 7
