@@ -55,7 +55,7 @@ from .errors import (
     refuse_where,
 )
 from .gates import MIN_BLOCK_T, check_transmits, factored_run
-from .hyperstate import PhotonSpec, pair_vectors, photon_vectors
+from .hyperstate import PhotonSpec, pair_vectors
 from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 
 # Photons one chunk of a batched pass holds, over all its cavity points: a
@@ -134,8 +134,7 @@ REPORT_COLUMNS = ("g_ratio", "ks_ratio", "abs_T", "efficiency",
 
 # The sweep's input photons, uniform in both degrees of freedom: one
 # 4-vector, read as the rows of as many photons as a point may take.
-_UNIFORM_ROWS = np.broadcast_to(photon_vectors([PhotonSpec.uniform()])[0],
-                                (MAX_TARGETS + 1, 4))
+_UNIFORM_ROWS = np.broadcast_to(PhotonSpec.uniform().vector, (MAX_TARGETS + 1, 4))
 
 
 def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:

@@ -378,6 +378,20 @@ class TestValidationAndDegeneracy:
         with pytest.raises(ValidationError, match=refusal):
             sample_shots(PhotonSpec.uniform(), targets(), cfg, 10)
 
+    @pytest.mark.parametrize("bad", [((1, 0), (1, 0)), None, "R,1",
+                                     np.full(4, 0.5 + 0j)],
+                             ids=["pairs", "none", "shorthand", "vector"])
+    def test_a_photon_that_is_not_a_spec_is_refused_by_index(self, bench_params, bad):
+        u = PhotonSpec.uniform()
+        cfg = GateConfig(params=bench_params, n_targets=3)
+        for control, targets, index in [(bad, [u, u, u], 0), (u, [u, bad, u], 2),
+                                        (u, [u, u, bad], 3)]:
+            refusal = f"^photon {index} is not a PhotonSpec$"
+            with pytest.raises(ValidationError, match=refusal):
+                hyper_cnot_n(control, targets, cfg)
+            with pytest.raises(ValidationError, match=refusal):
+                ideal_hyper_cnot_n(control, targets)
+
 
 class TestShotSampling:
     def test_counts_close(self, bench_params):

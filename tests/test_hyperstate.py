@@ -1,5 +1,8 @@
 """Sparse dual-DOF state container: packing, single-DOF ops, fidelity."""
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -91,6 +94,120 @@ class TestPhotonSpec:
             PhotonSpec(pol=(bad, 0), spatial=(1, 0))
         with pytest.raises(ValidationError, match=r"spatial pair .* past the float range"):
             PhotonSpec(pol=(1, 0), spatial=(0, bad))
+
+
+    @pytest.mark.parametrize("pol, spatial, refusal", [
+        (0.5, 0, "pol must be an int >= 0, got 0.5"),
+        ("1", 0, "pol must be an int >= 0, got '1'"),
+        (True, 1, "pol must be an int >= 0, got True"),
+        (2, 0, "pol must be <= 1, got 2"),
+        (-1, 0, "pol must be an int >= 0, got -1"),
+        (0, np.float64(1.0), "spatial must be an int >= 0, got "),
+        (0, np.bool_(True), "spatial must be an int >= 0, got "),
+        (Pol.L, 3, "spatial must be <= 1, got 3"),
+    ])
+    def test_basis_refuses_what_is_not_a_bit(self, pol, spatial, refusal):
+        # int() would take each of these: 0.5 gave R, "1" gave L, and 2 a
+        # pair of squared norm 5
+        with pytest.raises(ValidationError, match=re.escape(refusal)):
+            PhotonSpec.basis(pol, spatial)
+
+    def test_basis_accepts_numpy_ints_and_the_bit_enums(self):
+        for pol, spatial in [(np.int64(1), np.uint8(0)), (Pol.L, Spatial.M1), (1, 0)]:
+            spec = PhotonSpec.basis(pol, spatial)
+            assert spec.pol == (0j, 1 + 0j) and spec.spatial == (1 + 0j, 0j)
+
+
+def _signed_zero_specs():
+    """Specs whose vectors hold signed zeros and sign mixes of zeros."""
+    out = []
+    for pol in [(1, -0.0), (-0.0, 1), (complex(-0.0, -0.0), -1), (SQ2, complex(-0.0, SQ2))]:
+        for spatial in [(-1, 0.0), (complex(0.0, -0.0), 1j), (-SQ2, -SQ2)]:
+            out.append(PhotonSpec(pol=pol, spatial=spatial))
+    return out
+
+
+class TestCarriedVector:
+    """A PhotonSpec carries its 4-vector; ``photon_vectors`` stacks them."""
+
+    def test_photon_vectors_match_pair_vectors_to_the_byte(self):
+        from hypercnot.cli import parse_photon_spec
+        rng = np.random.default_rng(29)
+        specs = [PhotonSpec(pol=_random_pair(rng), spatial=_random_pair(rng))
+                 for _ in range(1500)]
+        specs += [parse_photon_spec(f"{p},{m}") for p in "RL+" for m in "12+"]
+        specs += [PhotonSpec.basis(p, m) for p in (0, 1) for m in (0, 1)]
+        specs += [PhotonSpec.uniform(), *_signed_zero_specs()]
+        pairs = np.array([(spec.pol, spec.spatial) for spec in specs])
+        x = hyperstate.photon_vectors(specs)
+        expected = hyperstate.pair_vectors(pairs)
+        assert x.shape == expected.shape == (len(specs), 4)
+        assert x.dtype == expected.dtype == np.complex128
+        assert x.tobytes() == expected.tobytes()
+        for spec, row in zip(specs, expected):
+            assert spec.vector.tobytes() == row.tobytes()
+
+    def test_the_vector_is_read_only_and_the_stack_is_fresh(self):
+        spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
+        before = spec.vector.copy()
+        with pytest.raises(ValueError):
+            spec.vector[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.vector = before
+        x = hyperstate.photon_vectors([spec, spec])
+        x[0, 0] = 7.0
+        assert x.flags.writeable
+        assert spec.vector.tobytes() == before.tobytes()
+
+    def test_no_photons_stack_to_an_empty_array(self):
+        x = hyperstate.photon_vectors([])
+        assert x.shape == (0, 4) and x.dtype == np.complex128
+
+    def test_basis_and_uniform_are_shared(self):
+        assert PhotonSpec.basis(1, 0) is PhotonSpec.basis(Pol.L, Spatial.M1)
+        assert PhotonSpec.basis(np.int64(0), 1) is PhotonSpec.basis(Pol.R, Spatial.M2)
+        assert PhotonSpec.uniform() is PhotonSpec.uniform()
+        assert len({id(PhotonSpec.basis(p, m)) for p in (0, 1) for m in (0, 1)}) == 4
+
+    def test_a_subclass_gets_its_own_instances(self):
+        class Tagged(PhotonSpec):
+            pass
+
+        for make in (lambda cls: cls.basis(1, 1), lambda cls: cls.uniform()):
+            a, b = make(Tagged), make(Tagged)
+            assert type(a) is Tagged and a is not b
+            assert a.vector.tobytes() == make(PhotonSpec).vector.tobytes()
+
+    def test_the_dataclass_surface_is_unchanged(self):
+        spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(1, 0))
+        twin = PhotonSpec(pol=[0.6, 0.8j], spatial=[1.0, 0.0])
+        assert [f.name for f in dataclasses.fields(spec)] == ["pol", "spatial"]
+        assert dataclasses.astuple(spec) == ((0.6 + 0j, 0.8j), (1 + 0j, 0j))
+        assert spec == twin and spec is not twin and hash(spec) == hash(twin)
+        assert spec != PhotonSpec(pol=(0.6, 0.8j), spatial=(0, 1))
+        assert repr(spec) == ("PhotonSpec(pol=((0.6+0j), 0.8j), "
+                              "spatial=((1+0j), 0j))")
+        moved = dataclasses.replace(spec, spatial=(0, 1))
+        assert moved.spatial == (0j, 1 + 0j)
+        assert moved.vector.tobytes() == hyperstate.pair_vectors(
+            np.array([(moved.pol, moved.spatial)])).tobytes()
+
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_a_clone_rebuilds_its_vector(self, clone):
+        for spec in (PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2)), PhotonSpec.uniform()):
+            other = clone(spec)
+            assert other == spec and repr(other) == repr(spec)
+            assert other.vector.tobytes() == spec.vector.tobytes()
+            assert not other.vector.flags.writeable
+
+    def test_a_pickle_holds_the_pairs_alone(self):
+        # the payload is the two fields' dict, as before the vector was carried
+        data = pickle.dumps(PhotonSpec.uniform())
+        assert b"numpy" not in data
+        state = PhotonSpec.uniform().__reduce_ex__(2)[2]
+        assert state == {"pol": (SQ2 + 0j, SQ2 + 0j), "spatial": (SQ2 + 0j, SQ2 + 0j)}
 
 
 class TestLabels:
