@@ -22,8 +22,8 @@ hypercnot verify --n-cases 20 --seed 1 --n-targets 3 --mirror-override 1
 hypercnot sample --control +,+ --target +,+ --target +,+ --target +,+ \
   --target +,+ --target +,+ --target +,+ --target +,+ --target +,+ --target +,+ \
   --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
-# mixed shorthand photons: each shorthand state is one shared spec, whose
-# carried 4-vector the gate stacks (R,+ twice)
+# mixed shorthand photons, each parsed to a new spec: the gate builds their
+# 4-vectors in one batch and each spec keeps its row (R,+ twice)
 hypercnot sample --control R,+ --target +,2 --target L,1 --target R,+ \
   --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
 hypercnot run --control +,+ --target +,+ --format json --g 3.3 --kappa-s 0.1 --gamma 0.1

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import functools
 import json
 import math
 import os
@@ -82,13 +81,6 @@ def _parse_pair_list(text: str, field: str) -> tuple[complex, complex]:
     return (c0, c1)
 
 
-@functools.cache
-def _shorthand_spec(pol: tuple[float, float], spatial: tuple[float, float]) -> PhotonSpec:
-    """One shared spec per shorthand state (a1, b1 and 1 name one state), so
-    a repeated shorthand builds its photon vector once."""
-    return PhotonSpec(pol=pol, spatial=spatial)
-
-
 def parse_photon_spec(text: str, field: str = "photon") -> PhotonSpec:
     """Parse a CLI photon spec (see module docstring for the grammar)."""
     text = text.strip()
@@ -123,7 +115,7 @@ def parse_photon_spec(text: str, field: str = "photon") -> PhotonSpec:
         raise ValidationError(f"{field}: unknown polarization {pol_tok!r}")
     if spat_tok not in _SPAT_SHORTHAND:
         raise ValidationError(f"{field}: unknown spatial mode {spat_tok!r}")
-    return _shorthand_spec(_POL_SHORTHAND[pol_tok], _SPAT_SHORTHAND[spat_tok])
+    return PhotonSpec(pol=_POL_SHORTHAND[pol_tok], spatial=_SPAT_SHORTHAND[spat_tok])
 
 
 def parse_axis(text: str, name: str) -> tuple[float, ...]:

@@ -41,11 +41,13 @@ stacked rows, in time linear in the photons.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 
 import numpy as np
 
@@ -99,12 +101,14 @@ class PhotonSpec:
     two numbers (see ``errors.check_number``), normalized within NORM_TOL.
 
     A spec carries its 4-vector, ``vector``, entry k = p + 2m holding
-    spatial[m] * pol[p], as a read-only complex array built once when the
-    spec is made (about 3 us of its construction), so a gate only stacks
-    the vectors of its photons (``photon_vectors``). ``vector`` is not a
-    dataclass field: ``fields``, ``==``, ``hash``, ``repr``, ``replace``
-    and pickling see the two pairs only. ``basis`` and ``uniform`` return
-    one shared instance per state (a subclass gets a new one per call)."""
+    spatial[m] * pol[p]: a read-only complex array, built on its first use
+    (by ``photon_vectors``, which builds those of a gate's new photons in
+    one batch) and kept. So a spec reused across gate calls is converted
+    once, and making a spec costs no more than it did before specs carried
+    vectors. ``vector`` is not a dataclass field: ``fields``, ``==``,
+    ``hash``, ``repr``, ``replace`` and pickling see the two pairs only.
+    ``basis`` and ``uniform`` return one shared instance per state and
+    class."""
 
     pol: tuple[complex, complex]
     spatial: tuple[complex, complex]
@@ -125,25 +129,23 @@ class PhotonSpec:
             if abs(nrm - 1.0) > NORM_TOL:
                 raise ValidationError(
                     f"{name} pair {pair} has squared norm {nrm:.12g}, expected 1")
-        self._set_vector()
 
-    def _set_vector(self) -> None:
-        # spatial times pol, the operand order of ``pair_vectors``, which
-        # gives the same bits
-        vector = (np.array(self.spatial)[:, None] * np.array(self.pol)).ravel()
-        vector.flags.writeable = False
-        object.__setattr__(self, "vector", vector)
+    # the built vector, kept in the instance's dict; not a dataclass field
+    _vector = None
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The photon's read-only 4-vector, built on first use and kept."""
+        if self._vector is None:
+            _build_vectors([self])
+        return self._vector
 
     def __getstate__(self) -> dict:
-        # a pickle or a copy holds the fields alone: the vector is rebuilt
-        # on loading, read-only
+        # a pickle or a copy holds the fields alone; a clone builds its own
+        # vector, read-only, on its first use
         state = dict(self.__dict__)
-        del state["vector"]
+        state.pop("_vector", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._set_vector()
 
     @classmethod
     def basis(cls, pol: Pol, spatial: Spatial) -> "PhotonSpec":
@@ -153,28 +155,19 @@ class PhotonSpec:
         them, is refused."""
         p = check_count(pol, "pol", 1, low=0)
         m = check_count(spatial, "spatial", 1, low=0)
-        return cls._shared(p + 2 * m, (1 - p, p), (1 - m, m))
+        return cls._shared((1 - p, p), (1 - m, m))
 
     @classmethod
     def uniform(cls) -> "PhotonSpec":
         """Uniform superposition in both degrees of freedom."""
         h = (_SQRT_HALF, _SQRT_HALF)
-        return cls._shared("uniform", h, h)
+        return cls._shared(h, h)
 
     @classmethod
-    def _shared(cls, key, pol, spatial) -> "PhotonSpec":
-        """The base class's one instance of a fixed state, built on its
-        first request; a subclass gets a new instance per call."""
-        if cls is not PhotonSpec:
-            return cls(pol=pol, spatial=spatial)
-        spec = _SHARED.get(key)
-        if spec is None:
-            spec = _SHARED[key] = cls(pol=pol, spatial=spatial)
-        return spec
-
-
-# The shared PhotonSpecs of ``basis`` (keyed by k = p + 2m) and ``uniform``.
-_SHARED: dict[int | str, PhotonSpec] = {}
+    @functools.cache
+    def _shared(cls, pol, spatial) -> "PhotonSpec":
+        # one instance per (class, state), built on its first request
+        return cls(pol=pol, spatial=spatial)
 
 
 def pol_mask(photon: int) -> int:
@@ -445,14 +438,36 @@ def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
     """(P, 4) array of the photons' 4-vectors, entry k = p + 2m holding the
     amplitude of polarization bit p and spatial bit m: the rows each
     ``PhotonSpec`` carries (``PhotonSpec.vector``), stacked into a fresh
-    array. A photon that is not a ``PhotonSpec`` is refused, naming its
-    index."""
-    vectors = []
-    for spec in photons:
+    array, after building in one batch those not built yet. A photon that
+    is not a ``PhotonSpec`` is refused, naming its index."""
+    rows, new = [], []
+    for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
-            raise ValidationError(f"photon {len(vectors)} is not a PhotonSpec")
-        vectors.append(spec.vector)
-    return np.array(vectors) if vectors else np.empty((0, 4), complex)
+            raise ValidationError(f"photon {i} is not a PhotonSpec")
+        row = spec._vector
+        if row is None:
+            new.append(spec)
+        rows.append(row)
+    if len(new) == len(rows):   # none built yet, or no photons
+        return _build_vectors(new)
+    if new:
+        _build_vectors(new)
+        rows = [spec._vector for spec in photons]
+    return np.array(rows)
+
+
+def _build_vectors(specs: Sequence[PhotonSpec]) -> np.ndarray:
+    """The specs' (P, 4) vectors, ``pair_vectors`` of one flat stream of
+    their pairs' numbers (numpy reads it faster than a list, and far faster
+    than nested tuples); each spec keeps its row of a read-only copy."""
+    pairs = np.fromiter(chain.from_iterable(spec.pol + spec.spatial for spec in specs),
+                        complex, 4 * len(specs))
+    vectors = pair_vectors(pairs.reshape(len(specs), 2, 2))
+    kept = vectors.copy()
+    kept.flags.writeable = False
+    for spec, row in zip(specs, kept):
+        spec.__dict__["_vector"] = row   # past the frozen __setattr__
+    return vectors
 
 
 def pair_vectors(pairs: np.ndarray) -> np.ndarray:

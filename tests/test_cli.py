@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercnot import PhotonSpec, ValidationError, load_report
+from hypercnot import ValidationError, load_report
 from hypercnot.analysis import MAX_GRID_POINTS
 from hypercnot.cli import main, parse_axis, parse_photon_spec
 
@@ -36,15 +36,6 @@ class TestParsePhotonSpec:
         spec = parse_photon_spec("pol=R;spat=2")
         assert spec.pol == (1.0, 0.0)
         assert spec.spatial == (0.0, 1.0)
-
-    def test_one_shared_spec_per_shorthand_state(self):
-        specs = {(p, m): parse_photon_spec(f"{p},{m}") for p in "RL+" for m in "12+"}
-        assert len({id(spec) for spec in specs.values()}) == 9
-        for p in "RL":
-            for m in "12":
-                assert parse_photon_spec(f" {p} , a{m}") is specs[p, m]
-                assert parse_photon_spec(f"{p},b{m}") is specs[p, m]
-        assert parse_photon_spec("+,+") == PhotonSpec.uniform()
 
     @pytest.mark.parametrize("text", [
         "X,1",            # unknown polarization

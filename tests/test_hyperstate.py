@@ -138,6 +138,9 @@ class TestCarriedVector:
         specs += [parse_photon_spec(f"{p},{m}") for p in "RL+" for m in "12+"]
         specs += [PhotonSpec.basis(p, m) for p in (0, 1) for m in (0, 1)]
         specs += [PhotonSpec.uniform(), *_signed_zero_specs()]
+        # a third built alone, on reading the vector, the rest in the batch
+        for spec in specs[::3]:
+            assert not spec.vector.flags.writeable
         pairs = np.array([(spec.pol, spec.spatial) for spec in specs])
         x = hyperstate.photon_vectors(specs)
         expected = hyperstate.pair_vectors(pairs)
@@ -146,18 +149,36 @@ class TestCarriedVector:
         assert x.tobytes() == expected.tobytes()
         for spec, row in zip(specs, expected):
             assert spec.vector.tobytes() == row.tobytes()
+        assert hyperstate.photon_vectors(specs).tobytes() == x.tobytes()
+
+    def test_a_new_spec_builds_its_vector_on_first_use(self):
+        # construction costs what it did before specs carried vectors; the
+        # first gate or read builds the vector, and later ones reuse it
+        spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
+        assert "_vector" not in vars(spec)
+        hyperstate.photon_vectors([spec])
+        first = spec.vector
+        hyperstate.photon_vectors([spec, PhotonSpec.uniform()])
+        assert spec.vector is first
 
     def test_the_vector_is_read_only_and_the_stack_is_fresh(self):
-        spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
-        before = spec.vector.copy()
-        with pytest.raises(ValueError):
-            spec.vector[0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            spec.vector = before
-        x = hyperstate.photon_vectors([spec, spec])
-        x[0, 0] = 7.0
-        assert x.flags.writeable
-        assert spec.vector.tobytes() == before.tobytes()
+        for build in (lambda spec: spec.vector, lambda spec: hyperstate.photon_vectors([spec])):
+            spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
+            build(spec)
+            before = spec.vector.copy()
+            with pytest.raises(ValueError):
+                spec.vector[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spec.vector = before
+            # no writeable array holds the vector's memory
+            base = spec.vector.base
+            assert base is None or not base.flags.writeable
+            with pytest.raises(ValueError):
+                np.asarray(base if base is not None else spec.vector)[...] = 0
+            x = hyperstate.photon_vectors([spec, spec])
+            x[0, 0] = 7.0
+            assert x.flags.writeable
+            assert spec.vector.tobytes() == before.tobytes()
 
     def test_no_photons_stack_to_an_empty_array(self):
         x = hyperstate.photon_vectors([])
@@ -175,7 +196,7 @@ class TestCarriedVector:
 
         for make in (lambda cls: cls.basis(1, 1), lambda cls: cls.uniform()):
             a, b = make(Tagged), make(Tagged)
-            assert type(a) is Tagged and a is not b
+            assert type(a) is Tagged and a is b and a is not make(PhotonSpec)
             assert a.vector.tobytes() == make(PhotonSpec).vector.tobytes()
 
     def test_the_dataclass_surface_is_unchanged(self):
