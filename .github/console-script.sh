@@ -26,6 +26,11 @@ hypercnot sample --control +,+ --target +,+ --target +,+ --target +,+ \
 # 4-vectors in one batch and each spec keeps its row (R,+ twice)
 hypercnot sample --control R,+ --target +,2 --target L,1 --target R,+ \
   --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
+# repeated shorthand targets on an unbalanced mirror: the gate stacks the
+# kept vectors and weights as joined bytes, and the spectral target path
+# reads the kept weights
+hypercnot sample --control +,2 --target R,+ --target R,+ --target L,1 --target R,+ \
+  --mirror-override 0.9 --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
 hypercnot run --control +,+ --target +,+ --format json --g 3.3 --kappa-s 0.1 --gamma 0.1
 hypercnot truth-table --g 3.3 --kappa-s 0.1 --gamma 0.1
 hypercnot truth-table --g 3.3 --kappa-s 0.1 --gamma 0.1 --mirror-override 0.9

@@ -55,7 +55,7 @@ from .errors import (
     refuse_where,
 )
 from .gates import MIN_BLOCK_T, check_transmits, factored_run
-from .hyperstate import PhotonSpec, pair_vectors
+from .hyperstate import PhotonSpec, pair_vectors, photon_weights
 from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 
 # Photons one chunk of a batched pass holds, over all its cavity points: a
@@ -133,8 +133,14 @@ REPORT_COLUMNS = ("g_ratio", "ks_ratio", "abs_T", "efficiency",
                   "success_prob", "fidelity")
 
 # The sweep's input photons, uniform in both degrees of freedom: one
-# 4-vector, read as the rows of as many photons as a point may take.
-_UNIFORM_ROWS = np.broadcast_to(PhotonSpec.uniform().vector, (MAX_TARGETS + 1, 4))
+# 4-vector, read as the rows of as many photons as a point may take, and
+# the weights that photon keeps as the control and as a target, the latter
+# read as the rows of as many targets.
+_UNIFORM = PhotonSpec.uniform()
+_UNIFORM_ROWS = np.broadcast_to(_UNIFORM.vector, (MAX_TARGETS + 1, 4))
+_UNIFORM_CONTROL_WEIGHTS = np.frombuffer(_UNIFORM._control_weights).reshape(1, 4)
+_UNIFORM_TARGET_WEIGHTS = np.broadcast_to(np.frombuffer(_UNIFORM._target_weights),
+                                          (MAX_TARGETS, 4))
 
 
 def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
@@ -162,7 +168,9 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
         fid = np.zeros(len(g))
         live = abs_t >= MIN_BLOCK_T
         if np.count_nonzero(live):
-            run = factored_run(BlockCoeffs(D=bc.D[live], T=T[live]), None, x)
+            # the weights, stacked for the call alone, are freed with it
+            run = factored_run(BlockCoeffs(D=bc.D[live], T=T[live]), None, x, np.concatenate(
+                (_UNIFORM_CONTROL_WEIGHTS, _UNIFORM_TARGET_WEIGHTS[:n])))
             success[live] = run.success
             # the overlap reads only the factors: the stage ledger behind
             # clicks and absorbed, which the sweep never reads, goes first
@@ -257,7 +265,7 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
         mag = check_transmits(bc.T)
         x = pair_vectors(_hopf_pairs(u[:, 5:].reshape(stop - start, n_targets + 1, 2, 3)))
         del u   # not read again: freed before the gate
-        run = factored_run(bc, mirror_scale, x)
+        run = factored_run(bc, mirror_scale, x, photon_weights(x))
         refuse_where(run.success == 0.0, run.success, AmplitudeLostError,
                      "all amplitude lost: nothing left to measure")
         fid = run.truth_fidelity()

@@ -51,17 +51,21 @@ a batch's (B, 1, 1) view of the control row's last column, so both give
 numpy's product with x_i.
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums of a photon's four weights
-|v_k|^2, computed with the photons stacked on one numpy axis. The Hadamards
-of every target are one contraction with the fixed matrix K (``np.einsum``,
-as is the spectral K (F[0] o K x_i)), and the ledger is another: the
-weights times a 4 x 6 table per cavity point, whose columns give each photon
+|v_k|^2, v what it holds as it enters its polarization stage: x_0 for the
+control and K x_i for a target. Those weights depend on the photon alone,
+so ``factored_run`` receives them (``hyperstate.photon_weights``, the one
+weight computation, which each ``PhotonSpec`` applies once to itself and
+keeps, and which the batched passes apply to their photons). The kernel
+forms K x_i only for the spectral K (F[0] o K x_i) of an unbalanced mirror
+(``np.einsum`` with the fixed matrix K). Its ledger is one contraction, of
+the weights with a 4 x 6 table per cavity point, whose columns give each photon
 its own polarization and spatial clicks, its polarization and spatial
 absorbed masses, its kept mass and its entered mass. Each table entry is a
 polarization-bit factor times a spatial-bit factor, taken from the stage's
 ``circuit.branch_fractions`` (what a branch clicks, absorbs and keeps) and
 ones; those fractions come from the figures that ``circuit.check_stage``
 takes and checks once per run. One running product of the kept masses and one of the entered masses
-then scale the first four columns into the stage masses, in place. Neither
+then scale the first four columns into the stage masses, in place. No
 contraction calls BLAS, and the ledger takes no per-photon temporary beyond
 its (photon, column) table.
 
@@ -134,7 +138,9 @@ from .hyperstate import (
     Spatial,
     Spin,
     fidelity,
+    _K,
     _ratio,
+    gate_inputs,
     photon_rows,
     photon_vectors,
 )
@@ -254,11 +260,6 @@ def _check_targets(targets: Sequence[PhotonSpec], cfg: GateConfig) -> None:
         raise ValidationError(f"got {n} target specs but n_targets={cfg.n_targets}")
 
 
-# The target's Hadamards K = H (x) H on entry k = p + 2m: row j holds
-# (-1)^(j.k) / 2, complex so that einsum casts nothing. A product with 1/2 is
-# exact, so K keeps a basis vector's norm exactly.
-_K = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
-                    dtype=complex)
 # The ledger's 4 x 6 coefficient table. Entry [k, column] is a
 # polarization-bit factor times a spatial-bit factor, each read with ``take``
 # from eight values indexed 2 * kind + branch bit: kinds 0, 1 and 2 are the
@@ -321,14 +322,15 @@ class FactoredRun(NamedTuple):
         return _ratio(rows, self.x).prod(axis=-1)
 
 
-def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
-    """The gate on photon vectors x (``hyperstate.photon_vectors``) in
+def factored_run(bc, mirror_scale, x: np.ndarray, w: np.ndarray) -> FactoredRun:
+    """The gate on photon vectors x and their weights w
+    (``hyperstate.gate_inputs``, or ``hyperstate.photon_weights`` of x) in
     factored form. bc's fields and mirror_scale (``GateConfig.mirror_scale``;
     None: a balanced mirror) are numbers for one cavity point, or arrays of
-    shape (B,) for a batch of B points, with x of shape (P, 4) or (B, P, 4).
-    The caller has checked that every block transmits (``check_transmits``).
-    Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
-    transmission |mirror_scale * T| above 1 among them."""
+    shape (B,) for a batch of B points, with x and w of shape (P, 4) or
+    (B, P, 4). The caller has checked that every block transmits
+    (``check_transmits``). Refuses what ``circuit.check_stage`` refuses, at
+    any point: a mirror transmission |mirror_scale * T| above 1 among them."""
     tm, gm, d2, t2 = check_stage(bc, mirror_scale)
     T = bc.T
     # F[..., 0, k] = f(m, 0) f(p, 0) on k = p + 2m, f(0, 0) = tm the mirror's
@@ -336,7 +338,6 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     # point too: Python's complex multiply rounds differently), on a leading
     # axis that the transpose moves to the back, behind a batch axis
     control = (np.array((tm, tm, T, T)) * np.array((tm, T, tm, T))).T
-    v = np.einsum("...k,jk->...j", x, _K)
     # u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i); a balanced mirror makes
     # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit, T^2 the
     # first operand: one point's number as it is, a batch's as a (B, 1, 1)
@@ -344,18 +345,16 @@ def factored_run(bc, mirror_scale, x: np.ndarray) -> FactoredRun:
     if mirror_scale is None:
         u = (control[:, 3, None, None] if control.ndim > 1 else T * T) * x[..., 1:, :]
     else:
-        u = np.einsum("...k,jk->...j", control[..., None, :] * v[..., 1:, :], _K)
-    v[..., 0, :] = x[..., 0, :]                # the control enters its stages as it came
+        u = np.einsum("...k,jk->...j",
+                      control[..., None, :] * np.einsum("...k,jk->...j", x[..., 1:, :], _K),
+                      _K)
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
     # kept and the input norms of the photons after it. Its own are its
-    # weights w[..., photon, k] = |v|^2 as it enters its polarization stage,
-    # contracted with the point's table (``_COLUMNS``); the batch axis comes
-    # from the table, as w lacks it when every point has the same photons.
+    # weights w[..., photon, k], contracted with the point's table
+    # (``_COLUMNS``); the batch axis comes from the table, as w lacks it when
+    # every point has the same photons.
     n = x.shape[-2]
-    w = np.abs(v)
-    del v   # not read again: freed before the ledger
-    w *= w
     fractions = branch_fractions(gm, d2, t2)
     one = fractions[0] + 1.0   # the mirror never clicks: a 1 of the figures' shape
     factors = np.array((*fractions, one, one)).T   # [..., 2 * kind + branch bit]
@@ -388,8 +387,8 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     _check_targets(targets, cfg)
     bc = cavity_block_coeffs(cfg.params)
     check_transmits(bc.T)
-    x = photon_vectors([control, *targets])
-    run = factored_run(bc, cfg.mirror_scale, x)
+    x, w = gate_inputs([control, *targets])
+    run = factored_run(bc, cfg.mirror_scale, x, w)
     success = float(run.success)
     if success == 0.0:
         raise AmplitudeLostError("all amplitude lost: nothing left to measure")

@@ -29,6 +29,13 @@ corrected branch state. The expander holds the one count
 against MAX_AMPLITUDES, made before anything is built; a Hadamard on a
 caller-built state checks its own output.
 
+Beside its vector a spec keeps the gate kernel's other per-photon input,
+its weights as the gate's control and as a target (``photon_weights``, the
+one weight computation, which the batched passes of ``analysis`` also
+call). ``gate_inputs`` stacks a gate's vectors and weights by joining the
+bytes the specs keep, and the kernel (``gates.factored_run``) receives
+them.
+
 The last two are ``FactoredState``s: a sum over the control photon's basis
 index c of product states, c's coefficient times one 4-vector per further
 photon with its bits flipped by c (a state of bond dimension 4, Vidal,
@@ -102,11 +109,14 @@ class PhotonSpec:
 
     A spec carries its 4-vector, ``vector``, entry k = p + 2m holding
     spatial[m] * pol[p]: a read-only complex array, built on its first use
-    (by ``photon_vectors``, which builds those of a gate's new photons in
-    one batch) and kept. So a spec reused across gate calls is converted
-    once, and making a spec costs no more than it did before specs carried
-    vectors. ``vector`` is not a dataclass field: ``fields``, ``==``,
-    ``hash``, ``repr``, ``replace`` and pickling see the two pairs only.
+    (by ``photon_vectors`` or ``gate_inputs``, which build those of a
+    gate's new photons in one batch) and kept. In the same batch it keeps
+    the gate kernel's other input, its two read-only weight rows
+    (``photon_weights``): |x|^2 for the gate's control and |K x|^2 for a
+    target. So a spec reused across gate calls is converted once, and
+    making a spec costs no more than it did before specs carried vectors.
+    The kept rows are no dataclass fields: ``fields``, ``==``, ``hash``,
+    ``repr``, ``replace``, copies and pickles see the two pairs only.
     ``basis`` and ``uniform`` return one shared instance per state and
     class."""
 
@@ -130,22 +140,21 @@ class PhotonSpec:
                 raise ValidationError(
                     f"{name} pair {pair} has squared norm {nrm:.12g}, expected 1")
 
-    # the built vector, kept in the instance's dict; not a dataclass field
-    _vector = None
+    # the kept rows, in the instance's dict once built; no dataclass fields
+    _vector = _vector_bytes = _control_weights = _target_weights = None
 
     @property
     def vector(self) -> np.ndarray:
         """The photon's read-only 4-vector, built on first use and kept."""
         if self._vector is None:
-            _build_vectors([self])
+            _build_rows([self])
         return self._vector
 
     def __getstate__(self) -> dict:
         # a pickle or a copy holds the fields alone; a clone builds its own
-        # vector, read-only, on its first use
-        state = dict(self.__dict__)
-        state.pop("_vector", None)
-        return state
+        # rows, read-only, on its first use
+        return {name: value for name, value in self.__dict__.items()
+                if name not in _KEPT_ROWS}
 
     @classmethod
     def basis(cls, pol: Pol, spatial: Spatial) -> "PhotonSpec":
@@ -168,6 +177,10 @@ class PhotonSpec:
     def _shared(cls, pol, spatial) -> "PhotonSpec":
         # one instance per (class, state), built on its first request
         return cls(pol=pol, spatial=spatial)
+
+
+# The names under which a built PhotonSpec keeps its rows.
+_KEPT_ROWS = ("_vector", "_vector_bytes", "_control_weights", "_target_weights")
 
 
 def pol_mask(photon: int) -> int:
@@ -440,40 +453,92 @@ def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
     ``PhotonSpec`` carries (``PhotonSpec.vector``), stacked into a fresh
     array, after building in one batch those not built yet. A photon that
     is not a ``PhotonSpec`` is refused, naming its index."""
-    rows, new = [], []
+    return gate_inputs(photons)[0]
+
+
+def gate_inputs(photons: Sequence[PhotonSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """The gate kernel's inputs for the photons, the control first: their
+    vectors x, as ``photon_vectors`` stacks them, and their weights w
+    (``photon_weights``), photon 0's kept control row and each further
+    photon's kept target row, stacked alike. Both are fresh (P, 4) arrays
+    of one buffer."""
+    try:
+        data = _join_kept_rows(photons)
+    except TypeError:   # a photon not built yet: its rows are None
+        _build_rows([spec for spec in photons if spec._vector is None])
+        data = _join_kept_rows(photons)
+    # the rows' bytes are the bytes np.array(rows) would hold, in a fresh,
+    # writeable bytearray, whose allocation is aligned for numpy
+    n = len(photons)
+    return (np.frombuffer(data, complex, 4 * n).reshape(n, 4),
+            np.frombuffer(data, float, 4 * n, 64 * n).reshape(n, 4))
+
+
+def _join_kept_rows(photons) -> bytearray:
+    """The bytes the photons keep, joined in one pass over them: every
+    vector, then photon 0's control weights and each further photon's
+    target weights. A photon that is not a ``PhotonSpec`` is refused,
+    naming its index."""
+    rows, weights = [], []
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
-        row = spec._vector
-        if row is None:
-            new.append(spec)
-        rows.append(row)
-    if len(new) == len(rows):   # none built yet, or no photons
-        return _build_vectors(new)
-    if new:
-        _build_vectors(new)
-        rows = [spec._vector for spec in photons]
-    return np.array(rows)
+        rows.append(spec._vector_bytes)
+        weights.append(spec._target_weights)
+    if weights:
+        weights[0] = photons[0]._control_weights
+    return bytearray().join(rows + weights)
 
 
-def _build_vectors(specs: Sequence[PhotonSpec]) -> np.ndarray:
-    """The specs' (P, 4) vectors, ``pair_vectors`` of one flat stream of
-    their pairs' numbers (numpy reads it faster than a list, and far faster
-    than nested tuples); each spec keeps its row of a read-only copy."""
+def _build_rows(specs: Sequence[PhotonSpec]) -> None:
+    """Build the specs' kept rows: their (S, 4) vectors, ``pair_vectors``
+    of one flat stream of their pairs' numbers (numpy reads it faster than
+    a list, and far faster than nested tuples), and their weights, those of
+    each spec as the control and as the target of a two-photon gate
+    (``photon_weights``). Each spec keeps its vector as a row of a
+    read-only copy, and the bytes of its vector and of its two weight rows,
+    which a gate stacks."""
     pairs = np.fromiter(chain.from_iterable(spec.pol + spec.spatial for spec in specs),
                         complex, 4 * len(specs))
-    vectors = pair_vectors(pairs.reshape(len(specs), 2, 2))
-    kept = vectors.copy()
-    kept.flags.writeable = False
-    for spec, row in zip(specs, kept):
-        spec.__dict__["_vector"] = row   # past the frozen __setattr__
-    return vectors
+    n = len(specs)
+    vectors = pair_vectors(pairs.reshape(n, 2, 2))
+    weight_bytes = photon_weights(vectors.repeat(2, axis=0).reshape(n, 2, 4)).tobytes()
+    vectors = vectors.copy()   # the product's reshape is a view of it
+    vectors.flags.writeable = False
+    vector_bytes = vectors.tobytes()
+    for spec, row, i in zip(specs, vectors, range(0, 64 * n, 64)):
+        kept = spec.__dict__   # past the frozen __setattr__
+        kept["_vector"] = row
+        kept["_vector_bytes"] = vector_bytes[i:i + 64]
+        kept["_control_weights"] = weight_bytes[i:i + 32]
+        kept["_target_weights"] = weight_bytes[i + 32:i + 64]
 
 
 def pair_vectors(pairs: np.ndarray) -> np.ndarray:
     """(..., P, 4) photon 4-vectors from (..., P, 2, 2) coefficient pairs,
     indexed [photon, (pol, spatial), bit]; elementwise over leading axes."""
     return (pairs[..., 1, :, None] * pairs[..., 0, None, :]).reshape(pairs.shape[:-2] + (4,))
+
+
+# K = H (x) H, the Hadamards that wrap a target, on entry k = p + 2m: row j
+# holds (-1)^(j.k) / 2, complex so that einsum casts nothing. A product with
+# 1/2 is exact, so K keeps a basis vector's norm exactly.
+_K = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+                    dtype=complex)
+
+
+def photon_weights(x: np.ndarray) -> np.ndarray:
+    """The gate's weights of photon vectors x[..., photon, k], the control
+    first: what each photon holds as it enters its polarization stage,
+    squared entry by entry. That is |x|^2 for the control, which enters as
+    it came, and |K x|^2 for a target, wrapped in its Hadamards K. A fresh
+    float array of x's shape; the one weight computation of the gate, on
+    a point's photons as on a batch's."""
+    v = np.einsum("...k,jk->...j", x, _K)
+    v[..., 0, :] = x[..., 0, :]
+    w = np.abs(v)
+    w *= w
+    return w
 
 
 def expand_products(terms, first: int, what: str) -> dict[int, complex]:

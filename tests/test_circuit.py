@@ -18,7 +18,7 @@ from hypercnot import (
     stage_spatial,
 )
 from hypercnot.gates import factored_run
-from hypercnot.hyperstate import photon_vectors, pol_mask, spatial_mask, spin_mask
+from hypercnot.hyperstate import gate_inputs, pol_mask, spatial_mask, spin_mask
 
 
 def _random_pair(rng):
@@ -68,7 +68,7 @@ class TestMirror:
             stage_spatial(state, 0, bc)
         assert state.amplitudes == before
         with pytest.raises(ValidationError, match=r"exceeds 1 at mirror_scale 1$"):
-            factored_run(bc, None, photon_vectors([PhotonSpec.uniform()] * 2))
+            factored_run(bc, None, *gate_inputs([PhotonSpec.uniform()] * 2))
 
     def test_complex_transmission(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))

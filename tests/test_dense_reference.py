@@ -29,7 +29,7 @@ from hypercnot import (
     scatter_coeffs,
 )
 from hypercnot.gates import factored_run
-from hypercnot.hyperstate import photon_vectors
+from hypercnot.hyperstate import photon_vectors, photon_weights
 from hypercnot.scattering import ratio_coeffs
 
 TOL = 1e-12
@@ -177,7 +177,8 @@ def test_a_batch_of_points_matches_the_dense_replay(n, mirror, shared):
     scale = None if mirror == "balanced" else 0.8 * complex(math.cos(0.4), math.sin(0.4))
     photons = [_photons("random", n, rng) for _ in range(1 if shared else points)]
     x = np.stack([photon_vectors(p) for p in photons])
-    run = factored_run(bc, scale, x[0] if shared else x)
+    x = x[0] if shared else x
+    run = factored_run(bc, scale, x, photon_weights(x))
     assert run.success.shape == (points,)
     assert run.clicks.shape == run.absorbed.shape == (points, n + 1, 2)
     for b in range(points):

@@ -31,7 +31,7 @@ from hypercnot import (
 )
 from hypercnot.cli import main
 from hypercnot.gates import factored_run
-from hypercnot.hyperstate import FactoredState, photon_vectors, pol_mask
+from hypercnot.hyperstate import FactoredState, gate_inputs, pol_mask
 
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
 U = PhotonSpec.uniform()
@@ -166,7 +166,7 @@ def test_a_point_fidelity_is_the_runs_truth_fidelity():
         state = hyper_cnot_n(photons[0], photons[1:], cfg).conditional_state
         got = fidelity(state, ideal_hyper_cnot_n(photons[0], photons[1:]))
         bc = block_coeffs(scatter_coeffs(cfg.params))
-        run = factored_run(bc, cfg.mirror_scale, photon_vectors(photons))
+        run = factored_run(bc, cfg.mirror_scale, *gate_inputs(photons))
         assert got == run.truth_fidelity(), case
 
 

@@ -606,7 +606,7 @@ def test_the_kernel_ledger_matches_the_closed_forms_at_single_points():
         for scale in _KERNEL_MIRRORS:
             D, T = _random_block(rng)
             x = hyperstate.photon_vectors([random_photon_spec(rng) for _ in range(n + 1)])
-            run = factored_run(BlockCoeffs(D=D, T=T), scale, x)
+            run = factored_run(BlockCoeffs(D=D, T=T), scale, x, hyperstate.photon_weights(x))
             assert run.clicks.shape == run.absorbed.shape == (n + 1, 2)
             _assert_matches_reference(run.success, run.clicks, run.absorbed,
                                       _reference_ledger(D, T, scale, x.tolist()))
@@ -621,7 +621,8 @@ def test_the_kernel_ledger_matches_the_closed_forms_on_a_batch(shared, scale):
     n_photons = 4
     photons = [hyperstate.photon_vectors([random_photon_spec(rng) for _ in range(n_photons)])
                for _ in range(1 if shared else len(blocks))]
-    run = factored_run(BlockCoeffs(D=D, T=T), scale, photons[0] if shared else np.array(photons))
+    x = photons[0] if shared else np.array(photons)
+    run = factored_run(BlockCoeffs(D=D, T=T), scale, x, hyperstate.photon_weights(x))
     assert run.clicks.shape == run.absorbed.shape == (len(blocks), n_photons, 2)
     for b, (d, t) in enumerate(blocks):
         _assert_matches_reference(run.success[b], run.clicks[b], run.absorbed[b],
@@ -650,6 +651,7 @@ def test_the_kernel_peak_memory_per_photon(bench_params):
     pairs = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
     pairs /= np.sqrt((np.abs(pairs) ** 2).sum(axis=-1, keepdims=True))
     x = hyperstate.pair_vectors(pairs)
+    w = hyperstate.photon_weights(x)   # an input, as x is
     bc = block_coeffs(scatter_coeffs(bench_params))
     started = not tracemalloc.is_tracing()
     if started:
@@ -658,13 +660,42 @@ def test_the_kernel_peak_memory_per_photon(bench_params):
         for scale, per_photon in ((None, 264), (0.9, 320), (complex(0.8, 0.1), 320)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run = factored_run(bc, scale, x)
+            run = factored_run(bc, scale, x, w)
             peak = tracemalloc.get_traced_memory()[1] - base
             del run
             assert peak <= per_photon * n + 2**18, (scale, peak / n)
     finally:
         if started:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 10, 300])
+@pytest.mark.parametrize("scale", [None, complex(0.8, 0.3)],
+                         ids=["balanced", "complex_unbalanced"])
+def test_reused_specs_give_the_bits_of_fresh_ones(bench_params, n, scale):
+    # the property the carried rows rest on: rows a spec kept from another
+    # batch, another role or a read of its vector give a gate the bits of
+    # specs built fresh for it
+    rng = np.random.default_rng(n)
+    pairs = []
+    for i in range(n + 1):
+        spec = (random_photon_spec(rng), PhotonSpec.basis(i & 1, i >> 1 & 1),
+                PhotonSpec.uniform())[i % 3]
+        pairs.append((spec.pol, spec.spatial))
+
+    def fresh():
+        return [PhotonSpec(pol=pol, spatial=spatial) for pol, spatial in pairs]
+
+    reused = fresh()
+    reused[0].vector
+    cfg = GateConfig(params=bench_params, n_targets=n, mirror_scale=scale)
+    hyper_cnot_n(reused[-1], reused[-2::-1], cfg)
+    runs = []
+    for specs in (fresh(), reused, reused):
+        out = hyper_cnot_n(specs[0], specs[1:], cfg)
+        runs.append((out.success_prob.hex(), out.clicks.tobytes(), out.absorbed.tobytes(),
+                     *(a.tobytes() for a in out.conditional_state.factors)))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_single_target_wrapper_matches_the_general_gate(bench_config):

@@ -127,17 +127,28 @@ def _signed_zero_specs():
     return out
 
 
+def _carried_specs(seed):
+    """Random, CLI shorthand, basis, uniform and signed-zero specs."""
+    from hypercnot.cli import parse_photon_spec
+    rng = np.random.default_rng(seed)
+    specs = [PhotonSpec(pol=_random_pair(rng), spatial=_random_pair(rng))
+             for _ in range(1500)]
+    specs += [parse_photon_spec(f"{p},{m}") for p in "RL+" for m in "12+"]
+    specs += [PhotonSpec.basis(p, m) for p in (0, 1) for m in (0, 1)]
+    return specs + [PhotonSpec.uniform(), *_signed_zero_specs()]
+
+
+def _assert_a_fresh_stack(a, dtype, rows):
+    assert a.shape == (rows, 4) and a.dtype == dtype
+    assert a.flags.writeable and a.flags.c_contiguous and a.flags.aligned
+
+
 class TestCarriedVector:
-    """A PhotonSpec carries its 4-vector; ``photon_vectors`` stacks them."""
+    """A PhotonSpec carries its 4-vector and its two weight rows;
+    ``photon_vectors`` and ``gate_inputs`` stack them."""
 
     def test_photon_vectors_match_pair_vectors_to_the_byte(self):
-        from hypercnot.cli import parse_photon_spec
-        rng = np.random.default_rng(29)
-        specs = [PhotonSpec(pol=_random_pair(rng), spatial=_random_pair(rng))
-                 for _ in range(1500)]
-        specs += [parse_photon_spec(f"{p},{m}") for p in "RL+" for m in "12+"]
-        specs += [PhotonSpec.basis(p, m) for p in (0, 1) for m in (0, 1)]
-        specs += [PhotonSpec.uniform(), *_signed_zero_specs()]
+        specs = _carried_specs(29)
         # a third built alone, on reading the vector, the rest in the batch
         for spec in specs[::3]:
             assert not spec.vector.flags.writeable
@@ -150,6 +161,52 @@ class TestCarriedVector:
         for spec, row in zip(specs, expected):
             assert spec.vector.tobytes() == row.tobytes()
         assert hyperstate.photon_vectors(specs).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("alone", [True, False], ids=["read_vector", "gate_batch"])
+    def test_the_kept_weights_are_the_weight_function_of_the_vectors(self, alone):
+        # each spec's rows, built alone on reading its vector or in one
+        # gate's batch, are photon_weights of the stacked vectors: a
+        # photon's |x|^2 as the control and |K x|^2 as a target of a gate
+        specs = _carried_specs(30)
+        if alone:
+            for spec in specs:
+                spec.vector
+        x, w = hyperstate.gate_inputs(specs)
+        assert x.tobytes() == np.array([spec.vector for spec in specs]).tobytes()
+        both = hyperstate.photon_weights(np.stack((x, x), axis=1))
+        for spec, (control, target) in zip(specs, both):
+            assert spec._control_weights == control.tobytes()
+            assert spec._target_weights == target.tobytes()
+            # the rows are immutable bytes, read as read-only arrays
+            for row in (spec._vector_bytes, spec._control_weights, spec._target_weights):
+                assert type(row) is bytes
+                assert not np.frombuffer(row).flags.writeable
+        # the gate's stack: photon 0's control row, then the targets' rows,
+        # each the weight function of the gate's own stacked vectors
+        assert w.tobytes() == both[0, 0].tobytes() + both[1:, 1].tobytes()
+        assert w.tobytes() == hyperstate.photon_weights(x).tobytes()
+        # against the weights written out: |x|^2 and |K x|^2
+        k = 0.5 * np.array([[(-1) ** bin(j & i).count("1") for i in range(4)]
+                            for j in range(4)])
+        np.testing.assert_array_equal(both[:, 0], np.abs(x) ** 2)
+        np.testing.assert_allclose(both[:, 1], np.abs(x @ k.T) ** 2, rtol=0, atol=1e-15)
+
+    def test_the_gate_stacks_are_fresh(self):
+        specs = _carried_specs(31)[::97]
+        x, w = hyperstate.gate_inputs(specs)
+        _assert_a_fresh_stack(x, np.complex128, len(specs))
+        _assert_a_fresh_stack(w, np.float64, len(specs))
+        kept = [(spec.vector.tobytes(), spec._vector_bytes, spec._control_weights,
+                 spec._target_weights) for spec in specs]
+        expected = x.tobytes(), w.tobytes()
+        x[...] = 7.0
+        w[...] = 7.0
+        assert kept == [(spec.vector.tobytes(), spec._vector_bytes, spec._control_weights,
+                         spec._target_weights) for spec in specs]
+        assert tuple(a.tobytes() for a in hyperstate.gate_inputs(specs)) == expected
+        _assert_a_fresh_stack(hyperstate.photon_vectors(specs), np.complex128, len(specs))
+        for a, dtype in zip(hyperstate.gate_inputs([]), (np.complex128, np.float64)):
+            _assert_a_fresh_stack(a, dtype, 0)
 
     def test_a_new_spec_builds_its_vector_on_first_use(self):
         # construction costs what it did before specs carried vectors; the
@@ -229,6 +286,17 @@ class TestCarriedVector:
         assert b"numpy" not in data
         state = PhotonSpec.uniform().__reduce_ex__(2)[2]
         assert state == {"pol": (SQ2 + 0j, SQ2 + 0j), "spatial": (SQ2 + 0j, SQ2 + 0j)}
+        # a built spec pickles to the bytes of one never built, and its
+        # copies hold no kept row
+        pairs = dict(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
+        built = PhotonSpec(**pairs)
+        hyperstate.gate_inputs([built, built])
+        assert set(hyperstate._KEPT_ROWS) <= set(vars(built))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert (pickle.dumps(built, protocol)
+                    == pickle.dumps(PhotonSpec(**pairs), protocol)), protocol
+        for clone in (copy.copy(built), copy.deepcopy(built)):
+            assert list(vars(clone)) == ["pol", "spatial"]
 
 
 class TestLabels:
