@@ -23,14 +23,26 @@ hypercnot sample --control +,+ --target +,+ --target +,+ --target +,+ \
   --target +,+ --target +,+ --target +,+ --target +,+ --target +,+ --target +,+ \
   --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
 # mixed shorthand photons, each parsed to a new spec: the gate builds their
-# 4-vectors in one batch and each spec keeps its row (R,+ twice)
+# role rows in one batch and each spec keeps its two (R,+ twice)
 hypercnot sample --control R,+ --target +,2 --target L,1 --target R,+ \
   --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
-# repeated shorthand targets on an unbalanced mirror: the gate stacks the
-# kept vectors and weights as joined bytes, and the spectral target path
-# reads the kept weights
+# repeated shorthand targets on an unbalanced mirror: the gate joins the
+# control's control row and the targets' target rows, and the spectral
+# target path reads the vectors as a strided complex view of that join
 hypercnot sample --control +,2 --target R,+ --target R,+ --target L,1 --target R,+ \
   --mirror-override 0.9 --shots 1000 --seed 1 --g 3.3 --kappa-s 0.1 --gamma 0.1
+# a pickled-and-loaded and a deep-copied built spec carry its role rows as
+# bytes: a gate on each gives the bits of the gate on the original
+python -c "import copy, pickle, hypercnot as h
+spec = h.PhotonSpec(pol=(0.6, 0.8j), spatial=(0.8, -0.6j))
+cfg = h.GateConfig(h.CavityParams(g=3.3, kappa=1, kappa_s=0.1, gamma=0.1), n_targets=2,
+                   mirror_scale=0.9)
+def gate(s):
+    out = h.hyper_cnot_n(s, [s, h.PhotonSpec.uniform()], cfg)
+    return out.success_prob, out.clicks.tobytes()
+want = gate(spec)
+for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+    assert gate(clone) == want"
 hypercnot run --control +,+ --target +,+ --format json --g 3.3 --kappa-s 0.1 --gamma 0.1
 hypercnot truth-table --g 3.3 --kappa-s 0.1 --gamma 0.1
 hypercnot truth-table --g 3.3 --kappa-s 0.1 --gamma 0.1 --mirror-override 0.9

@@ -55,7 +55,7 @@ from .errors import (
     refuse_where,
 )
 from .gates import MIN_BLOCK_T, check_transmits, factored_run
-from .hyperstate import PhotonSpec, pair_vectors, photon_weights
+from .hyperstate import PhotonSpec, gate_inputs, pair_vectors, photon_weights
 from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 
 # Photons one chunk of a batched pass holds, over all its cavity points: a
@@ -132,15 +132,13 @@ class SweepRow(NamedTuple):
 REPORT_COLUMNS = ("g_ratio", "ks_ratio", "abs_T", "efficiency",
                   "success_prob", "fidelity")
 
-# The sweep's input photons, uniform in both degrees of freedom: one
-# 4-vector, read as the rows of as many photons as a point may take, and
-# the weights that photon keeps as the control and as a target, the latter
-# read as the rows of as many targets.
-_UNIFORM = PhotonSpec.uniform()
-_UNIFORM_ROWS = np.broadcast_to(_UNIFORM.vector, (MAX_TARGETS + 1, 4))
-_UNIFORM_CONTROL_WEIGHTS = np.frombuffer(_UNIFORM._control_weights).reshape(1, 4)
-_UNIFORM_TARGET_WEIGHTS = np.broadcast_to(np.frombuffer(_UNIFORM._target_weights),
-                                          (MAX_TARGETS, 4))
+# The sweep's input photons, uniform in both degrees of freedom: the inputs
+# of a two-photon gate on them, the vector read as the rows of as many
+# photons as a point may take and the target weights as the rows of as many
+# targets.
+_UNIFORM_X, _UNIFORM_W = gate_inputs([PhotonSpec.uniform()] * 2)
+_UNIFORM_ROWS = np.broadcast_to(_UNIFORM_X[1], (MAX_TARGETS + 1, 4))
+_UNIFORM_TARGET_WEIGHTS = np.broadcast_to(_UNIFORM_W[1], (MAX_TARGETS, 4))
 
 
 def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
@@ -170,7 +168,7 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
         if np.count_nonzero(live):
             # the weights, stacked for the call alone, are freed with it
             run = factored_run(BlockCoeffs(D=bc.D[live], T=T[live]), None, x, np.concatenate(
-                (_UNIFORM_CONTROL_WEIGHTS, _UNIFORM_TARGET_WEIGHTS[:n])))
+                (_UNIFORM_W[:1], _UNIFORM_TARGET_WEIGHTS[:n])))
             success[live] = run.success
             # the overlap reads only the factors: the stage ledger behind
             # clicks and absorbed, which the sweep never reads, goes first

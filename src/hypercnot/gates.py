@@ -54,8 +54,11 @@ stage's masses are products of per-photon sums of a photon's four weights
 |v_k|^2, v what it holds as it enters its polarization stage: x_0 for the
 control and K x_i for a target. Those weights depend on the photon alone,
 so ``factored_run`` receives them (``hyperstate.photon_weights``, the one
-weight computation, which each ``PhotonSpec`` applies once to itself and
-keeps, and which the batched passes apply to their photons). The kernel
+weight computation, which each ``PhotonSpec`` applies once to itself in
+both roles and keeps, and which the batched passes apply to their photons).
+A gate's vectors and weights arrive as two strided views of one buffer
+(``hyperstate.gate_inputs``); the kernel gives the bits on them that it
+gives on C-ordered copies. The kernel
 forms K x_i only for the spectral K (F[0] o K x_i) of an unbalanced mirror
 (``np.einsum`` with the fixed matrix K). Its ledger is one contraction, of
 the weights with a 4 x 6 table per cavity point, whose columns give each photon

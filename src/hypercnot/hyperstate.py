@@ -29,12 +29,13 @@ corrected branch state. The expander holds the one count
 against MAX_AMPLITUDES, made before anything is built; a Hadamard on a
 caller-built state checks its own output.
 
-Beside its vector a spec keeps the gate kernel's other per-photon input,
-its weights as the gate's control and as a target (``photon_weights``, the
-one weight computation, which the batched passes of ``analysis`` also
-call). ``gate_inputs`` stacks a gate's vectors and weights by joining the
-bytes the specs keep, and the kernel (``gates.factored_run``) receives
-them.
+A spec keeps the gate kernel's per-photon input as two rows of bytes, one
+per role a photon plays in the gate: its vector, then its weights as the
+control or as a target (``photon_weights``, the one weight computation,
+which the batched passes of ``analysis`` also call). ``gate_inputs`` joins
+photon 0's control row and every further photon's target row, and the
+kernel (``gates.factored_run``) receives the vectors and the weights as
+two views of that join. No other module knows the rows' layout.
 
 The last two are ``FactoredState``s: a sum over the control photon's basis
 index c of product states, c's coefficient times one 4-vector per further
@@ -107,18 +108,19 @@ class PhotonSpec:
     (mode 1, mode 2). Each pair must be a sequence (not a string) of exactly
     two numbers (see ``errors.check_number``), normalized within NORM_TOL.
 
-    A spec carries its 4-vector, ``vector``, entry k = p + 2m holding
-    spatial[m] * pol[p]: a read-only complex array, built on its first use
-    (by ``photon_vectors`` or ``gate_inputs``, which build those of a
-    gate's new photons in one batch) and kept. In the same batch it keeps
-    the gate kernel's other input, its two read-only weight rows
-    (``photon_weights``): |x|^2 for the gate's control and |K x|^2 for a
-    target. So a spec reused across gate calls is converted once, and
-    making a spec costs no more than it did before specs carried vectors.
-    The kept rows are no dataclass fields: ``fields``, ``==``, ``hash``,
-    ``repr``, ``replace``, copies and pickles see the two pairs only.
-    ``basis`` and ``uniform`` return one shared instance per state and
-    class."""
+    A spec keeps two rows of bytes, one per role it plays in a gate: the
+    bytes of its 4-vector x, entry k = p + 2m holding spatial[m] * pol[p],
+    then its weights in that role (``photon_weights``), |x|^2 as the
+    gate's control and |K x|^2 as a target. They are built on first use
+    (by ``vector``, ``photon_vectors`` or ``gate_inputs``, which build
+    those of a gate's new photons in one batch) and kept, so a spec reused
+    across gate calls is converted once, and making a spec costs no more
+    than it did before specs carried vectors. ``vector`` reads x from
+    them, read-only. The rows are no dataclass fields: ``fields``, ``==``,
+    ``hash``, ``repr`` and ``replace`` see the two pairs only. As
+    immutable bytes that depend on the pairs alone, they travel with a
+    copy or a pickle of a built spec. ``basis`` and ``uniform`` return one
+    shared instance per state and class."""
 
     pol: tuple[complex, complex]
     spatial: tuple[complex, complex]
@@ -140,21 +142,16 @@ class PhotonSpec:
                 raise ValidationError(
                     f"{name} pair {pair} has squared norm {nrm:.12g}, expected 1")
 
-    # the kept rows, in the instance's dict once built; no dataclass fields
-    _vector = _vector_bytes = _control_weights = _target_weights = None
+    # the two role rows, in the instance's dict once built; no dataclass fields
+    _control_row = _target_row = None
 
     @property
     def vector(self) -> np.ndarray:
-        """The photon's read-only 4-vector, built on first use and kept."""
-        if self._vector is None:
+        """The photon's read-only 4-vector, read from its rows, which are
+        built on first use."""
+        if self._target_row is None:
             _build_rows([self])
-        return self._vector
-
-    def __getstate__(self) -> dict:
-        # a pickle or a copy holds the fields alone; a clone builds its own
-        # rows, read-only, on its first use
-        return {name: value for name, value in self.__dict__.items()
-                if name not in _KEPT_ROWS}
+        return np.frombuffer(self._target_row, complex, 4)
 
     @classmethod
     def basis(cls, pol: Pol, spatial: Spatial) -> "PhotonSpec":
@@ -177,10 +174,6 @@ class PhotonSpec:
     def _shared(cls, pol, spatial) -> "PhotonSpec":
         # one instance per (class, state), built on its first request
         return cls(pol=pol, spatial=spatial)
-
-
-# The names under which a built PhotonSpec keeps its rows.
-_KEPT_ROWS = ("_vector", "_vector_bytes", "_control_weights", "_target_weights")
 
 
 def pol_mask(photon: int) -> int:
@@ -449,69 +442,54 @@ def init_state(photons: Sequence[PhotonSpec], spins: str = "plus") -> HyperState
 
 def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
     """(P, 4) array of the photons' 4-vectors, entry k = p + 2m holding the
-    amplitude of polarization bit p and spatial bit m: the rows each
-    ``PhotonSpec`` carries (``PhotonSpec.vector``), stacked into a fresh
-    array, after building in one batch those not built yet. A photon that
-    is not a ``PhotonSpec`` is refused, naming its index."""
+    amplitude of polarization bit p and spatial bit m (``PhotonSpec.vector``):
+    the vectors of ``gate_inputs``, a writeable view of a fresh buffer. A
+    photon that is not a ``PhotonSpec`` is refused, naming its index."""
     return gate_inputs(photons)[0]
 
 
 def gate_inputs(photons: Sequence[PhotonSpec]) -> tuple[np.ndarray, np.ndarray]:
     """The gate kernel's inputs for the photons, the control first: their
-    vectors x, as ``photon_vectors`` stacks them, and their weights w
-    (``photon_weights``), photon 0's kept control row and each further
-    photon's kept target row, stacked alike. Both are fresh (P, 4) arrays
-    of one buffer."""
-    try:
-        data = _join_kept_rows(photons)
-    except TypeError:   # a photon not built yet: its rows are None
-        _build_rows([spec for spec in photons if spec._vector is None])
-        data = _join_kept_rows(photons)
-    # the rows' bytes are the bytes np.array(rows) would hold, in a fresh,
-    # writeable bytearray, whose allocation is aligned for numpy
-    n = len(photons)
-    return (np.frombuffer(data, complex, 4 * n).reshape(n, 4),
-            np.frombuffer(data, float, 4 * n, 64 * n).reshape(n, 4))
-
-
-def _join_kept_rows(photons) -> bytearray:
-    """The bytes the photons keep, joined in one pass over them: every
-    vector, then photon 0's control weights and each further photon's
-    target weights. A photon that is not a ``PhotonSpec`` is refused,
-    naming its index."""
-    rows, weights = [], []
+    vectors x and their weights w (``photon_weights``), photon 0's as the
+    control and each further photon's as a target. Both are (P, 4) views of
+    one fresh, writeable buffer of (P, 12) floats, the join of photon 0's
+    control row and each further photon's target row; the rows of photons
+    that have none are built first, in one batch. A photon that is not a
+    ``PhotonSpec`` is refused, naming its index."""
+    rows = []
     for i, spec in enumerate(photons):
         if not isinstance(spec, PhotonSpec):
             raise ValidationError(f"photon {i} is not a PhotonSpec")
-        rows.append(spec._vector_bytes)
-        weights.append(spec._target_weights)
-    if weights:
-        weights[0] = photons[0]._control_weights
-    return bytearray().join(rows + weights)
+        rows.append(spec._target_row)
+    if rows:
+        rows[0] = photons[0]._control_row
+    try:
+        # a bytearray's allocation is aligned for numpy
+        data = bytearray().join(rows)
+    except TypeError:   # a photon not built yet: its rows are None
+        _build_rows([spec for spec in photons if spec._target_row is None])
+        return gate_inputs(photons)
+    rows = np.frombuffer(data, float, 12 * len(rows)).reshape(-1, 12)
+    return rows[:, :8].view(complex), rows[:, 8:]
 
 
 def _build_rows(specs: Sequence[PhotonSpec]) -> None:
-    """Build the specs' kept rows: their (S, 4) vectors, ``pair_vectors``
+    """Build the specs' role rows: their (S, 4) vectors, ``pair_vectors``
     of one flat stream of their pairs' numbers (numpy reads it faster than
-    a list, and far faster than nested tuples), and their weights, those of
-    each spec as the control and as the target of a two-photon gate
-    (``photon_weights``). Each spec keeps its vector as a row of a
-    read-only copy, and the bytes of its vector and of its two weight rows,
-    which a gate stacks."""
-    pairs = np.fromiter(chain.from_iterable(spec.pol + spec.spatial for spec in specs),
-                        complex, 4 * len(specs))
+    a list, and far faster than nested tuples), each taken twice, as the
+    control and as the target of a two-photon gate, with its weights in
+    that role (``photon_weights``). Each spec keeps the bytes of its
+    vector followed by its weights, one row per role, which a gate
+    joins."""
     n = len(specs)
-    vectors = pair_vectors(pairs.reshape(n, 2, 2))
-    weight_bytes = photon_weights(vectors.repeat(2, axis=0).reshape(n, 2, 4)).tobytes()
-    vectors = vectors.copy()   # the product's reshape is a view of it
-    vectors.flags.writeable = False
-    vector_bytes = vectors.tobytes()
-    for spec, row, i in zip(specs, vectors, range(0, 64 * n, 64)):
+    pairs = np.fromiter(chain.from_iterable(spec.pol + spec.spatial for spec in specs),
+                        complex, 4 * n)
+    both = pair_vectors(pairs.reshape(n, 2, 2)).repeat(2, axis=0).reshape(n, 2, 4)
+    data = np.concatenate((both.view(float), photon_weights(both)), axis=-1).tobytes()
+    for spec, i in zip(specs, range(0, 192 * n, 192)):
         kept = spec.__dict__   # past the frozen __setattr__
-        kept["_vector"] = row
-        kept["_vector_bytes"] = vector_bytes[i:i + 64]
-        kept["_control_weights"] = weight_bytes[i:i + 32]
-        kept["_target_weights"] = weight_bytes[i + 32:i + 64]
+        kept["_control_row"] = data[i:i + 96]
+        kept["_target_row"] = data[i + 96:i + 192]
 
 
 def pair_vectors(pairs: np.ndarray) -> np.ndarray:

@@ -698,6 +698,29 @@ def test_reused_specs_give_the_bits_of_fresh_ones(bench_params, n, scale):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("n", [1, 10, 3000])
+@pytest.mark.parametrize("scale", [None, 0.9, 0.7 * np.exp(0.4j)],
+                         ids=["balanced", "real_unbalanced", "complex_unbalanced"])
+@pytest.mark.parametrize("kind", ["basis", "uniform", "random"])
+def test_the_kernel_reads_the_joined_views_as_c_ordered_copies(bench_params, n, scale, kind):
+    # gate_inputs hands the kernel x and w as strided views of one buffer of
+    # rows; numpy's sums can depend on memory layout, so the kernel must
+    # give the bits it gives on C-ordered copies of them
+    rng = np.random.default_rng(n)
+    make = {"basis": lambda: PhotonSpec.basis(*rng.integers(0, 2, 2)),
+            "uniform": PhotonSpec.uniform,
+            "random": lambda: random_photon_spec(rng)}[kind]
+    x, w = hyperstate.gate_inputs([make() for _ in range(n + 1)])
+    assert not x.flags.c_contiguous and not w.flags.c_contiguous
+    bc = block_coeffs(scatter_coeffs(bench_params))
+    views = factored_run(bc, scale, x, w)
+    copies = factored_run(bc, scale, np.ascontiguousarray(x), np.ascontiguousarray(w))
+    for a, b in zip((*views, views.truth_fidelity()), (*copies, copies.truth_fidelity())):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 def test_single_target_wrapper_matches_the_general_gate(bench_config):
     rng = np.random.default_rng(25)
     control, target = random_photon_spec(rng), random_photon_spec(rng)

@@ -138,14 +138,25 @@ def _carried_specs(seed):
     return specs + [PhotonSpec.uniform(), *_signed_zero_specs()]
 
 
-def _assert_a_fresh_stack(a, dtype, rows):
-    assert a.shape == (rows, 4) and a.dtype == dtype
-    assert a.flags.writeable and a.flags.c_contiguous and a.flags.aligned
+def _assert_views_of_one_fresh_buffer(x, w, specs):
+    """x and w are writeable (P, 4) views of one buffer of 96-byte rows, a
+    row's vector bytes then its weights, that no spec's memory shares."""
+    n = len(specs)
+    assert x.shape == w.shape == (n, 4)
+    assert x.dtype == np.complex128 and w.dtype == np.float64
+    for a in (x, w):
+        assert a.flags.writeable and a.flags.aligned and not a.flags.owndata
+        assert a.strides[0] == 96
+    assert w.__array_interface__["data"][0] == x.__array_interface__["data"][0] + 64
+    for spec in specs:
+        assert not np.shares_memory(x, spec.vector)
+        assert not np.shares_memory(w, spec.vector)
 
 
 class TestCarriedVector:
-    """A PhotonSpec carries its 4-vector and its two weight rows;
-    ``photon_vectors`` and ``gate_inputs`` stack them."""
+    """A PhotonSpec keeps two role rows, each the bytes of its 4-vector
+    followed by its weights as the gate's control or as a target;
+    ``photon_vectors`` and ``gate_inputs`` join them."""
 
     def test_photon_vectors_match_pair_vectors_to_the_byte(self):
         specs = _carried_specs(29)
@@ -162,61 +173,68 @@ class TestCarriedVector:
             assert spec.vector.tobytes() == row.tobytes()
         assert hyperstate.photon_vectors(specs).tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("alone", [True, False], ids=["read_vector", "gate_batch"])
-    def test_the_kept_weights_are_the_weight_function_of_the_vectors(self, alone):
-        # each spec's rows, built alone on reading its vector or in one
-        # gate's batch, are photon_weights of the stacked vectors: a
-        # photon's |x|^2 as the control and |K x|^2 as a target of a gate
+    @pytest.mark.parametrize("built", ["alone", "new", "mixed"])
+    def test_the_role_rows_are_the_vector_and_weight_functions(self, built):
+        # each spec's rows, built alone on reading its vector, in one gate's
+        # batch of new specs, or in a batch of built and new ones, are the
+        # bytes of pair_vectors of its pairs and of photon_weights of that
+        # vector taken twice: a photon's |x|^2 as the control and |K x|^2
+        # as a target of a gate
         specs = _carried_specs(30)
-        if alone:
-            for spec in specs:
-                spec.vector
+        for spec in {"alone": specs, "new": [], "mixed": specs[::2]}[built]:
+            spec.vector
         x, w = hyperstate.gate_inputs(specs)
-        assert x.tobytes() == np.array([spec.vector for spec in specs]).tobytes()
-        both = hyperstate.photon_weights(np.stack((x, x), axis=1))
-        for spec, (control, target) in zip(specs, both):
-            assert spec._control_weights == control.tobytes()
-            assert spec._target_weights == target.tobytes()
-            # the rows are immutable bytes, read as read-only arrays
-            for row in (spec._vector_bytes, spec._control_weights, spec._target_weights):
-                assert type(row) is bytes
-                assert not np.frombuffer(row).flags.writeable
-        # the gate's stack: photon 0's control row, then the targets' rows,
-        # each the weight function of the gate's own stacked vectors
+        pairs = np.array([(spec.pol, spec.spatial) for spec in specs])
+        vectors = hyperstate.pair_vectors(pairs)
+        both = hyperstate.photon_weights(np.stack((vectors, vectors), axis=1))
+        for spec, vector, (control, target) in zip(specs, vectors, both):
+            assert type(spec._control_row) is bytes and type(spec._target_row) is bytes
+            assert spec._control_row == vector.tobytes() + control.tobytes()
+            assert spec._target_row == vector.tobytes() + target.tobytes()
+        # the gate's join: every vector, photon 0's control weights, then the
+        # targets' weights, each the weight function of the stacked vectors
+        assert x.tobytes() == vectors.tobytes()
         assert w.tobytes() == both[0, 0].tobytes() + both[1:, 1].tobytes()
-        assert w.tobytes() == hyperstate.photon_weights(x).tobytes()
+        assert w.tobytes() == hyperstate.photon_weights(vectors).tobytes()
         # against the weights written out: |x|^2 and |K x|^2
         k = 0.5 * np.array([[(-1) ** bin(j & i).count("1") for i in range(4)]
                             for j in range(4)])
-        np.testing.assert_array_equal(both[:, 0], np.abs(x) ** 2)
-        np.testing.assert_allclose(both[:, 1], np.abs(x @ k.T) ** 2, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(both[:, 0], np.abs(vectors) ** 2)
+        np.testing.assert_allclose(both[:, 1], np.abs(vectors @ k.T) ** 2, rtol=0, atol=1e-15)
 
-    def test_the_gate_stacks_are_fresh(self):
+    def test_the_gate_inputs_are_views_of_one_fresh_buffer(self):
         specs = _carried_specs(31)[::97]
         x, w = hyperstate.gate_inputs(specs)
-        _assert_a_fresh_stack(x, np.complex128, len(specs))
-        _assert_a_fresh_stack(w, np.float64, len(specs))
-        kept = [(spec.vector.tobytes(), spec._vector_bytes, spec._control_weights,
-                 spec._target_weights) for spec in specs]
+        _assert_views_of_one_fresh_buffer(x, w, specs)
+        rows = [(spec._control_row, spec._target_row) for spec in specs]
         expected = x.tobytes(), w.tobytes()
+        # a write to one view leaves the other, and every spec, as it was
         x[...] = 7.0
+        assert w.tobytes() == expected[1]
         w[...] = 7.0
-        assert kept == [(spec.vector.tobytes(), spec._vector_bytes, spec._control_weights,
-                         spec._target_weights) for spec in specs]
-        assert tuple(a.tobytes() for a in hyperstate.gate_inputs(specs)) == expected
-        _assert_a_fresh_stack(hyperstate.photon_vectors(specs), np.complex128, len(specs))
-        for a, dtype in zip(hyperstate.gate_inputs([]), (np.complex128, np.float64)):
-            _assert_a_fresh_stack(a, dtype, 0)
+        assert rows == [(spec._control_row, spec._target_row) for spec in specs]
+        again = hyperstate.gate_inputs(specs)
+        assert tuple(a.tobytes() for a in again) == expected
+        _assert_views_of_one_fresh_buffer(*again, specs)
+        assert not np.shares_memory(again[0], x) and not np.shares_memory(again[1], w)
 
-    def test_a_new_spec_builds_its_vector_on_first_use(self):
+    def test_no_photons_give_empty_inputs(self):
+        x, w = hyperstate.gate_inputs([])
+        assert x.shape == w.shape == (0, 4)
+        assert x.dtype == np.complex128 and w.dtype == np.float64
+        x = hyperstate.photon_vectors([])
+        assert x.shape == (0, 4) and x.dtype == np.complex128
+
+    def test_a_new_spec_builds_its_rows_on_first_use(self):
         # construction costs what it did before specs carried vectors; the
-        # first gate or read builds the vector, and later ones reuse it
+        # first gate or read builds the rows, and later ones reuse them
         spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
-        assert "_vector" not in vars(spec)
+        assert "_control_row" not in vars(spec) and "_target_row" not in vars(spec)
         hyperstate.photon_vectors([spec])
-        first = spec.vector
+        rows = spec._control_row, spec._target_row
         hyperstate.photon_vectors([spec, PhotonSpec.uniform()])
-        assert spec.vector is first
+        spec.vector
+        assert spec._control_row is rows[0] and spec._target_row is rows[1]
 
     def test_the_vector_is_read_only_and_the_stack_is_fresh(self):
         for build in (lambda spec: spec.vector, lambda spec: hyperstate.photon_vectors([spec])):
@@ -227,19 +245,13 @@ class TestCarriedVector:
                 spec.vector[0] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 spec.vector = before
-            # no writeable array holds the vector's memory
-            base = spec.vector.base
-            assert base is None or not base.flags.writeable
+            # no array over the vector's memory can be made writeable
             with pytest.raises(ValueError):
-                np.asarray(base if base is not None else spec.vector)[...] = 0
+                spec.vector.flags.writeable = True
             x = hyperstate.photon_vectors([spec, spec])
             x[0, 0] = 7.0
             assert x.flags.writeable
             assert spec.vector.tobytes() == before.tobytes()
-
-    def test_no_photons_stack_to_an_empty_array(self):
-        x = hyperstate.photon_vectors([])
-        assert x.shape == (0, 4) and x.dtype == np.complex128
 
     def test_basis_and_uniform_are_shared(self):
         assert PhotonSpec.basis(1, 0) is PhotonSpec.basis(Pol.L, Spatial.M1)
@@ -259,44 +271,57 @@ class TestCarriedVector:
     def test_the_dataclass_surface_is_unchanged(self):
         spec = PhotonSpec(pol=(0.6, 0.8j), spatial=(1, 0))
         twin = PhotonSpec(pol=[0.6, 0.8j], spatial=[1.0, 0.0])
+        twin.vector   # built rows take no part in ==, hash or repr
         assert [f.name for f in dataclasses.fields(spec)] == ["pol", "spatial"]
         assert dataclasses.astuple(spec) == ((0.6 + 0j, 0.8j), (1 + 0j, 0j))
         assert spec == twin and spec is not twin and hash(spec) == hash(twin)
         assert spec != PhotonSpec(pol=(0.6, 0.8j), spatial=(0, 1))
-        assert repr(spec) == ("PhotonSpec(pol=((0.6+0j), 0.8j), "
-                              "spatial=((1+0j), 0j))")
+        assert repr(spec) == repr(twin) == ("PhotonSpec(pol=((0.6+0j), 0.8j), "
+                                            "spatial=((1+0j), 0j))")
         moved = dataclasses.replace(spec, spatial=(0, 1))
         assert moved.spatial == (0j, 1 + 0j)
         assert moved.vector.tobytes() == hyperstate.pair_vectors(
             np.array([(moved.pol, moved.spatial)])).tobytes()
 
     @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)),
-                                       copy.copy, copy.deepcopy],
-                             ids=["pickle", "copy", "deepcopy"])
-    def test_a_clone_rebuilds_its_vector(self, clone):
+                                       copy.copy, copy.deepcopy, dataclasses.replace],
+                             ids=["pickle", "copy", "deepcopy", "replace"])
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "new"])
+    def test_a_clone_gives_the_gate_of_its_original_to_the_byte(self, clone, built,
+                                                                  bench_params):
+        from hypercnot import GateConfig, hyper_cnot_n
+
+        def gate(control, target):
+            out = hyper_cnot_n(control, [target, target], cfg)
+            return (out.success_prob, out.clicks.tobytes(), out.absorbed.tobytes(),
+                    tuple(f.tobytes() for f in out.conditional_state.factors))
+
+        cfg = GateConfig(bench_params, n_targets=2, mirror_scale=0.7 * np.exp(0.4j))
         for spec in (PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2)), PhotonSpec.uniform()):
+            if built:
+                spec.vector
             other = clone(spec)
             assert other == spec and repr(other) == repr(spec)
+            assert gate(other, other) == gate(spec, spec)
             assert other.vector.tobytes() == spec.vector.tobytes()
             assert not other.vector.flags.writeable
 
-    def test_a_pickle_holds_the_pairs_alone(self):
-        # the payload is the two fields' dict, as before the vector was carried
-        data = pickle.dumps(PhotonSpec.uniform())
-        assert b"numpy" not in data
-        state = PhotonSpec.uniform().__reduce_ex__(2)[2]
-        assert state == {"pol": (SQ2 + 0j, SQ2 + 0j), "spatial": (SQ2 + 0j, SQ2 + 0j)}
-        # a built spec pickles to the bytes of one never built, and its
-        # copies hold no kept row
-        pairs = dict(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
-        built = PhotonSpec(**pairs)
+    def test_a_pickle_holds_the_pairs_and_the_built_rows_as_bytes(self):
+        # a spec never built pickles its two fields alone; a built one adds
+        # its two rows, as bytes: no payload holds a numpy object
+        state = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2)).__reduce_ex__(2)[2]
+        assert state == {"pol": (0.6 + 0j, 0.8j), "spatial": (SQ2 + 0j, -SQ2 + 0j)}
+        built = PhotonSpec(pol=(0.6, 0.8j), spatial=(SQ2, -SQ2))
         hyperstate.gate_inputs([built, built])
-        assert set(hyperstate._KEPT_ROWS) <= set(vars(built))
+        state = built.__reduce_ex__(2)[2]
+        assert sorted(state) == ["_control_row", "_target_row", "pol", "spatial"]
+        assert type(state["_control_row"]) is bytes and type(state["_target_row"]) is bytes
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert (pickle.dumps(built, protocol)
-                    == pickle.dumps(PhotonSpec(**pairs), protocol)), protocol
-        for clone in (copy.copy(built), copy.deepcopy(built)):
-            assert list(vars(clone)) == ["pol", "spatial"]
+            data = pickle.dumps(built, protocol)
+            assert b"numpy" not in data, protocol
+            other = pickle.loads(data)
+            assert (other._control_row, other._target_row) == (built._control_row,
+                                                               built._target_row)
 
 
 class TestLabels:
