@@ -58,10 +58,18 @@ status=0
 hypercnot verify --n-cases 5 --seed 11 --mirror-override 0.9 || status=$?
 test "$status" -eq 1
 # so is a mirror far weaker than the block, on a batch of three-target cases
-# (the spectral target path and per-point ledger tables, warnings as errors)
+# (per-point ledger tables and the fidelity from the weights, warnings as
+# errors)
 status=0
 hypercnot verify --n-cases 20 --seed 2 --n-targets 3 --mirror-override 1e-6 || status=$?
 test "$status" -eq 1
+# and on many ten-target cases
+status=0
+hypercnot verify --n-cases 2000 --n-targets 10 --mirror-override 0.9 || status=$?
+test "$status" -eq 1
+# the fidelity from the weights at 1000 targets: both rows keep a nonzero
+# success, so their fidelity is computed
+hypercnot sweep --g-ratio 1,3 --ks-ratio 0.1 --n-targets 1000
 # a mirror with gain is refused as invalid input (exit 2), naming the scale
 status=0
 hypercnot run --control +,+ --target +,+ --g 3.3 --kappa-s 0.1 --gamma 0.1 \

@@ -13,12 +13,15 @@ cavity points at once: the coefficients come from ``scattering.ratio_coeffs``
 as numpy arrays, one entry per point (they agree with the single-point
 coefficients to about 4e-16, and the block's T is exactly 0 at g = 0 on
 both paths), and the fidelity with the truth rule from
-``FactoredRun.truth_fidelity``, the overlap kernel that ``fidelity`` also
-uses on a single point's factored states, so no point builds a CavityParams,
-a GateConfig or an amplitude dict. Each pass works through its points in
-chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory does not grow
-with the grid or the number of cases. A grid or scan is refused where the
-single-point path would refuse any of its points.
+``FactoredRun.truth_fidelity``, which takes each photon's overlap ratio from
+its weights and the run's ledger (the ``gates`` docstring's three
+identities). So the passes hand the kernel the photons' weights alone, and
+no point builds a photon vector, an output vector, a CavityParams, a
+GateConfig or an amplitude dict. The fidelity agrees with ``fidelity`` of a
+single point's states to rounding, not to the bit. Each pass works through
+its points in chunks of at most ``_CHUNK_PHOTONS`` photons, so its memory
+does not grow with the grid or the number of cases. A grid or scan is
+refused where the single-point path would refuse any of its points.
 
 The scan draws every case of a chunk in one call, ``rng.random((cases,
 5 + 6 (N + 1)))``: each case reads 5 + 6 (N + 1) uniforms in order, its five
@@ -62,7 +65,7 @@ from .scattering import BlockCoeffs, block_coeffs, efficiency, ratio_coeffs
 # point of N targets takes N + 1, and a chunk holds at least one point.
 _CHUNK_PHOTONS = 4096
 # Most targets a sweep point or scan case may take: memory grows with them,
-# to a peak RSS of about 0.20 GB for one sweep point and 0.26 GB for one scan
+# to a peak RSS of about 0.13 GB for one sweep point and 0.23 GB for one scan
 # case at 10^6 (numpy 2.4).
 MAX_TARGETS = 10**6
 # Most points a sweep grid may hold: a sweep keeps one report row per point,
@@ -132,12 +135,10 @@ class SweepRow(NamedTuple):
 REPORT_COLUMNS = ("g_ratio", "ks_ratio", "abs_T", "efficiency",
                   "success_prob", "fidelity")
 
-# The sweep's input photons, uniform in both degrees of freedom: the inputs
-# of a two-photon gate on them, the vector read as the rows of as many
-# photons as a point may take and the target weights as the rows of as many
-# targets.
-_UNIFORM_X, _UNIFORM_W = gate_inputs([PhotonSpec.uniform()] * 2)
-_UNIFORM_ROWS = np.broadcast_to(_UNIFORM_X[1], (MAX_TARGETS + 1, 4))
+# The sweep's input photons, uniform in both degrees of freedom: the weights
+# of a two-photon gate on them, the target's read as the rows of as many
+# targets as a point may take.
+_UNIFORM_W = gate_inputs([PhotonSpec.uniform()] * 2)[1]
 _UNIFORM_TARGET_WEIGHTS = np.broadcast_to(_UNIFORM_W[1], (MAX_TARGETS, 4))
 
 
@@ -150,7 +151,6 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
     coefficients are undefined (g = gamma = 0 on resonance) get 0.0 in every
     figure."""
     n = grid.n_targets
-    x = _UNIFORM_ROWS[:n + 1]
     g_axis = np.array(grid.g_ratios)
     ks_axis = np.array(grid.ks_ratios)
     rows = []
@@ -166,13 +166,9 @@ def sweep_efficiency(grid: SweepGrid) -> list[SweepRow]:
         fid = np.zeros(len(g))
         live = abs_t >= MIN_BLOCK_T
         if np.count_nonzero(live):
-            # the weights, stacked for the call alone, are freed with it
-            run = factored_run(BlockCoeffs(D=bc.D[live], T=T[live]), None, x, np.concatenate(
+            run = factored_run(BlockCoeffs(D=bc.D[live], T=T[live]), None, np.concatenate(
                 (_UNIFORM_W[:1], _UNIFORM_TARGET_WEIGHTS[:n])))
             success[live] = run.success
-            # the overlap reads only the factors: the stage ledger behind
-            # clicks and absorbed, which the sweep never reads, goes first
-            run = run._replace(clicks=None, absorbed=None)
             # where every amplitude is lost (success 0) there is no state
             with np.errstate(divide="ignore", invalid="ignore"):
                 fid[live] = np.where(run.success > 0.0, run.truth_fidelity(), 0.0)
@@ -261,9 +257,10 @@ def fidelity_scan(n_cases: int, seed: int, n_targets: int = 1,
                      "scattering denominator vanishes at a scanned point")
         bc = block_coeffs(coeffs)
         mag = check_transmits(bc.T)
-        x = pair_vectors(_hopf_pairs(u[:, 5:].reshape(stop - start, n_targets + 1, 2, 3)))
+        w = photon_weights(pair_vectors(
+            _hopf_pairs(u[:, 5:].reshape(stop - start, n_targets + 1, 2, 3))))
         del u   # not read again: freed before the gate
-        run = factored_run(bc, mirror_scale, x, photon_weights(x))
+        run = factored_run(bc, mirror_scale, w)
         refuse_where(run.success == 0.0, run.success, AmplitudeLostError,
                      "all amplitude lost: nothing left to measure")
         fid = run.truth_fidelity()

@@ -39,38 +39,35 @@ In that spectral form u_i = K (F[0] o K x_i), with K = H (x) H the
 target's Hadamards and o the entrywise product: no mirror and block terms
 cancel, so a mirror m far weaker than the block still gives a uniform target
 u_i = m^2 x_i. On a balanced mirror F[0] = T^2 and u_i = T^2 x_i is taken
-directly, to the bit (K K x_i is x_i only to rounding).
+directly, to the bit (K K x_i is x_i only to rounding), with Python's T * T
+as the first operand of numpy's product with x_i.
 The control row F[0, k] = f(m, 0) f(p, 0) is four products, (m m, m T, T m,
 T T) on k = 0..3, taken in one numpy multiply of (m, m, T, T) by (m, T, m, T)
 and transposed so that a batch axis comes first. On one point as on a batch
 they are numpy's products, the outer product of (m, T) with itself to the
 bit: Python's complex multiply rounds the last bit differently (numpy's
-fuses a multiply-add), and that bit reaches the fidelity. The balanced
-u_i = T^2 x_i keeps T^2 as the first operand: one point's Python T * T, or
-a batch's (B, 1, 1) view of the control row's last column, so both give
-numpy's product with x_i.
+fuses a multiply-add), and that bit reaches the output state.
 |F[sigma, k]| does not depend on sigma, so the success probability and every
 stage's masses are products of per-photon sums of a photon's four weights
-|v_k|^2, v what it holds as it enters its polarization stage: x_0 for the
-control and K x_i for a target. Those weights depend on the photon alone,
-so ``factored_run`` receives them (``hyperstate.photon_weights``, the one
-weight computation, which each ``PhotonSpec`` applies once to itself in
-both roles and keeps, and which the batched passes apply to their photons).
-A gate's vectors and weights arrive as two strided views of one buffer
-(``hyperstate.gate_inputs``); the kernel gives the bits on them that it
-gives on C-ordered copies. The kernel
-forms K x_i only for the spectral K (F[0] o K x_i) of an unbalanced mirror
-(``np.einsum`` with the fixed matrix K). Its ledger is one contraction, of
-the weights with a 4 x 6 table per cavity point, whose columns give each photon
-its own polarization and spatial clicks, its polarization and spatial
-absorbed masses, its kept mass and its entered mass. Each table entry is a
-polarization-bit factor times a spatial-bit factor, taken from the stage's
-``circuit.branch_fractions`` (what a branch clicks, absorbs and keeps) and
-ones; those fractions come from the figures that ``circuit.check_stage``
-takes and checks once per run. One running product of the kept masses and one of the entered masses
-then scale the first four columns into the stage masses, in place. No
-contraction calls BLAS, and the ledger takes no per-photon temporary beyond
-its (photon, column) table.
+w[k] = |v_k|^2, v what it holds as it enters its polarization stage: x_0
+for the control and K x_i for a target. Those weights depend on the photon
+alone, so ``factored_run`` receives them and no photon vectors
+(``hyperstate.photon_weights``, the one weight computation, which each
+``PhotonSpec`` applies once to itself in both roles and keeps, and which
+the batched passes apply to their photons). A gate's weights arrive as a
+strided view of one buffer (``hyperstate.gate_inputs``); the kernel gives
+the bits on it that it gives on a C-ordered copy. Its ledger is one
+contraction, of the weights with a 4 x 6 table per cavity point, whose
+columns give each photon its own polarization and spatial clicks, its
+polarization and spatial absorbed masses, its kept mass and its entered
+mass. Each table entry is a polarization-bit factor times a spatial-bit
+factor, taken from the stage's ``circuit.branch_fractions`` (what a branch
+clicks, absorbs and keeps) and ones; those fractions come from the figures
+that ``circuit.check_stage`` takes and checks once per run. One running
+product of the kept masses and one of the entered masses then scale the
+first four columns into the stage masses, in place; the last two stay the
+photon's own. No contraction calls BLAS, and the ledger takes no per-photon
+temporary beyond its (photon, column) table.
 
 ``factored_run`` is that computation, written over leading numpy axes: for
 one cavity point (``hyper_cnot_n``) its arrays have none, and for a batch of
@@ -78,10 +75,22 @@ points (``analysis.sweep_efficiency`` and ``fidelity_scan``) they have one,
 so one call runs the gate at every point of a chunk. The truth-rule state is
 the same kind of sum, sum_c x0_c |c> (x) X^c x_1 (x) ... (x) X^c x_N. The
 flips X^c are common to both states and no inner product sees them, so the
-fidelity is the control's overlap ratio times one ratio per target,
-|<u_i|x_i>|^2 / (|u_i|^2 |x_i|^2), all taken in one overlap of the photon
-rows stacked on one axis (``hyperstate.product_overlap``), for one point
-(``fidelity``) or a batch (``FactoredRun.truth_fidelity``).
+fidelity is a product of one ratio per photon j, |<u_j|x_j>|^2 /
+(|u_j|^2 |x_j|^2), with u_0 = F[0] o x_0 the control's output. Each term of
+that ratio is a contraction of the photon's weights w_j: K is real,
+symmetric and its own inverse, so
+
+  <u_j|x_j> = sum_k conj(F[0, k]) w_j[k],
+  |u_j|^2   = sum_k |F[0, k]|^2 w_j[k], the ledger's kept mass, and
+  |x_j|^2   = sum_k w_j[k], its entered mass.
+
+So a batch's fidelity (``FactoredRun.truth_fidelity``) is one contraction
+of the weights with conj(F[0]) and the ledger's last two columns: no
+batched pass builds a photon vector or an output vector. Only
+``hyper_cnot_n`` forms the u_i, for its output state; ``fidelity`` of one
+point's states takes the same ratios from their vectors
+(``hyperstate.product_overlap``), in other arithmetic, so the two agree to
+rounding.
 
 Only the corrected state's amplitudes grow with the output, and
 ``hyper_cnot_n`` does not write them: its four branches share one
@@ -142,9 +151,7 @@ from .hyperstate import (
     Spin,
     fidelity,
     _K,
-    _ratio,
     gate_inputs,
-    photon_rows,
     photon_vectors,
 )
 from .scattering import CavityParams, cavity_block_coeffs
@@ -293,21 +300,23 @@ class FactoredRun(NamedTuple):
     """The gate in factored form at one cavity point or, along a leading
     batch axis, at many. Arrays, over the same leading axes:
 
-      x         photon 4-vectors x[..., photon, k], the control first; when
-                every point has the same photons it may lack the batch axis
       control   what the control's two stages multiply its entry k by on
                 spin value 0, F[..., 0, k] = f(p, 0) f(m, 0)
-      u         target i's output u[..., i, k] = (K (control o K x_i))[k];
-                on the control's basis index c it leaves as X^c u_i
+      w         the photons' weights w[..., photon, k] the run was given,
+                the control first; when every point has the same photons
+                they may lack the batch axis
+      norms     each photon's kept and entered masses [..., photon, 0 | 1],
+                the squared norms |u|^2 and |x|^2 of what leaves and what
+                enters its stages: a view of the ledger's last two columns
       success   heralded-success probability (a float for one point)
       clicks    detector clicks [..., photon, stage], the polarization
                 stage first; absorbed is indexed alike. Both are views of
                 one [..., photon, column] ledger table, which they keep
                 alive
     """
-    x: np.ndarray
     control: np.ndarray
-    u: np.ndarray
+    w: np.ndarray
+    norms: np.ndarray
     success: np.ndarray
     clicks: np.ndarray
     absorbed: np.ndarray
@@ -315,25 +324,26 @@ class FactoredRun(NamedTuple):
     def truth_fidelity(self) -> np.ndarray:
         """Fidelity of the corrected branch state (the same for every spin
         record) with the truth-rule state of ``ideal_hyper_cnot_n``, from the
-        factors of both, as ``hyperstate.product_overlap`` takes it: the
-        branch state's coefficient F[0, c] x0_c and vectors u_i,
-        unnormalized, against x0_c and x_i. Stacked, the truth rule's rows
-        are x itself, so one overlap (``hyperstate._ratio``) of the branch
-        state's rows (``hyperstate.photon_rows``) with x takes them all,
-        overwriting those fresh rows."""
-        rows = photon_rows(self.control * self.x[..., 0, :], self.u)
-        return _ratio(rows, self.x).prod(axis=-1)
+        weights and the ledger alone: the product over photons j of
+        |sum_k conj(F[0, k]) w_j[k]|^2 / (kept_j entered_j), each factor
+        photon j's |<u_j|x_j>|^2 / (|u_j|^2 |x_j|^2) (the module
+        docstring's three identities)."""
+        ratio = np.abs(np.einsum("...pk,...k->...p", self.w, np.conjugate(self.control)))
+        ratio *= ratio
+        ratio /= self.norms[..., 0]
+        ratio /= self.norms[..., 1]
+        return ratio.prod(axis=-1)
 
 
-def factored_run(bc, mirror_scale, x: np.ndarray, w: np.ndarray) -> FactoredRun:
-    """The gate on photon vectors x and their weights w
-    (``hyperstate.gate_inputs``, or ``hyperstate.photon_weights`` of x) in
-    factored form. bc's fields and mirror_scale (``GateConfig.mirror_scale``;
-    None: a balanced mirror) are numbers for one cavity point, or arrays of
-    shape (B,) for a batch of B points, with x and w of shape (P, 4) or
-    (B, P, 4). The caller has checked that every block transmits
-    (``check_transmits``). Refuses what ``circuit.check_stage`` refuses, at
-    any point: a mirror transmission |mirror_scale * T| above 1 among them."""
+def factored_run(bc, mirror_scale, w: np.ndarray) -> FactoredRun:
+    """The gate on photons of weights w (``hyperstate.gate_inputs``, or
+    ``hyperstate.photon_weights`` of their vectors) in factored form.
+    bc's fields and mirror_scale (``GateConfig.mirror_scale``; None: a
+    balanced mirror) are numbers for one cavity point, or arrays of shape
+    (B,) for a batch of B points, with w of shape (P, 4) or (B, P, 4). The
+    caller has checked that every block transmits (``check_transmits``).
+    Refuses what ``circuit.check_stage`` refuses, at any point: a mirror
+    transmission |mirror_scale * T| above 1 among them."""
     tm, gm, d2, t2 = check_stage(bc, mirror_scale)
     T = bc.T
     # F[..., 0, k] = f(m, 0) f(p, 0) on k = p + 2m, f(0, 0) = tm the mirror's
@@ -341,23 +351,13 @@ def factored_run(bc, mirror_scale, x: np.ndarray, w: np.ndarray) -> FactoredRun:
     # point too: Python's complex multiply rounds differently), on a leading
     # axis that the transpose moves to the back, behind a batch axis
     control = (np.array((tm, tm, T, T)) * np.array((tm, T, tm, T))).T
-    # u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i); a balanced mirror makes
-    # F[0] = T^2 everywhere, and u_i = T^2 x_i is taken to the bit, T^2 the
-    # first operand: one point's number as it is, a batch's as a (B, 1, 1)
-    # view of the control row
-    if mirror_scale is None:
-        u = (control[:, 3, None, None] if control.ndim > 1 else T * T) * x[..., 1:, :]
-    else:
-        u = np.einsum("...k,jk->...j",
-                      control[..., None, :] * np.einsum("...k,jk->...j", x[..., 1:, :], _K),
-                      _K)
     # |F[sigma, k]| does not depend on sigma, so no mass does either: a
     # photon's stage masses are its own, times the mass the photons before it
     # kept and the input norms of the photons after it. Its own are its
     # weights w[..., photon, k], contracted with the point's table
     # (``_COLUMNS``); the batch axis comes from the table, as w lacks it when
     # every point has the same photons.
-    n = x.shape[-2]
+    n = w.shape[-2]
     fractions = branch_fractions(gm, d2, t2)
     one = fractions[0] + 1.0   # the mirror never clicks: a 1 of the figures' shape
     factors = np.array((*fractions, one, one)).T   # [..., 2 * kind + branch bit]
@@ -379,7 +379,19 @@ def factored_run(bc, mirror_scale, x: np.ndarray, w: np.ndarray) -> FactoredRun:
             success = np.where(tiny, np.exp(np.log(kept).sum(axis=-1)), success)[()]
     stage_masses = ledger[..., :4]
     stage_masses *= (chain[..., 0, :-1] * chain[..., 1, -2::-1])[..., None]
-    return FactoredRun._make((x, control, u, success, ledger[..., :2], ledger[..., 2:4]))
+    return FactoredRun._make((control, w, ledger[..., 4:], success, ledger[..., :2],
+                              ledger[..., 2:4]))
+
+
+def _branch_vectors(control, T, mirror_scale, x: np.ndarray) -> np.ndarray:
+    """The targets' outputs u_i = (A_0 (x) A_0) x_i = K (F[0] o K x_i) at one
+    cavity point, from ``factored_run``'s control row F[0], the block's T
+    and the targets' vectors x. A balanced mirror makes F[0] = T^2
+    everywhere, and u_i = T^2 x_i is taken to the bit, Python's T * T the
+    first operand."""
+    if mirror_scale is None:
+        return T * T * x
+    return np.einsum("...k,jk->...j", control * np.einsum("...k,jk->...j", x, _K), _K)
 
 
 def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
@@ -391,14 +403,16 @@ def hyper_cnot_n(control: PhotonSpec, targets: Sequence[PhotonSpec],
     bc = cavity_block_coeffs(cfg.params)
     check_transmits(bc.T)
     x, w = gate_inputs([control, *targets])
-    run = factored_run(bc, cfg.mirror_scale, x, w)
+    run = factored_run(bc, cfg.mirror_scale, w)
     success = float(run.success)
     if success == 0.0:
         raise AmplitudeLostError("all amplitude lost: nothing left to measure")
     # the term of the control's index c: its amplitude F[0, c] x_c, with the
     # branch's Hadamard sign and feed-forward sign folded in, times the
     # targets' X^c u_i; the state normalizes itself when read
-    state = FactoredState(run.control * x[0], run.u, "the four branch states")
+    state = FactoredState(run.control * x[0],
+                          _branch_vectors(run.control, bc.T, cfg.mirror_scale, x[1:]),
+                          "the four branch states")
     p = success / 4.0
     (r0, c0), (r1, c1), (r2, c2), (r3, c3) = _RECORDS
     make = OutcomeBranch._make   # tuple.__new__ on the fields, skipping __new__

@@ -29,13 +29,15 @@ corrected branch state. The expander holds the one count
 against MAX_AMPLITUDES, made before anything is built; a Hadamard on a
 caller-built state checks its own output.
 
-A spec keeps the gate kernel's per-photon input as two rows of bytes, one
-per role a photon plays in the gate: its vector, then its weights as the
+A spec keeps the gate's per-photon input as two rows of bytes, one per
+role a photon plays in the gate: its vector, then its weights as the
 control or as a target (``photon_weights``, the one weight computation,
 which the batched passes of ``analysis`` also call). ``gate_inputs`` joins
 photon 0's control row and every further photon's target row, and the
-kernel (``gates.factored_run``) receives the vectors and the weights as
-two views of that join. No other module knows the rows' layout.
+gate reads the vectors and the weights as two views of that join: the
+kernel (``gates.factored_run``) receives the weights, and
+``gates.hyper_cnot_n`` forms its output vectors from the vectors. No other
+module knows the rows' layout.
 
 The last two are ``FactoredState``s: a sum over the control photon's basis
 index c of product states, c's coefficient times one 4-vector per further
@@ -45,7 +47,11 @@ flips). It normalizes itself and expands its amplitudes on their first
 read, so what refuses either surfaces there; until then ``fidelity`` takes
 the overlap of two of them from their factors (``product_overlap``), as the
 product of one overlap ratio per photon, all taken in one overlap of the
-stacked rows, in time linear in the photons.
+stacked rows, in time linear in the photons. That is the fidelity of two
+arbitrary factored states. The gate's batched passes take the same ratios
+of its output against the truth rule from the photons' weights instead
+(``gates.FactoredRun.truth_fidelity``), and only ``gates.hyper_cnot_n``
+builds the output vectors.
 """
 from __future__ import annotations
 
@@ -384,20 +390,15 @@ def product_overlap(a, b):
       <a|b> = sum_c conj(a_c) b_c  prod_i <va[i] | vb[i]>
 
     and the norms alike: the ratio is the product of one ratio per photon
-    row (``photon_rows``: the control's, then each target's), taken in one
-    overlap. Each is in [0, 1], so the product cannot overflow, and it
-    underflows only where the fidelity itself is that small. An operand of
-    norm 0 gives NaN (0/0)."""
-    a, b = np.broadcast_arrays(photon_rows(*a), photon_rows(*b))
+    row (the control's coefficients, then each target's vector, stacked
+    like the vectors of ``photon_vectors``), taken in one overlap. Each is
+    in [0, 1], so the product cannot overflow, and it underflows only where
+    the fidelity itself is that small. An operand of norm 0 gives NaN
+    (0/0)."""
+    a, b = np.broadcast_arrays(*(np.concatenate((coef[..., None, :], vectors), axis=-2)
+                                 for coef, vectors in (a, b)))
     # _ratio overwrites its first operand: a C-ordered copy of a's rows
     return _ratio(a.copy(), b).prod(axis=-1)
-
-
-def photon_rows(coef: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """A factored state's coefficients and vectors as one array of rows
-    [..., photon, k], the control's coefficients first, stacked like the
-    photon vectors of ``photon_vectors``, in a fresh array."""
-    return np.concatenate((coef[..., None, :], vectors), axis=-2)
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -449,7 +450,7 @@ def photon_vectors(photons: Sequence[PhotonSpec]) -> np.ndarray:
 
 
 def gate_inputs(photons: Sequence[PhotonSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """The gate kernel's inputs for the photons, the control first: their
+    """The gate's inputs for the photons, the control first: their
     vectors x and their weights w (``photon_weights``), photon 0's as the
     control and each further photon's as a target. Both are (P, 4) views of
     one fresh, writeable buffer of (P, 12) floats, the join of photon 0's

@@ -80,10 +80,10 @@ class TestSweepGrid:
 class TestSweepEfficiency:
     def test_the_peak_memory_per_photon(self):
         # the tracemalloc peak of a one-point sweep of 10^5 targets, per
-        # photon: at most 200 bytes, plus a fixed allowance for the small
-        # arrays. Holding the run's stage ledger through the overlap, or
-        # taking the overlap's conjugate and product in arrays of their own,
-        # raises it to about 305.
+        # photon: at most 128 bytes, plus a fixed allowance for the small
+        # arrays. A fidelity taken from the output vectors, as an overlap
+        # of a fresh stack of them with the input vectors, raises it to
+        # about 176.
         n = 10**5
         grid = SweepGrid(g_ratios=(3.0,), ks_ratios=(0.1,), n_targets=n)
         started = not tracemalloc.is_tracing()
@@ -97,7 +97,7 @@ class TestSweepEfficiency:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 200 * n + 2**18, peak / n
+        assert peak <= 128 * n + 2**18, peak / n
 
     def test_rows_follow_grid_order(self):
         grid = SweepGrid(g_ratios=(1.0, 3.0), ks_ratios=(0.0, 0.5))

@@ -56,7 +56,7 @@ def test_factored_fidelity_matches_the_expanded_states():
         ideal = ideal_hyper_cnot_n(photons[0], photons[1:])
         bc = block_coeffs(scatter_coeffs(cfg.params))
         factored = float(factored_run(bc, cfg.mirror_scale,
-                                      *gate_inputs(photons)).truth_fidelity())
+                                      gate_inputs(photons)[1]).truth_fidelity())
         # expanded, both take the dict fidelity
         outcome.conditional_state.amplitudes, ideal.amplitudes
         for branch in outcome.branches:
@@ -75,7 +75,7 @@ def test_a_batch_matches_one_point_at_a_time(n):
     scale = np.array([1.0 if cfg.mirror_scale is None else cfg.mirror_scale
                       for cfg, _ in cases])
     x = np.array([photon_vectors(p) for _, p in cases])
-    run = factored_run(bc, scale, x, photon_weights(x))
+    run = factored_run(bc, scale, photon_weights(x))
     fids = run.truth_fidelity()
     for j, (cfg, photons) in enumerate(cases):
         outcome = hyper_cnot_n(photons[0], photons[1:], cfg)
@@ -107,7 +107,7 @@ def test_a_batchs_control_row_is_the_outer_product_to_the_bit(scale):
     mirror_scale = {"balanced": None, "scalar": complex(0.8, 0.1),
                     "per_point": rng.uniform(0.5, 0.9, 500) * np.exp(0.3j * rng.uniform(-1, 1, 500))
                     }[scale]
-    run = factored_run(bc, mirror_scale, *gate_inputs([PhotonSpec.uniform()] * 2))
+    run = factored_run(bc, mirror_scale, gate_inputs([PhotonSpec.uniform()] * 2)[1])
     t_mirror = bc.T if mirror_scale is None else mirror_scale * bc.T
     assert (_bits(run.control) == _bits(_outer_control(t_mirror, bc.T))).all()
 
@@ -125,10 +125,10 @@ def test_a_points_control_row_is_a_one_entry_batchs():
         bc = cavity_block_coeffs(cfg.params)
         if abs(bc.T * (cfg.mirror_scale or 1.0)) > 1.0:
             continue   # a mirror with gain: refused on both paths
-        x, w = gate_inputs(photons)
-        point = factored_run(bc, cfg.mirror_scale, x, w).control
+        w = gate_inputs(photons)[1]
+        point = factored_run(bc, cfg.mirror_scale, w).control
         batch = factored_run(BlockCoeffs(D=np.array([bc.D]), T=np.array([bc.T])),
-                             cfg.mirror_scale, x[None], w[None]).control[0]
+                             cfg.mirror_scale, w[None]).control[0]
         if cfg.mirror_scale is None:
             assert (_bits(point) == _bits(batch)).all(), case
         else:
@@ -314,36 +314,36 @@ def stage_checks(monkeypatch):
 def test_the_stage_checks_run_once_per_pass(stage_checks):
     # the mirror and passivity refusals of a pass run once, with their
     # messages unchanged
-    x, w = gate_inputs([PhotonSpec.uniform()] * 3)
+    w = gate_inputs([PhotonSpec.uniform()] * 3)[1]
     bc = BlockCoeffs(D=np.array([0.1, 0.2]), T=np.array([0.9, 0.8 + 0.1j]))
-    factored_run(bc, None, x, w)
+    factored_run(bc, None, w)
     assert len(stage_checks) == 1
     # the scale 2 makes the first point's mirror 2 * 0.9
     with pytest.raises(ValidationError, match=r"mirror transmission \|mirror_scale \* T\| "
                                               r"exceeds 1 at mirror_scale 2.0$"):
-        factored_run(bc, np.array([2.0, 0.5]), x, w)
+        factored_run(bc, np.array([2.0, 0.5]), w)
     with pytest.raises(ValidationError,
                        match=r"block coefficients violate \|D\|\^2\+\|T\|\^2<=1 \(1.62"):
-        factored_run(BlockCoeffs(D=np.array([0.1, 0.9]), T=np.array([0.9, 0.9])), None, x, w)
+        factored_run(BlockCoeffs(D=np.array([0.1, 0.9]), T=np.array([0.9, 0.9])), None, w)
 
 
 def test_a_mirror_with_gain_is_refused_before_a_block_that_is_not_passive():
     # one test guards both refusals of a batch; when it trips they run in
     # their order, so a mirror with gain anywhere is named by its scale even
     # where an earlier point's block is not passive
-    x, w = gate_inputs([PhotonSpec.uniform()] * 2)
+    w = gate_inputs([PhotonSpec.uniform()] * 2)[1]
     bc = BlockCoeffs(D=np.array([0.9, 0.1]), T=np.array([0.9, 0.9]))
     mirror = r"mirror transmission \|mirror_scale \* T\| exceeds 1 at mirror_scale {}$"
     with pytest.raises(ValidationError, match=mirror.format(r"2\.0")):
-        factored_run(bc, np.array([1.0, 2.0]), x, w)
+        factored_run(bc, np.array([1.0, 2.0]), w)
     with pytest.raises(ValidationError, match=mirror.format(r"1\.5")):
-        factored_run(bc, 1.5, x, w)
+        factored_run(bc, 1.5, w)
     with pytest.raises(ValidationError, match=r"\|D\|\^2\+\|T\|\^2<=1 \(1.62"):
-        factored_run(bc, np.array([1.0, 1.0]), x, w)
+        factored_run(bc, np.array([1.0, 1.0]), w)
     # one point alike
     point = BlockCoeffs(D=0.9, T=0.9)
     with pytest.raises(ValidationError, match=mirror.format(r"1\.5")):
-        factored_run(point, 1.5, x, w)
+        factored_run(point, 1.5, w)
     with pytest.raises(ValidationError, match=mirror.format(r"1\.5")):
         circuit.check_stage(point, 1.5)
     with pytest.raises(ValidationError, match=r"\|D\|\^2\+\|T\|\^2<=1 \(1.62"):

@@ -68,7 +68,7 @@ class TestMirror:
             stage_spatial(state, 0, bc)
         assert state.amplitudes == before
         with pytest.raises(ValidationError, match=r"exceeds 1 at mirror_scale 1$"):
-            factored_run(bc, None, *gate_inputs([PhotonSpec.uniform()] * 2))
+            factored_run(bc, None, gate_inputs([PhotonSpec.uniform()] * 2)[1])
 
     def test_complex_transmission(self, bench_params):
         bc = block_coeffs(scatter_coeffs(bench_params))

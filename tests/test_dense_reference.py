@@ -25,6 +25,7 @@ from hypercnot import (
     Spin,
     block_coeffs,
     hyper_cnot_n,
+    ideal_hyper_cnot_n,
     random_photon_spec,
     scatter_coeffs,
 )
@@ -178,13 +179,19 @@ def test_a_batch_of_points_matches_the_dense_replay(n, mirror, shared):
     photons = [_photons("random", n, rng) for _ in range(1 if shared else points)]
     x = np.stack([photon_vectors(p) for p in photons])
     x = x[0] if shared else x
-    run = factored_run(bc, scale, x, photon_weights(x))
-    assert run.success.shape == (points,)
+    run = factored_run(bc, scale, photon_weights(x))
+    fids = run.truth_fidelity()
+    assert run.success.shape == fids.shape == (points,)
     assert run.clicks.shape == run.absorbed.shape == (points, n + 1, 2)
     for b in range(points):
         point = BlockCoeffs(D=bc.D[b], T=bc.T[b])
-        success, stages, _ = _replay(photons[0 if shared else b], point, scale)
+        success, stages, ref_branches = _replay(photons[0 if shared else b], point, scale)
         assert abs(run.success[b] - success) <= TOL
+        # the weight form of the fidelity against the replay's corrected state
+        truth = ideal_hyper_cnot_n(photons[0 if shared else b][0], photons[0 if shared else b][1:])
+        overlap = sum(np.conj(truth.amplitudes.get(label, 0.0)) * amp
+                      for label, amp in enumerate(ref_branches[0][2]))
+        assert abs(fids[b] - abs(overlap) ** 2 / truth.norm_sq()) <= TOL
         got = zip(run.clicks[b].ravel(), run.absorbed[b].ravel())
         for (click, absorbed), want in zip(got, stages, strict=True):
             assert abs(click - want[0]) <= TOL and abs(absorbed - want[1]) <= TOL

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from hypercnot import (
     truth_table,
 )
 from hypercnot.cli import main
-from hypercnot.gates import factored_run
+from hypercnot.gates import _branch_vectors, factored_run
 from hypercnot.hyperstate import FactoredState, gate_inputs, pol_mask
+from hypercnot.scattering import cavity_block_coeffs
 
 BENCH = ["--g", "3.3", "--kappa-s", "0.1", "--gamma", "0.1"]
 U = PhotonSpec.uniform()
@@ -156,18 +158,31 @@ def test_factored_fidelity_matches_the_dict_fidelity():
         assert abs(factored - expanded) <= 1e-12, case
 
 
-def test_a_point_fidelity_is_the_runs_truth_fidelity():
-    # the branch state holds the run's factors unnormalized, so fidelity
-    # does the same arithmetic on the same arrays as the batched sweep
-    rng = random.Random(7)
-    nrng = np.random.default_rng(8)
-    for case in range(200):
-        cfg, photons = _case(rng, nrng, case)
+@pytest.mark.parametrize("n", [1, 10, 1000])
+@pytest.mark.parametrize("scale", [None, 0.9, 0.7 * cmath.exp(0.4j), 1e-6],
+                         ids=["balanced", "real_unbalanced", "complex_unbalanced", "weak"])
+@pytest.mark.parametrize("kind", ["basis", "uniform", "random"])
+def test_a_point_fidelity_agrees_with_the_runs_truth_fidelity(bench_params, n, scale, kind):
+    # truth_fidelity takes each photon's ratio from its weights and the
+    # ledger, fidelity from the branch state's vectors: two arithmetics of
+    # one product of N + 1 ratios. Each ratio takes about eight roundings
+    # in either, and at worst their errors add up over the photons.
+    rng = np.random.default_rng(n)
+    make = {"basis": lambda: PhotonSpec.basis(*rng.integers(0, 2, 2)),
+            "uniform": PhotonSpec.uniform,
+            "random": lambda: random_photon_spec(rng)}[kind]
+    photons = [make() for _ in range(n + 1)]
+    bc = cavity_block_coeffs(bench_params)
+    x, w = gate_inputs(photons)
+    run = factored_run(bc, scale, w)
+    if run.success > 0.0:
+        cfg = GateConfig(params=bench_params, n_targets=n, mirror_scale=scale)
         state = hyper_cnot_n(photons[0], photons[1:], cfg).conditional_state
-        got = fidelity(state, ideal_hyper_cnot_n(photons[0], photons[1:]))
-        bc = block_coeffs(scatter_coeffs(cfg.params))
-        run = factored_run(bc, cfg.mirror_scale, *gate_inputs(photons))
-        assert got == run.truth_fidelity(), case
+    else:   # the success underflows, but no photon's ratio does
+        state = FactoredState(run.control * x[0],
+                              _branch_vectors(run.control, bc.T, scale, x[1:]), "the state")
+    want = fidelity(state, ideal_hyper_cnot_n(photons[0], photons[1:]))
+    assert abs(run.truth_fidelity() - want) <= 16 * (n + 1) * sys.float_info.epsilon * want
 
 
 def test_the_truth_rule_state_is_normalized():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hypercnot import hyperstate
-from hypercnot.gates import _draw, factored_run
+from hypercnot.gates import _branch_vectors, _draw, factored_run
 from hypercnot.scattering import BlockCoeffs
 from hypercnot import (
     DETECTOR_B1,
@@ -606,7 +606,7 @@ def test_the_kernel_ledger_matches_the_closed_forms_at_single_points():
         for scale in _KERNEL_MIRRORS:
             D, T = _random_block(rng)
             x = hyperstate.photon_vectors([random_photon_spec(rng) for _ in range(n + 1)])
-            run = factored_run(BlockCoeffs(D=D, T=T), scale, x, hyperstate.photon_weights(x))
+            run = factored_run(BlockCoeffs(D=D, T=T), scale, hyperstate.photon_weights(x))
             assert run.clicks.shape == run.absorbed.shape == (n + 1, 2)
             _assert_matches_reference(run.success, run.clicks, run.absorbed,
                                       _reference_ledger(D, T, scale, x.tolist()))
@@ -622,7 +622,7 @@ def test_the_kernel_ledger_matches_the_closed_forms_on_a_batch(shared, scale):
     photons = [hyperstate.photon_vectors([random_photon_spec(rng) for _ in range(n_photons)])
                for _ in range(1 if shared else len(blocks))]
     x = photons[0] if shared else np.array(photons)
-    run = factored_run(BlockCoeffs(D=D, T=T), scale, x, hyperstate.photon_weights(x))
+    run = factored_run(BlockCoeffs(D=D, T=T), scale, hyperstate.photon_weights(x))
     assert run.clicks.shape == run.absorbed.shape == (len(blocks), n_photons, 2)
     for b, (d, t) in enumerate(blocks):
         _assert_matches_reference(run.success[b], run.clicks[b], run.absorbed[b],
@@ -660,7 +660,7 @@ def test_the_kernel_peak_memory_per_photon(bench_params):
         for scale, per_photon in ((None, 264), (0.9, 320), (complex(0.8, 0.1), 320)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run = factored_run(bc, scale, x, w)
+            run = factored_run(bc, scale, w)
             peak = tracemalloc.get_traced_memory()[1] - base
             del run
             assert peak <= per_photon * n + 2**18, (scale, peak / n)
@@ -713,9 +713,12 @@ def test_the_kernel_reads_the_joined_views_as_c_ordered_copies(bench_params, n, 
     x, w = hyperstate.gate_inputs([make() for _ in range(n + 1)])
     assert not x.flags.c_contiguous and not w.flags.c_contiguous
     bc = block_coeffs(scatter_coeffs(bench_params))
-    views = factored_run(bc, scale, x, w)
-    copies = factored_run(bc, scale, np.ascontiguousarray(x), np.ascontiguousarray(w))
-    for a, b in zip((*views, views.truth_fidelity()), (*copies, copies.truth_fidelity())):
+    views = factored_run(bc, scale, w)
+    copies = factored_run(bc, scale, np.ascontiguousarray(w))
+    for a, b in zip((*views, views.truth_fidelity(),
+                     _branch_vectors(views.control, bc.T, scale, x[1:])),
+                    (*copies, copies.truth_fidelity(),
+                     _branch_vectors(copies.control, bc.T, scale, np.ascontiguousarray(x[1:])))):
         a, b = np.asarray(a), np.asarray(b)
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
